@@ -28,6 +28,7 @@
 #include "core/workload_engine.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
+#include "util/fnv1a.hpp"
 #include "util/rng.hpp"
 
 using namespace mcs;
@@ -74,17 +75,14 @@ void run_epoch_mix(int rounds, Schedule&& schedule, Cancel&& cancel,
 /// FNV-1a over the pop stream, folded to 32 bits so the value is exact in
 /// the report's double.
 struct PopHash {
-    std::uint64_t h = 1469598103934665603ULL;
+    Fnv1a h;
     void add(SimTime when, std::uint64_t seq) {
-        for (std::uint64_t v : {static_cast<std::uint64_t>(when), seq}) {
-            for (int b = 0; b < 8; ++b) {
-                h ^= (v >> (8 * b)) & 0xFF;
-                h *= 1099511628211ULL;
-            }
-        }
+        h.u64(static_cast<std::uint64_t>(when));
+        h.u64(seq);
     }
     double folded() const {
-        return static_cast<double>((h ^ (h >> 32)) & 0xFFFFFFFFULL);
+        const std::uint64_t v = h.value();
+        return static_cast<double>((v ^ (v >> 32)) & 0xFFFFFFFFULL);
     }
 };
 

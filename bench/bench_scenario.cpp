@@ -1,19 +1,18 @@
 // bench_scenario -- scenario corpus replay: byte identity + replay cost.
 //
 // Replays every committed scenario (examples/scenarios/) on the headline
-// 8x8 platform through the ScenarioPlayer, three legs per scenario:
-// serial (epoch_workers=1), sharded (epoch_workers=4), and -- for the
-// heaviest scenario -- a checkpoint-mid-scenario restore. The report
-// separates the populations:
+// 8x8 platform through the ScenarioPlayer: two fresh replays per scenario
+// in one process, and -- for the heaviest scenario -- a
+// checkpoint-mid-scenario restore. The report separates the populations:
 //
 //   metrics   -- deterministic per-scenario counters and the byte-identity
 //                verdicts, gated by tools/check_bench.py (1 = identical)
 //   replay    -- wall-clock seconds per scenario (auxiliary, never gated)
 //
 // The claim this regenerates: a declarative scenario is pure replay --
-// byte-identical across worker counts and through a mid-scenario snapshot
-// (docs/scenarios.md), so stress campaigns inherit the determinism
-// contract unchanged.
+// byte-identical from one replay to the next and through a mid-scenario
+// snapshot (docs/scenarios.md), so stress campaigns inherit the
+// determinism contract unchanged.
 
 #include <chrono>
 #include <cstdio>
@@ -55,11 +54,10 @@ mcs::SystemConfig platform() {
     return cfg;
 }
 
-Leg run_leg(const mcs::ScenarioSpec& spec, int workers,
+Leg run_leg(const mcs::ScenarioSpec& spec,
             const std::string& checkpoint_path = "",
             const std::string& restore_path = "") {
-    mcs::SystemConfig cfg = platform();
-    cfg.epoch_workers = workers;
+    const mcs::SystemConfig cfg = platform();
     Leg leg;
     const auto start = std::chrono::steady_clock::now();
     mcs::ManycoreSystem sys(cfg);
@@ -105,29 +103,29 @@ int main(int argc, char** argv) {
     }
     mcs::bench::print_header(
         "scenario corpus replay",
-        "every committed scenario replays byte-identically across "
-        "epoch_workers counts and through a mid-scenario checkpoint");
+        "every committed scenario replays byte-identically from one "
+        "replay to the next and through a mid-scenario checkpoint");
     BenchReport report("scenario", opt);
 
     bool all_ok = true;
     for (const char* name : kCorpus) {
         const mcs::ScenarioSpec spec =
             mcs::load_scenario_file(dir + "/" + std::string(name) + ".json");
-        const Leg serial = run_leg(spec, 1);
-        const Leg sharded = run_leg(spec, 4);
-        const bool identical = serial.report == sharded.report &&
-                               serial.trace == sharded.trace;
+        const Leg first = run_leg(spec);
+        const Leg second = run_leg(spec);
+        const bool identical = first.report == second.report &&
+                               first.trace == second.trace;
         all_ok = all_ok && identical;
         const std::string key = spec.name;
         report.metric(key + ".replay_identical", identical ? 1.0 : 0.0);
         report.metric(key + ".apps_completed",
-                      static_cast<double>(serial.metrics.apps_completed));
+                      static_cast<double>(first.metrics.apps_completed));
         report.metric(key + ".tests_completed",
-                      static_cast<double>(serial.metrics.tests_completed));
-        report.aux("replay", key + ".wall_s", serial.wall_s);
-        std::printf("%-24s %s  (%.3f s serial, %.3f s sharded)\n",
+                      static_cast<double>(first.metrics.tests_completed));
+        report.aux("replay", key + ".wall_s", first.wall_s);
+        std::printf("%-24s %s  (%.3f s first, %.3f s second)\n",
                     name, identical ? "IDENTICAL" : "DRIFTED",
-                    serial.wall_s, sharded.wall_s);
+                    first.wall_s, second.wall_s);
     }
 
     // Checkpoint-mid-scenario restore on the heaviest scenario: the
@@ -137,9 +135,9 @@ int main(int argc, char** argv) {
             mcs::load_scenario_file(dir + "/combined_stress.json");
         const std::string snap =
             mcs::bench::out_path(opt, "scenario_mid.json");
-        const Leg fresh = run_leg(spec, 1);
-        const Leg interrupted = run_leg(spec, 1, snap);
-        const Leg restored = run_leg(spec, 1, "", snap);
+        const Leg fresh = run_leg(spec);
+        const Leg interrupted = run_leg(spec, snap);
+        const Leg restored = run_leg(spec, "", snap);
         const bool identical = interrupted.report == fresh.report &&
                                restored.report == fresh.report &&
                                restored.trace == fresh.trace;

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "util/require.hpp"
-#include "util/thread_pool.hpp"
 
 namespace mcs {
 
@@ -34,8 +33,7 @@ double AgingTracker::damage_rate_per_s(CoreState state, double temp_c) const {
 }
 
 void AgingTracker::update(SimTime now, const Chip& chip,
-                          std::span<const double> temps_c,
-                          EpochExecutor* exec) {
+                          std::span<const double> temps_c) {
     MCS_REQUIRE(chip.core_count() == damage_->size(),
                 "chip size does not match aging tracker");
     if (!started_) {
@@ -53,17 +51,9 @@ void AgingTracker::update(SimTime now, const Chip& chip,
     // going through per-core views (same arithmetic, contiguous access).
     const std::vector<CoreState>& state = chip.lanes().state;
     std::vector<double>& damage = *damage_;
-    auto integrate = [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-            const double temp =
-                temps_c.empty() ? params_.ref_temp_c : temps_c[i];
-            damage[i] += damage_rate_per_s(state[i], temp) * dt_s;
-        }
-    };
-    if (exec != nullptr && exec->parallel()) {
-        exec->for_slabs(damage.size(), integrate);
-    } else {
-        integrate(0, damage.size());
+    for (std::size_t i = 0; i < damage.size(); ++i) {
+        const double temp = temps_c.empty() ? params_.ref_temp_c : temps_c[i];
+        damage[i] += damage_rate_per_s(state[i], temp) * dt_s;
     }
 }
 

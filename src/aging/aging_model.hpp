@@ -8,8 +8,6 @@
 
 namespace mcs {
 
-class EpochExecutor;
-
 /// Wear-out model parameters. Damage is a dimensionless accumulator: a core
 /// continuously busy at the reference temperature reaches 1.0 after
 /// `nominal_lifetime_s` (Arrhenius-style temperature acceleration on top).
@@ -38,13 +36,9 @@ public:
     AgingTracker(std::size_t core_count, AgingParams params = {},
                  std::vector<double>* storage = nullptr);
 
-    /// Integrates damage over [last update, now]. With `exec`, the
-    /// per-core integration is sharded across the worker team: core i only
-    /// writes damage_[i] and the per-core arithmetic is unchanged, so the
-    /// result is bit-identical for any worker count.
+    /// Integrates damage over [last update, now].
     void update(SimTime now, const Chip& chip,
-                std::span<const double> temps_c,
-                EpochExecutor* exec = nullptr);
+                std::span<const double> temps_c);
 
     double damage(CoreId id) const;
     std::span<const double> damage_all() const noexcept { return *damage_; }

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/require.hpp"
-#include "util/thread_pool.hpp"
 
 namespace mcs {
 
@@ -84,8 +83,7 @@ std::vector<double> CriticalityEvaluator::evaluate_chip(
 
 void CriticalityEvaluator::evaluate_chip_into(const Chip& chip, SimTime now,
                                               std::span<const double> damage,
-                                              std::vector<double>& out,
-                                              EpochExecutor* exec) const {
+                                              std::vector<double>& out) const {
     double max_damage = 0.0;
     for (double d : damage) {
         max_damage = std::max(max_damage, d);
@@ -94,20 +92,13 @@ void CriticalityEvaluator::evaluate_chip_into(const Chip& chip, SimTime now,
     // Lanes-native fill: read the stress lanes directly instead of going
     // through per-core views (same arithmetic via evaluate_raw).
     const CoreLanes& lanes = chip.lanes();
-    auto fill = [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-            double norm = 0.0;
-            if (!damage.empty() && max_damage > 0.0) {
-                norm = damage[i] / max_damage;
-            }
-            out[i] = evaluate_raw(lanes.busy_cycles_since_test[i],
-                                  lanes.last_test_end[i], now, norm);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        double norm = 0.0;
+        if (!damage.empty() && max_damage > 0.0) {
+            norm = damage[i] / max_damage;
         }
-    };
-    if (exec != nullptr && exec->parallel()) {
-        exec->for_slabs(out.size(), fill);
-    } else {
-        fill(0, out.size());
+        out[i] = evaluate_raw(lanes.busy_cycles_since_test[i],
+                              lanes.last_test_end[i], now, norm);
     }
 }
 

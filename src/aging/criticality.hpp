@@ -56,13 +56,10 @@ public:
                                       std::span<const double> damage) const;
 
     /// In-place variant reusing the caller's buffer (resized to the core
-    /// count). With `exec`, the per-core evaluation is sharded across the
-    /// worker team: core i only writes out[i] and evaluate() is pure, so
-    /// the result is bit-identical for any worker count.
+    /// count).
     void evaluate_chip_into(const Chip& chip, SimTime now,
                             std::span<const double> damage,
-                            std::vector<double>& out,
-                            EpochExecutor* exec = nullptr) const;
+                            std::vector<double>& out) const;
 
     bool eligible(double criticality) const noexcept {
         return criticality >= params_.threshold;

@@ -3,7 +3,6 @@
 #include <cstdlib>
 
 #include "util/require.hpp"
-#include "util/thread_pool.hpp"
 
 namespace mcs {
 
@@ -68,16 +67,7 @@ std::vector<CoreId> Chip::neighbors(CoreId id) const {
     return out;
 }
 
-void Chip::checkpoint_all(SimTime now, EpochExecutor* exec) {
-    if (exec != nullptr && exec->parallel()) {
-        exec->for_slabs(cores_.size(),
-                        [&](std::size_t begin, std::size_t end) {
-                            for (std::size_t i = begin; i < end; ++i) {
-                                cores_[i].checkpoint(now);
-                            }
-                        });
-        return;
-    }
+void Chip::checkpoint_all(SimTime now) {
     for (auto& c : cores_) {
         c.checkpoint(now);
     }

@@ -8,8 +8,6 @@
 
 namespace mcs {
 
-class EpochExecutor;
-
 /// A manycore chip: a width x height grid of cores sharing one technology
 /// node and one DVFS table. Core ids are row-major: id = y * width + x.
 class Chip {
@@ -52,10 +50,8 @@ public:
     /// Chip power budget (TDP) from the technology's dark-silicon fraction.
     double tdp_w() const { return tech_.chip_tdp_w(core_count()); }
 
-    /// Checkpoints every core's accounting to `now`. With `exec`, the
-    /// per-core checkpoints are sharded across the worker team (each core's
-    /// accounting is independent, so any worker count is equivalent).
-    void checkpoint_all(SimTime now, EpochExecutor* exec = nullptr);
+    /// Checkpoints every core's accounting to `now`.
+    void checkpoint_all(SimTime now);
 
     std::vector<Core>& cores() noexcept { return cores_; }
     const std::vector<Core>& cores() const noexcept { return cores_; }

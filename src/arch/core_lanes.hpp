@@ -15,8 +15,7 @@ enum class CoreState;
 /// the state-machine lanes), so the hot per-epoch loops -- thermal step,
 /// wear integration, criticality, power fills, energy/trace folds, test
 /// candidacy -- iterate flat contiguous arrays instead of chasing
-/// per-object fields, and the `EpochExecutor` slab sharding maps straight
-/// onto lane ranges.
+/// per-object fields.
 ///
 /// The epoch lanes at the bottom (temperature, damage, criticality, power)
 /// are the same buffers the substrate models read and write: ThermalModel
@@ -28,8 +27,7 @@ enum class CoreState;
 /// (deduplicated) in `dirty_`. It has exactly one consumer -- the
 /// TestEngine's patch-on-commit candidacy view (core/test_candidacy.hpp),
 /// which drains it each test epoch. All writers run in serial event
-/// context (sharded epoch fills never mutate lanes' state machine), so the
-/// journal needs no synchronization.
+/// context, so the journal needs no synchronization.
 class CoreLanes {
 public:
     CoreLanes() = default;

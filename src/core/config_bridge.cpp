@@ -16,7 +16,7 @@ const std::set<std::string>& known_keys() {
         "guard_band", "criticality_threshold", "criticality_mode",
         "vf_policy", "mapper", "abort_tests", "faults", "fault_rate",
         "capping", "gate_delay_ms", "segmented", "sessions", "hard_rt_share",
-        "soft_rt_share", "noc_testing", "link_fault_rate", "epoch_workers",
+        "soft_rt_share", "noc_testing", "link_fault_rate",
         // Keys consumed by the CLI itself, accepted here so a shared file
         // can hold both.
         "seconds", "config", "out", "out_dir", "trace", "trace_capacity",
@@ -196,13 +196,6 @@ SystemConfig system_config_from(const Config& cfg) {
     sys.power.gate_delay =
         static_cast<SimDuration>(cfg.get_int("gate_delay_ms", 2)) *
         kMillisecond;
-
-    // Execution knob, not simulation state: any worker count produces
-    // byte-identical output (and composes with campaign --jobs, each
-    // replica getting its own team).
-    sys.epoch_workers = static_cast<int>(cfg.get_int("epoch_workers", 1));
-    MCS_REQUIRE(sys.epoch_workers >= 0,
-                "epoch_workers must be >= 0 (0 = one per hardware thread)");
     return sys;
 }
 

@@ -46,8 +46,7 @@ PlatformEngine::PlatformEngine(SystemContext& ctx)
 
 const std::vector<double>& PlatformEngine::refresh_criticality(SimTime now) {
     std::vector<double>& crit = ctx_.chip.lanes().criticality;
-    crit_eval_.evaluate_chip_into(ctx_.chip, now, aging_.damage_all(), crit,
-                                  &ctx_.epoch);
+    crit_eval_.evaluate_chip_into(ctx_.chip, now, aging_.damage_all(), crit);
     return crit;
 }
 
@@ -64,6 +63,9 @@ double PlatformEngine::noc_power_w() const {
 
 void PlatformEngine::accumulate_energy(SimTime now) {
     MCS_REQUIRE(now >= energy_clock_, "energy clock going backwards");
+    // Refreshed even for an empty interval: power_epoch reads the lane as
+    // the chip-power measurement right after this call.
+    fill_power_lane();
     const double dt_s = to_seconds(now - energy_clock_);
     energy_clock_ = now;
     if (dt_s <= 0.0) {
@@ -72,10 +74,6 @@ void PlatformEngine::accumulate_energy(SimTime now) {
     link_test_energy_j_ +=
         static_cast<double>(ctx_.test->link_tests_running()) *
         ctx_.cfg.noc_test.test_power_w * dt_s;
-    // Parallel fill (pure per-core power reads), then a serial commit in
-    // core order so the energy sums accumulate in the same floating-point
-    // order for every worker count.
-    fill_power_lane();
     const CoreLanes& lanes = ctx_.chip.lanes();
     for (std::size_t i = 0; i < lanes.size(); ++i) {
         const double p = lanes.power_w[i];
@@ -97,32 +95,35 @@ void PlatformEngine::fill_power_lane() {
     // Lanes-native: reads the state/vf/temperature lanes, writes only the
     // power lane (the temperature lane is the thermal model's live buffer).
     CoreLanes& lanes = ctx_.chip.lanes();
-    ctx_.epoch.for_slabs(
-        lanes.size(), [&](std::size_t begin, std::size_t end) {
-            for (std::size_t i = begin; i < end; ++i) {
-                lanes.power_w[i] = power_model_.core_power_w(
-                    lanes.state[i], lanes.vf_level[i], lanes.temp_c[i]);
-            }
-        });
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+        lanes.power_w[i] = power_model_.core_power_w(
+            lanes.state[i], lanes.vf_level[i], lanes.temp_c[i]);
+    }
 }
 
 void PlatformEngine::power_epoch() {
     accumulate_energy(ctx_.sim.now());
     ctx_.noc.roll_window();
-    power_mgr_.control_epoch(ctx_.sim.now(), thermal_.temps_c(),
-                             noc_power_w());
+    // Chip power for the capping loop: the lane accumulate_energy just
+    // filled, summed in core order, plus the NoC term.
+    double chip_w = 0.0;
+    for (const double p : ctx_.chip.lanes().power_w) {
+        chip_w += p;
+    }
+    chip_w += noc_power_w();
+    power_mgr_.control_epoch(ctx_.sim.now(), chip_w, thermal_.temps_c());
 }
 
 void PlatformEngine::thermal_epoch() {
     fill_power_lane();
     thermal_.step(ctx_.chip.lanes().power_w,
-                  to_seconds(ctx_.cfg.thermal_epoch), &ctx_.epoch);
+                  to_seconds(ctx_.cfg.thermal_epoch));
     peak_temp_c_ = std::max(peak_temp_c_, thermal_.max_temp_c());
 }
 
 void PlatformEngine::wear_epoch() {
     const SimTime now = ctx_.sim.now();
-    ctx_.chip.checkpoint_all(now, &ctx_.epoch);
+    ctx_.chip.checkpoint_all(now);
     const CoreLanes& lanes = ctx_.chip.lanes();
     for (std::size_t i = 0; i < lanes.size(); ++i) {
         ++state_samples_;
@@ -130,18 +131,12 @@ void PlatformEngine::wear_epoch() {
         testing_samples_ += lanes.state[i] == CoreState::Testing ? 1 : 0;
         reserved_samples_ += lanes.reserved[i] != 0 ? 1 : 0;
     }
-    aging_.update(now, ctx_.chip, thermal_.temps_c(), &ctx_.epoch);
+    aging_.update(now, ctx_.chip, thermal_.temps_c());
     if (faults_) {
         accel_buf_.resize(ctx_.chip.core_count());
-        ctx_.epoch.for_slabs(
-            accel_buf_.size(), [&](std::size_t begin, std::size_t end) {
-                for (std::size_t i = begin; i < end; ++i) {
-                    accel_buf_[i] =
-                        aging_.fault_acceleration(static_cast<CoreId>(i));
-                }
-            });
-        // The fault injector draws from its RNG stream and so stays
-        // strictly serial (draw order is part of the determinism contract).
+        for (std::size_t i = 0; i < accel_buf_.size(); ++i) {
+            accel_buf_[i] = aging_.fault_acceleration(static_cast<CoreId>(i));
+        }
         const auto fresh = faults_->step(
             now, to_seconds(ctx_.cfg.wear_epoch), ctx_.chip, accel_buf_);
         // A new fault invalidates any partial segmented-suite progress on
@@ -181,8 +176,6 @@ void PlatformEngine::trace_epoch() {
     TraceSample s;
     s.time = ctx_.sim.now();
     s.tdp_w = ctx_.budget.tdp_w();
-    // Same fill/commit split as accumulate_energy: the observer stream
-    // sees sums folded in core order regardless of worker count.
     fill_power_lane();
     const CoreLanes& lanes = ctx_.chip.lanes();
     for (std::size_t i = 0; i < lanes.size(); ++i) {

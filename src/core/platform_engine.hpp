@@ -49,7 +49,8 @@ public:
     double core_power_now(const Core& core) const;
     /// NoC static power plus in-flight link-test power.
     double noc_power_w() const;
-    /// Integrates the per-state energy split up to `now`.
+    /// Refreshes the chip's power lane and integrates the per-state energy
+    /// split up to `now`.
     void accumulate_energy(SimTime now);
 
     PowerManager& power_manager() noexcept { return power_mgr_; }
@@ -85,9 +86,8 @@ public:
     void load_state(const telemetry::JsonValue& doc);
 
 private:
-    /// Sharded fill of the chip's power lane: power_w[i] = current draw of
-    /// core i across the epoch worker team (pure per-core reads of the
-    /// state/vf/temperature lanes; disjoint writes).
+    /// Fills the chip's power lane: power_w[i] = current draw of core i
+    /// from the state/vf/temperature lanes.
     void fill_power_lane();
 
     SystemContext& ctx_;

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "app/workload.hpp"
+#include "core/metric_catalog.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
 
@@ -78,78 +79,21 @@ void write_metrics_csv(const RunMetrics& m, const std::string& path) {
         os << value;
         csv.write_row(std::vector<std::string>{key, os.str()});
     };
-    row("sim_time_s", to_seconds(m.sim_time));
-    row("core_count", static_cast<double>(m.core_count));
-    row("apps_arrived", static_cast<double>(m.apps_arrived));
-    row("apps_completed", static_cast<double>(m.apps_completed));
-    row("apps_rejected", static_cast<double>(m.apps_rejected));
-    row("tasks_completed", static_cast<double>(m.tasks_completed));
-    row("throughput_tasks_per_s", m.throughput_tasks_per_s);
-    row("throughput_apps_per_s", m.throughput_apps_per_s);
-    row("work_cycles_per_s", m.work_cycles_per_s);
-    row("app_latency_ms_mean", m.app_latency_ms.mean());
-    row("app_queue_wait_ms_mean", m.app_queue_wait_ms.mean());
-    row("chip_utilization", m.mean_chip_utilization);
-    row("reserved_fraction", m.mean_reserved_fraction);
-    row("dark_fraction", m.mean_dark_fraction);
-    row("testing_fraction", m.mean_testing_fraction);
-    row("tdp_w", m.tdp_w);
-    row("mean_power_w", m.mean_power_w);
-    row("max_power_w", m.max_power_w);
-    row("tdp_violation_rate", m.tdp_violation_rate);
-    row("worst_overshoot_w", m.worst_overshoot_w);
-    row("energy_total_j", m.energy_total_j);
-    row("energy_busy_j", m.energy_busy_j);
-    row("energy_test_j", m.energy_test_j);
-    row("energy_idle_j", m.energy_idle_j);
-    row("energy_noc_j", m.energy_noc_j);
-    row("test_energy_share", m.test_energy_share);
-    row("tests_completed", static_cast<double>(m.tests_completed));
-    row("tests_aborted", static_cast<double>(m.tests_aborted));
-    row("tests_per_core_per_s", m.tests_per_core_per_s);
-    row("test_interval_s_mean", m.test_interval_s.mean());
-    row("test_interval_s_max", m.test_interval_s.max());
-    row("max_open_test_gap_s", m.max_open_test_gap_s);
-    row("untested_core_fraction", m.untested_core_fraction);
-    for (std::size_t l = 0; l < m.tests_per_vf_level.size(); ++l) {
-        row("tests_vf_level_" + std::to_string(l),
-            static_cast<double>(m.tests_per_vf_level[l]));
+    for (const MetricDef& def : metric_catalog()) {
+        row(def.name, def.get(m));
     }
-    for (std::size_t cls = 0; cls < m.apps_completed_by_class.size();
-         ++cls) {
-        const std::string suffix = "_class" + std::to_string(cls);
-        row("apps_completed" + suffix,
-            static_cast<double>(m.apps_completed_by_class[cls]));
-        row("deadlines_met" + suffix,
-            static_cast<double>(m.deadlines_met_by_class[cls]));
-        row("deadlines_missed" + suffix,
-            static_cast<double>(m.deadlines_missed_by_class[cls]));
-    }
-    row("faults_injected", static_cast<double>(m.faults_injected));
-    row("faults_detected", static_cast<double>(m.faults_detected));
-    row("test_escapes", static_cast<double>(m.test_escapes));
-    row("corrupted_tasks", static_cast<double>(m.corrupted_tasks));
-    row("corrupted_apps", static_cast<double>(m.corrupted_apps));
-    row("detection_latency_s_mean", m.detection_latency_s.mean());
-    row("link_tests_completed",
-        static_cast<double>(m.link_tests_completed));
-    row("link_faults_injected",
-        static_cast<double>(m.link_faults_injected));
-    row("link_faults_detected",
-        static_cast<double>(m.link_faults_detected));
-    row("corrupted_messages", static_cast<double>(m.corrupted_messages));
-    row("link_detection_latency_s_mean", m.link_detection_latency_s.mean());
-    row("max_open_link_test_gap_s", m.max_open_link_test_gap_s);
-    row("mapping_dispersion_hops_mean", m.mapping_dispersion_hops.mean());
-    row("noc_mean_utilization", m.noc_mean_utilization);
-    row("noc_peak_utilization", m.noc_peak_utilization);
-    row("noc_messages", static_cast<double>(m.noc_messages));
-    row("peak_temp_c", m.peak_temp_c);
-    row("mean_damage", m.mean_damage);
-    row("max_damage", m.max_damage);
-    row("damage_imbalance", m.damage_imbalance);
-    row("dvfs_throttle_steps", static_cast<double>(m.dvfs_throttle_steps));
-    row("dvfs_boost_steps", static_cast<double>(m.dvfs_boost_steps));
+    // Vector metrics, one row per index, in the run report's `vectors`
+    // order.
+    auto rows = [&](const std::string& prefix,
+                    const std::vector<std::uint64_t>& values) {
+        for (std::size_t i = 0; i < values.size(); ++i) {
+            row(prefix + std::to_string(i), static_cast<double>(values[i]));
+        }
+    };
+    rows("tests_vf_level_", m.tests_per_vf_level);
+    rows("apps_completed_class", m.apps_completed_by_class);
+    rows("deadlines_met_class", m.deadlines_met_by_class);
+    rows("deadlines_missed_class", m.deadlines_missed_by_class);
 }
 
 }  // namespace mcs

@@ -12,7 +12,8 @@ namespace mcs {
 std::string format_metrics(const RunMetrics& m);
 
 /// Writes the metrics as a two-column (key,value) CSV for downstream
-/// tooling. One metric per row; vector metrics are expanded per index.
+/// tooling: every metric_catalog() scalar in catalog order, then the
+/// vector metrics expanded per index.
 void write_metrics_csv(const RunMetrics& m, const std::string& path);
 
 }  // namespace mcs

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <ostream>
 #include <string_view>
 #include <utility>
@@ -17,6 +16,7 @@
 #include "telemetry/json.hpp"
 #include "telemetry/schema.hpp"
 #include "telemetry/tracer.hpp"
+#include "util/fnv1a.hpp"
 #include "util/require.hpp"
 
 namespace mcs {
@@ -32,47 +32,7 @@ constexpr std::array<std::string_view, 5> kEpochKinds = {
 
 // ------------------------------------------------------- fingerprinting
 
-/// FNV-1a over a canonical byte stream: integers little-endian, doubles by
-/// bit pattern (so the hash is exact, not round-trip-formatted), strings
-/// length-prefixed.
-class Fingerprint {
-public:
-    void u64(std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            byte(static_cast<unsigned char>(v >> (8 * i)));
-        }
-    }
-    void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-    void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-    void boolean(bool v) { byte(v ? 1 : 0); }
-    void str(std::string_view s) {
-        u64(s.size());
-        for (char c : s) {
-            byte(static_cast<unsigned char>(c));
-        }
-    }
-
-    /// 16 lowercase hex digits.
-    std::string hex() const {
-        static constexpr char kDigits[] = "0123456789abcdef";
-        std::string out(16, '0');
-        for (int i = 0; i < 16; ++i) {
-            out[static_cast<std::size_t>(i)] =
-                kDigits[(h_ >> (60 - 4 * i)) & 0xF];
-        }
-        return out;
-    }
-
-private:
-    void byte(unsigned char b) {
-        h_ ^= b;
-        h_ *= 1099511628211ULL;
-    }
-
-    std::uint64_t h_ = 14695981039346656037ULL;
-};
-
-void hash_graph(Fingerprint& fp, const TaskGraph& g) {
+void hash_graph(Fnv1a& fp, const TaskGraph& g) {
     fp.u64(g.size());
     for (TaskIndex t = 0; t < static_cast<TaskIndex>(g.size()); ++t) {
         const Task& task = g.task(t);
@@ -89,7 +49,7 @@ void hash_graph(Fingerprint& fp, const TaskGraph& g) {
 // meaning* of the persisted state vectors (chip geometry, the workload
 // model the arrival trace regenerates from, the SBST suite, which optional
 // subsystems exist). Policy knobs stay out -- forked replicas vary them.
-void hash_structural(Fingerprint& fp, const SystemConfig& cfg) {
+void hash_structural(Fnv1a& fp, const SystemConfig& cfg) {
     fp.i64(cfg.width);
     fp.i64(cfg.height);
     fp.i64(static_cast<int>(cfg.node));
@@ -130,11 +90,8 @@ void hash_structural(Fingerprint& fp, const SystemConfig& cfg) {
     fp.boolean(cfg.segmented_tests);
 }
 
-void hash_full(Fingerprint& fp, const SystemConfig& cfg) {
+void hash_full(Fnv1a& fp, const SystemConfig& cfg) {
     hash_structural(fp, cfg);
-    // cfg.epoch_workers is deliberately NOT hashed: it is a pure execution
-    // knob (byte-identical output for any value), so snapshots captured at
-    // one worker count restore at any other.
     fp.u64(cfg.seed);
     fp.f64(cfg.tdp_scale);
 
@@ -353,13 +310,13 @@ void read_metrics(const telemetry::JsonValue& doc, RunMetrics& m) {
 }  // namespace
 
 std::string structural_fingerprint(const SystemConfig& cfg) {
-    Fingerprint fp;
+    Fnv1a fp;
     hash_structural(fp, cfg);
     return fp.hex();
 }
 
 std::string config_fingerprint(const SystemConfig& cfg) {
-    Fingerprint fp;
+    Fnv1a fp;
     hash_full(fp, cfg);
     return fp.hex();
 }

@@ -108,14 +108,6 @@ struct SystemConfig {
     bool enable_noc_testing = false;
     NocTestParams noc_test{};
 
-    /// Worker threads sharding per-core epoch work (thermal, wear, trace,
-    /// candidate assembly) between power-epoch barriers; 0 = one per
-    /// hardware thread. Purely an execution knob: any value produces
-    /// byte-identical traces, reports and registries (the commit phase is
-    /// serial in core order), so it is deliberately excluded from the
-    /// snapshot config fingerprints. See docs/parallelism.md.
-    int epoch_workers = 1;
-
     // Controller / observer epochs.
     SimDuration power_epoch = 100 * kMicrosecond;
     SimDuration thermal_epoch = 500 * kMicrosecond;

@@ -28,8 +28,7 @@ SystemContext::SystemContext(const SystemConfig& config)
       noc(cfg.width, cfg.height, noc_synced(cfg.noc, cfg.power_epoch)),
       suite(cfg.suite ? *cfg.suite : TestSuite::standard()),
       budget(chip.tdp_w()),
-      map_rng(cfg.seed ^ 0xa02bdbf7bb3c0a7ULL),
-      epoch(cfg.epoch_workers) {
+      map_rng(cfg.seed ^ 0xa02bdbf7bb3c0a7ULL) {
     metrics.tests_per_vf_level.assign(chip.vf_level_count(), 0);
     metrics.apps_completed_by_class.assign(kQosClassCount, 0);
     metrics.deadlines_met_by_class.assign(kQosClassCount, 0);

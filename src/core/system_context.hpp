@@ -20,7 +20,6 @@
 #include "sim/simulator.hpp"
 #include "telemetry/metrics_registry.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace mcs {
 
@@ -62,10 +61,6 @@ struct SystemContext {
     /// Dedicated RNG stream for mapping decisions (seeded off cfg.seed so
     /// mapper randomness is independent of workload/fault streams).
     Rng map_rng;
-    /// Worker team sharding per-core epoch work between power-epoch
-    /// barriers (cfg.epoch_workers; scratch is always quiescent outside a
-    /// for_slabs call, so checkpoints need no executor state).
-    EpochExecutor epoch;
     /// When set, capping and admission ignore QoS classes.
     bool priority_blind = false;
 

@@ -76,24 +76,17 @@ void TestEngine::test_epoch() {
     sctx.tests_running = tests_running_;
     sctx.vf_table = &ctx_.chip.vf_table();
     // Candidate ids come from the patched candidacy view (no chip rescan;
-    // equivalence argument in core/test_candidacy.hpp). The per-candidate
-    // field reads are pure, so the fill is sharded into per-member scratch
-    // slots; the commit loop then pushes the slots in member (= core)
-    // order, so the candidate list is identical for any worker count.
+    // equivalence argument in core/test_candidacy.hpp), in member (= core)
+    // order.
     const std::vector<CoreId>& members = candidacy_.members(now);
     const CoreLanes& lanes = ctx_.chip.lanes();
-    cand_buf_.resize(members.size());
-    ctx_.epoch.for_slabs(
-        members.size(), [&](std::size_t begin, std::size_t end) {
-            for (std::size_t i = begin; i < end; ++i) {
-                const CoreId id = members[i];
-                cand_buf_[i] = TestCandidate{
-                    id, crit[id], lanes.state[id] == CoreState::Dark,
-                    now - lanes.last_state_change[id], lanes.temp_c[id],
-                    ctx_.idle_predictor->predict_remaining(id, now)};
-            }
-        });
-    sctx.candidates.assign(cand_buf_.begin(), cand_buf_.end());
+    sctx.candidates.reserve(members.size());
+    for (const CoreId id : members) {
+        sctx.candidates.push_back(TestCandidate{
+            id, crit[id], lanes.state[id] == CoreState::Dark,
+            now - lanes.last_state_change[id], lanes.temp_c[id],
+            ctx_.idle_predictor->predict_remaining(id, now)});
+    }
     sctx.test_power_w = [this](CoreId core, int level) {
         const Core& c = ctx_.chip.core(core);
         const double temp = ctx_.thermal->temp_c(core);

@@ -133,11 +133,6 @@ private:
     /// per-epoch work is draining the lanes membership journal instead of
     /// rescanning the chip. Mutable through members() only.
     TestCandidacyView candidacy_;
-    /// Scratch for the sharded candidate-field fill: slot i holds the
-    /// fields of the i-th member; the commit loop pushes the slots in
-    /// member (= core) order. Quiescent between epochs (checkpoints never
-    /// see a live fill).
-    std::vector<TestCandidate> cand_buf_;
 };
 
 }  // namespace mcs

@@ -130,30 +130,24 @@ void WorkloadEngine::rebuild_view(PlatformViewCache& cache) {
     auto& alloc = cache.allocatable_buf();
     auto& testing = cache.testing_buf();
     auto& util = cache.utilization_buf();
-    // Pure per-core reads into slots indexed by core id -- sharded across
-    // the epoch worker team (identical values for any worker count).
-    ctx_.epoch.for_slabs(
-        ctx_.chip.core_count(), [&](std::size_t begin, std::size_t end) {
-            for (std::size_t i = begin; i < end; ++i) {
-                const Core& c = ctx_.chip.core(static_cast<CoreId>(i));
-                bool ok = !c.reserved();
-                switch (c.state()) {
-                    case CoreState::Idle:
-                    case CoreState::Dark:
-                        break;
-                    case CoreState::Testing:
-                        ok = ok && ctx_.cfg.abort_tests_for_mapping;
-                        break;
-                    case CoreState::Busy:
-                    case CoreState::Faulty:
-                        ok = false;
-                        break;
-                }
-                alloc[c.id()] = ok ? 1 : 0;
-                testing[c.id()] = c.is_testing() ? 1 : 0;
-                util[c.id()] = c.busy_fraction(now);
-            }
-        });
+    for (const Core& c : ctx_.chip.cores()) {
+        bool ok = !c.reserved();
+        switch (c.state()) {
+            case CoreState::Idle:
+            case CoreState::Dark:
+                break;
+            case CoreState::Testing:
+                ok = ok && ctx_.cfg.abort_tests_for_mapping;
+                break;
+            case CoreState::Busy:
+            case CoreState::Faulty:
+                ok = false;
+                break;
+        }
+        alloc[c.id()] = ok ? 1 : 0;
+        testing[c.id()] = c.is_testing() ? 1 : 0;
+        util[c.id()] = c.busy_fraction(now);
+    }
     PlatformView& view = cache.view();
     view.criticality = ctx_.platform->refresh_criticality(now);
     view.temperature_c = ctx_.thermal->temps_c();

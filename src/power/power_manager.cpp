@@ -91,9 +91,9 @@ void PowerManager::change_vf(SimTime now, Core& core, int new_level) {
     }
 }
 
-void PowerManager::control_epoch(SimTime now, std::span<const double> temps_c,
-                                 double extra_power_w) {
-    measured_power_w_ = model_.chip_power_w(chip_, temps_c) + extra_power_w;
+void PowerManager::control_epoch(SimTime now, double measured_power_w,
+                                 std::span<const double> temps_c) {
+    measured_power_w_ = measured_power_w;
     committed_power_w_ = measured_power_w_;  // ledger resets to ground truth
     budget_.record(now, measured_power_w_);
 

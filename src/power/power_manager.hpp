@@ -39,10 +39,10 @@ struct PowerManagerParams {
 /// Dark-silicon dynamic power capping (the ICCD'14 substrate the paper
 /// builds on), with a committed-power ledger for spike-free admission:
 ///
-///  * every control epoch the chip power is measured through the power
-///    model and a PID regulates it to setpoint_fraction * TDP by stepping
-///    the DVFS level of a proportional share of busy cores (down when over,
-///    up -- more slowly -- when under);
+///  * every control epoch the caller's chip-power measurement is
+///    regulated by a PID to setpoint_fraction * TDP by stepping the DVFS
+///    level of a proportional share of busy cores (down when over, up --
+///    more slowly -- when under);
 ///  * between epochs, task starts ask grant_task_level() for the highest
 ///    DVFS level whose power increment still fits under the setpoint, and
 ///    the test scheduler reserves admitted test power via
@@ -74,12 +74,13 @@ public:
     /// and boosting favors high-priority ones.
     void set_priority_lookup(std::function<int(CoreId)> lookup);
 
-    /// One control epoch: measure power (plus `extra_power_w`, e.g. NoC
-    /// routers), record it against the budget, reset the ledger to the
-    /// measurement, run the PID, actuate DVFS, and apply power gating.
-    /// `temps_c` is indexed by CoreId (may be empty).
-    void control_epoch(SimTime now, std::span<const double> temps_c,
-                       double extra_power_w = 0.0);
+    /// One control epoch: record the caller's chip-power measurement
+    /// (cores plus uncore, e.g. NoC routers) against the budget, reset the
+    /// ledger to it, run the PID, actuate DVFS, and apply power gating.
+    /// `temps_c` is indexed by CoreId (may be empty) and prices boost
+    /// steps.
+    void control_epoch(SimTime now, double measured_power_w,
+                       std::span<const double> temps_c);
 
     /// DVFS level for a task about to start on `core`: the highest level
     /// whose busy-power increment over the core's current idle power fits

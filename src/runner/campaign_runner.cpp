@@ -6,9 +6,9 @@
 #include <utility>
 
 #include "core/system_factory.hpp"
-#include "runner/thread_pool.hpp"
 #include "sim/time.hpp"
 #include "util/require.hpp"
+#include "util/thread_pool.hpp"
 
 namespace mcs {
 

@@ -56,7 +56,7 @@ struct CampaignResult {
 };
 
 /// Shard-based parallel campaign executor. Replicas are independent, so
-/// they fan out over a fixed thread pool (runner/thread_pool.hpp); each
+/// they fan out over a fixed thread pool (util/thread_pool.hpp); each
 /// result is committed to its grid slot by index, never by completion
 /// order, which keeps the aggregate bit-identical for any `jobs`.
 class CampaignRunner {

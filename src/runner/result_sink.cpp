@@ -1,11 +1,14 @@
 #include "runner/result_sink.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <string_view>
+#include <utility>
 
 #include "telemetry/json.hpp"
 #include "telemetry/schema.hpp"
@@ -16,42 +19,25 @@
 namespace mcs {
 namespace {
 
-constexpr std::array<MetricDef, 16> kMetrics{{
-    {"work_cycles_per_s",
-     [](const RunMetrics& m) { return m.work_cycles_per_s; }},
-    {"throughput_apps_per_s",
-     [](const RunMetrics& m) { return m.throughput_apps_per_s; }},
-    {"apps_completed",
-     [](const RunMetrics& m) {
-         return static_cast<double>(m.apps_completed);
-     }},
-    {"app_latency_ms_mean",
-     [](const RunMetrics& m) { return m.app_latency_ms.mean(); }},
-    {"mean_chip_utilization",
-     [](const RunMetrics& m) { return m.mean_chip_utilization; }},
-    {"mean_dark_fraction",
-     [](const RunMetrics& m) { return m.mean_dark_fraction; }},
-    {"mean_power_w", [](const RunMetrics& m) { return m.mean_power_w; }},
-    {"tdp_violation_rate",
-     [](const RunMetrics& m) { return m.tdp_violation_rate; }},
-    {"energy_total_j", [](const RunMetrics& m) { return m.energy_total_j; }},
-    {"test_energy_share",
-     [](const RunMetrics& m) { return m.test_energy_share; }},
-    {"tests_completed",
-     [](const RunMetrics& m) {
-         return static_cast<double>(m.tests_completed);
-     }},
-    {"tests_aborted",
-     [](const RunMetrics& m) {
-         return static_cast<double>(m.tests_aborted);
-     }},
-    {"tests_per_core_per_s",
-     [](const RunMetrics& m) { return m.tests_per_core_per_s; }},
-    {"untested_core_fraction",
-     [](const RunMetrics& m) { return m.untested_core_fraction; }},
-    {"max_open_test_gap_s",
-     [](const RunMetrics& m) { return m.max_open_test_gap_s; }},
-    {"peak_temp_c", [](const RunMetrics& m) { return m.peak_temp_c; }},
+/// The campaign columns as (column name, metric_catalog() name). Two
+/// columns keep names that predate the catalog.
+constexpr std::array<std::pair<const char*, const char*>, 16> kColumns{{
+    {"work_cycles_per_s", "work_cycles_per_s"},
+    {"throughput_apps_per_s", "throughput_apps_per_s"},
+    {"apps_completed", "apps_completed"},
+    {"app_latency_ms_mean", "app_latency_ms_mean"},
+    {"mean_chip_utilization", "chip_utilization"},
+    {"mean_dark_fraction", "dark_fraction"},
+    {"mean_power_w", "mean_power_w"},
+    {"tdp_violation_rate", "tdp_violation_rate"},
+    {"energy_total_j", "energy_total_j"},
+    {"test_energy_share", "test_energy_share"},
+    {"tests_completed", "tests_completed"},
+    {"tests_aborted", "tests_aborted"},
+    {"tests_per_core_per_s", "tests_per_core_per_s"},
+    {"untested_core_fraction", "untested_core_fraction"},
+    {"max_open_test_gap_s", "max_open_test_gap_s"},
+    {"peak_temp_c", "peak_temp_c"},
 }};
 
 /// Shortest round-trip-exact decimal text; locale-independent, so the CSV
@@ -73,7 +59,22 @@ std::string num(double v) {
 }  // namespace
 
 std::span<const MetricDef> campaign_metrics() {
-    return kMetrics;
+    static const std::array<MetricDef, kColumns.size()> metrics = [] {
+        const std::span<const MetricDef> catalog = metric_catalog();
+        std::array<MetricDef, kColumns.size()> out{};
+        for (std::size_t i = 0; i < kColumns.size(); ++i) {
+            const std::string_view source = kColumns[i].second;
+            const auto it = std::find_if(
+                catalog.begin(), catalog.end(),
+                [&](const MetricDef& d) { return d.name == source; });
+            MCS_REQUIRE(it != catalog.end(),
+                        "campaign column without a catalog metric: " +
+                            std::string(source));
+            out[i] = MetricDef{kColumns[i].first, it->get};
+        }
+        return out;
+    }();
+    return metrics;
 }
 
 void write_campaign_csv(const CampaignResult& result,

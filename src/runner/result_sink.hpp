@@ -8,9 +8,9 @@
 
 namespace mcs {
 
-/// The fixed catalog of scalar metrics exported per replica/cell (a
-/// headline subset of metric_catalog()). Order is part of the CSV contract
-/// (columns appear in this order).
+/// The fixed list of scalar metrics exported per replica/cell: a headline
+/// subset of metric_catalog(), whose getters it reuses. Order is part of
+/// the CSV contract (columns appear in this order).
 std::span<const MetricDef> campaign_metrics();
 
 /// Writes the aggregate campaign CSV: one row per grid cell with the axis

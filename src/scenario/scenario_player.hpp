@@ -10,8 +10,8 @@
 // Determinism: directive application is pure replay (no RNG draws on the
 // engines' streams; burst applications are generated from a scenario-local
 // stream rooted at the spec fingerprint), so a scenario run is
-// byte-identical across epoch_workers counts and across checkpoint/restore
-// -- the same contract every other subsystem honors.
+// byte-identical across campaign --jobs counts and across
+// checkpoint/restore -- the same contract every other subsystem honors.
 
 #include <cstdint>
 #include <memory>

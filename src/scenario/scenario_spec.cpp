@@ -1,11 +1,11 @@
 #include "scenario/scenario_spec.hpp"
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "telemetry/json.hpp"
 #include "telemetry/schema.hpp"
+#include "util/fnv1a.hpp"
 #include "util/require.hpp"
 
 namespace mcs {
@@ -20,15 +20,6 @@ constexpr std::string_view kSchemaFamily = "mcs.scenario";
 /// general JSON limits (the parser also serves the fuzz suite).
 constexpr telemetry::JsonLimits kScenarioLimits{
     /*max_bytes=*/std::size_t{1} << 20, /*max_depth=*/8};
-
-std::uint64_t fnv1a64(std::string_view bytes) {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const char c : bytes) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
 
 DirectiveKind parse_kind(const std::string& name) {
     if (name == "arrival-burst") return DirectiveKind::ArrivalBurst;
@@ -308,11 +299,9 @@ std::uint64_t scenario_fingerprint_u64(const ScenarioSpec& spec) {
 }
 
 std::string scenario_fingerprint(const ScenarioSpec& spec) {
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(
-                      scenario_fingerprint_u64(spec)));
-    return std::string(buf);
+    Fnv1a h;
+    h.bytes(canonical_scenario_json(spec));
+    return h.hex();
 }
 
 }  // namespace mcs

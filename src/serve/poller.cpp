@@ -1,19 +1,13 @@
 #include "serve/poller.hpp"
 
+#include <sys/epoll.h>
+#include <unistd.h>
+
 #include <cerrno>
 
 #include "util/require.hpp"
 
-#ifdef __linux__
-#include <sys/epoll.h>
-#include <unistd.h>
-#else
-#include <poll.h>
-#endif
-
 namespace mcs::serve {
-
-#ifdef __linux__
 
 namespace {
 
@@ -79,73 +73,5 @@ std::size_t Poller::wait(std::vector<Event>& out, int timeout_ms) {
     }
     return out.size();
 }
-
-#else  // poll() fallback for non-Linux hosts
-
-Poller::Poller() = default;
-Poller::~Poller() = default;
-
-void Poller::add(int fd, bool want_read, bool want_write) {
-    for (const Interest& i : interests_) {
-        MCS_REQUIRE(i.fd != fd, "fd already registered with Poller");
-    }
-    interests_.push_back({fd, want_read, want_write});
-}
-
-void Poller::mod(int fd, bool want_read, bool want_write) {
-    for (Interest& i : interests_) {
-        if (i.fd == fd) {
-            i.want_read = want_read;
-            i.want_write = want_write;
-            return;
-        }
-    }
-    MCS_REQUIRE(false, "Poller::mod on unregistered fd");
-}
-
-void Poller::del(int fd) {
-    for (std::size_t i = 0; i < interests_.size(); ++i) {
-        if (interests_[i].fd == fd) {
-            interests_.erase(interests_.begin() +
-                             static_cast<std::ptrdiff_t>(i));
-            return;
-        }
-    }
-}
-
-std::size_t Poller::wait(std::vector<Event>& out, int timeout_ms) {
-    out.clear();
-    std::vector<pollfd> fds;
-    fds.reserve(interests_.size());
-    for (const Interest& i : interests_) {
-        short events = 0;
-        if (i.want_read) {
-            events |= POLLIN;
-        }
-        if (i.want_write) {
-            events |= POLLOUT;
-        }
-        fds.push_back({i.fd, events, 0});
-    }
-    const int n = ::poll(fds.data(), fds.size(), timeout_ms);
-    if (n < 0) {
-        MCS_REQUIRE(errno == EINTR, "poll failed");
-        return 0;
-    }
-    for (const pollfd& p : fds) {
-        if (p.revents == 0) {
-            continue;
-        }
-        Event e;
-        e.fd = p.fd;
-        e.readable = (p.revents & POLLIN) != 0;
-        e.writable = (p.revents & POLLOUT) != 0;
-        e.hangup = (p.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
-        out.push_back(e);
-    }
-    return out.size();
-}
-
-#endif
 
 }  // namespace mcs::serve

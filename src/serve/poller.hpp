@@ -1,10 +1,9 @@
 #pragma once
 
-// Readiness multiplexer behind the serve event loop: level-triggered
-// epoll on Linux, a plain poll() set elsewhere -- one interface, so
-// server.cpp contains exactly one event loop. Level-triggered semantics
-// are deliberate: the loop may consume only part of a readable buffer
-// (e.g. one pipelined request) and relies on being woken again.
+// Readiness multiplexer behind the serve event loop: a thin wrapper over
+// level-triggered epoll (Linux). Level-triggered semantics are
+// deliberate: the loop may consume only part of a readable buffer (e.g.
+// one pipelined request) and relies on being woken again.
 
 #include <cstddef>
 #include <vector>
@@ -38,16 +37,7 @@ public:
     std::size_t wait(std::vector<Event>& out, int timeout_ms);
 
 private:
-#ifdef __linux__
     int epoll_fd_ = -1;
-#else
-    struct Interest {
-        int fd;
-        bool want_read;
-        bool want_write;
-    };
-    std::vector<Interest> interests_;
-#endif
 };
 
 }  // namespace mcs::serve

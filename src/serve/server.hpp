@@ -1,7 +1,7 @@
 #pragma once
 
 // The socket front end of mcs_serve: a single-threaded event loop
-// (level-triggered epoll on Linux, poll elsewhere -- serve/poller.hpp)
+// (level-triggered epoll -- serve/poller.hpp)
 // owning nonblocking sockets with per-connection read/write buffers,
 // HTTP/1.1 keep-alive with pipelining, idle/header timeouts (408), and a
 // per-connection request cap. The heavy work -- the simulation behind a

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "util/require.hpp"
-#include "util/thread_pool.hpp"
 
 namespace mcs {
 
@@ -32,14 +31,13 @@ ThermalModel::ThermalModel(int width, int height, ThermalParams params,
     scratch_.assign(n, 0.0);
 }
 
-void ThermalModel::step(std::span<const double> power_w, double dt_s,
-                        EpochExecutor* exec) {
+void ThermalModel::step(std::span<const double> power_w, double dt_s) {
     MCS_REQUIRE(power_w.size() == temps_->size(),
                 "power vector size mismatch");
     MCS_REQUIRE(dt_s >= 0.0, "negative thermal step");
     while (dt_s > 0.0) {
         const double sub = std::min(dt_s, params_.max_dt_s);
-        euler_substep(power_w, sub, exec);
+        euler_substep(power_w, sub);
         dt_s -= sub;
     }
 }
@@ -63,22 +61,14 @@ double ThermalModel::node_update(std::span<const double> power_w,
 }
 
 void ThermalModel::euler_substep(std::span<const double> power_w,
-                                 double dt_s, EpochExecutor* exec) {
-    // Double-buffered: every node reads temps_, writes only scratch_[i],
-    // so slabs are data-race free and the swap is the commit. swap keeps
-    // the bound vector object's identity, so an external binding (the
-    // chip's temp_c lane) always holds the live values.
+                                 double dt_s) {
+    // Double-buffered: every node reads temps_ and writes only scratch_[i];
+    // the swap is the commit. swap keeps the bound vector object's
+    // identity, so an external binding (the chip's temp_c lane) always
+    // holds the live values.
     const std::size_t n = temps_->size();
-    if (exec != nullptr && exec->parallel()) {
-        exec->for_slabs(n, [&](std::size_t begin, std::size_t end) {
-            for (std::size_t i = begin; i < end; ++i) {
-                scratch_[i] = node_update(power_w, dt_s, i);
-            }
-        });
-    } else {
-        for (std::size_t i = 0; i < n; ++i) {
-            scratch_[i] = node_update(power_w, dt_s, i);
-        }
+    for (std::size_t i = 0; i < n; ++i) {
+        scratch_[i] = node_update(power_w, dt_s, i);
     }
     temps_->swap(scratch_);
 }

@@ -5,8 +5,6 @@
 
 namespace mcs {
 
-class EpochExecutor;
-
 /// Lumped-RC thermal parameters. Constants are modeling choices tuned to
 /// give realistic steady-state gradients (a 2 W core sits ~25 C above
 /// ambient) and a thermal time constant of ~0.1 s; see DESIGN.md.
@@ -34,13 +32,8 @@ public:
                  std::vector<double>* storage = nullptr);
 
     /// Advances temperatures by `dt_s` given per-core power (indexed by
-    /// row-major core id, same layout as Chip). With `exec`, each Euler
-    /// substep's node loop is sharded across the worker team: every node i
-    /// reads temps_ and writes scratch_[i] only (classic double buffer),
-    /// and the per-node arithmetic is unchanged, so the result is
-    /// bit-identical to the serial loop for any worker count.
-    void step(std::span<const double> power_w, double dt_s,
-              EpochExecutor* exec = nullptr);
+    /// row-major core id, same layout as Chip).
+    void step(std::span<const double> power_w, double dt_s);
 
     std::span<const double> temps_c() const noexcept { return *temps_; }
     double temp_c(std::size_t core) const;
@@ -59,8 +52,7 @@ public:
     int height() const noexcept { return height_; }
 
 private:
-    void euler_substep(std::span<const double> power_w, double dt_s,
-                       EpochExecutor* exec);
+    void euler_substep(std::span<const double> power_w, double dt_s);
     /// One node of the Euler substep: new temperature of flat index i.
     double node_update(std::span<const double> power_w, double dt_s,
                        std::size_t i) const;
@@ -70,6 +62,8 @@ private:
     ThermalParams params_;
     std::vector<double> own_;      ///< backing store when none is bound
     std::vector<double>* temps_;   ///< live temperatures (own_ or external)
+    /// Next temperatures of an Euler substep: explicit Euler must read
+    /// every neighbour's old value, so the new ones go here first.
     std::vector<double> scratch_;
 };
 

@@ -147,71 +147,4 @@ void TaskPool::worker_loop() {
     }
 }
 
-// ----------------------------------------------------------- EpochExecutor
-
-EpochExecutor::EpochExecutor(int workers)
-    : workers_(workers <= 0 ? hardware_jobs() : workers) {
-    if (workers_ > 1) {
-        pool_.emplace(workers_ - 1);
-        errors_.resize(static_cast<std::size_t>(workers_));
-    }
-}
-
-void EpochExecutor::for_slabs(
-    std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn) {
-    if (n == 0) {
-        return;
-    }
-    // The slab partition depends only on (n, workers_): even when every
-    // element fits into fewer slabs than workers, we keep the ceil-divide
-    // layout so scratch commit order never depends on runtime conditions.
-    const auto slabs =
-        std::min(static_cast<std::size_t>(workers_), n);
-    if (slabs <= 1) {
-        fn(0, n);
-        return;
-    }
-    const std::size_t chunk = (n + slabs - 1) / slabs;
-    // Slabs 1.. go to the pool; slab 0 runs on the calling thread so a
-    // 2-worker executor keeps both threads busy instead of idling here.
-    for (std::size_t t = 1; t < slabs; ++t) {
-        const std::size_t begin = t * chunk;
-        const std::size_t end = std::min(n, begin + chunk);
-        // TaskPool swallows task exceptions (a daemon-side policy); the
-        // epoch barrier must propagate them, so each slab captures into
-        // its own errors_ slot and the caller rethrows after the barrier.
-        pool_->submit([this, &fn, t, begin, end] {
-            try {
-                fn(begin, end);
-            } catch (...) {
-                errors_[t] = std::current_exception();
-            }
-        });
-    }
-    try {
-        fn(0, std::min(n, chunk));
-    } catch (...) {
-        errors_[0] = std::current_exception();
-    }
-    pool_->wait_idle();  // the epoch barrier
-    for (auto& error : errors_) {
-        if (error) {
-            std::exception_ptr first = error;
-            for (auto& e : errors_) {
-                e = nullptr;
-            }
-            std::rethrow_exception(first);
-        }
-    }
-}
-
-void EpochExecutor::for_each(std::size_t n,
-                             const std::function<void(std::size_t)>& fn) {
-    for_slabs(n, [&fn](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-            fn(i);
-        }
-    });
-}
-
 }  // namespace mcs

@@ -4,10 +4,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -90,55 +88,6 @@ private:
     std::uint64_t completed_ = 0;
     bool accepting_ = true;
     bool stop_ = false;  ///< workers exit once the queue is empty
-};
-
-/// Persistent worker team for data-parallel per-core epoch work between
-/// simulation barriers -- the in-run counterpart to parallel_for_sharded
-/// (which spawns fresh threads per call) and TaskPool (which has no
-/// partitioning or barrier semantics of its own).
-///
-/// for_slabs(n, fn) partitions [0, n) into one contiguous slab per worker
-/// and blocks until every slab has finished: the call IS the epoch
-/// barrier. Slab t of W workers is [t*ceil(n/W), min(n, (t+1)*ceil(n/W)))
-/// -- a pure function of (n, W), never of timing. The calling thread runs
-/// slab 0 itself while the pool (W-1 reusable TaskPool workers) runs the
-/// rest; workers == 1 degenerates to a plain inline loop with no
-/// synchronization at all.
-///
-/// Determinism contract (what makes `workers` unobservable in the output):
-/// `fn` must only READ shared simulation state and WRITE slots of caller
-/// scratch buffers indexed by its own range -- no shared accumulators, no
-/// RNG draws, no event scheduling. The caller then folds the scratch into
-/// ledgers/metrics/observers in a serial commit loop over fixed index
-/// order, which pins the floating-point reduction order regardless of
-/// worker count or interleaving. See docs/parallelism.md.
-///
-/// An exception thrown by any slab is captured and rethrown on the calling
-/// thread after the barrier (lowest slab index wins); the team survives
-/// and later for_slabs calls work normally.
-class EpochExecutor {
-public:
-    /// `workers` <= 0 selects hardware_jobs(); 1 means strictly inline.
-    explicit EpochExecutor(int workers = 1);
-    EpochExecutor(const EpochExecutor&) = delete;
-    EpochExecutor& operator=(const EpochExecutor&) = delete;
-
-    int workers() const noexcept { return workers_; }
-    bool parallel() const noexcept { return pool_.has_value(); }
-
-    /// Runs fn(begin, end) over the slab partition of [0, n) and waits for
-    /// all slabs (the barrier). fn must honor the determinism contract
-    /// above. Safe to call with n == 0 (no-op).
-    void for_slabs(std::size_t n,
-                   const std::function<void(std::size_t, std::size_t)>& fn);
-
-    /// Convenience: per-index form of for_slabs.
-    void for_each(std::size_t n, const std::function<void(std::size_t)>& fn);
-
-private:
-    int workers_ = 1;
-    std::optional<TaskPool> pool_;  ///< workers_ - 1 threads; absent if 1
-    std::vector<std::exception_ptr> errors_;  ///< one slot per slab
 };
 
 }  // namespace mcs

@@ -130,16 +130,4 @@ inline RunArtifacts run_restored(const SystemConfig& cfg,
     return capture(sys, tracer, sys.restored_horizon());
 }
 
-/// The epoch_workers axis of the differential matrix: same configuration,
-/// different in-run worker count. The parallelism contract
-/// (docs/parallelism.md) promises the artifacts are byte-identical to the
-/// workers == 1 run, so tests compare these with EXPECT_EQ like any other
-/// differential leg.
-inline RunArtifacts run_with_workers(
-    SystemConfig cfg, SimDuration horizon, int workers,
-    const std::vector<CheckpointPlan>& checkpoints = {}) {
-    cfg.epoch_workers = workers;
-    return run_reference(cfg, horizon, checkpoints);
-}
-
 }  // namespace mcs::testsupport

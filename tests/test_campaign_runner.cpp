@@ -4,17 +4,21 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/report.hpp"
 #include "core/system_factory.hpp"
 #include "runner/result_sink.hpp"
-#include "runner/thread_pool.hpp"
 #include "sim/time.hpp"
+#include "telemetry/json.hpp"
+#include "telemetry/run_report.hpp"
 #include "util/require.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace mcs {
 namespace {
@@ -218,6 +222,46 @@ TEST(CampaignRunner, ThrowingReplicaDoesNotPoisonOthers) {
     write_campaign_csv(res, temp_path("failed_cells.csv"));
     const std::string csv = read_file(temp_path("failed_cells.csv"));
     EXPECT_NE(csv.find("nan"), std::string::npos);
+}
+
+// One metric list: every catalog scalar reaches the out= CSV and the run
+// report, and every campaign column is drawn from the catalog.
+TEST(MetricCatalog, EveryNameReachesEverySerializer) {
+    RunMetrics m;
+    m.sim_time = kSecond;
+
+    const std::string csv_path = temp_path("catalog_metrics.csv");
+    write_metrics_csv(m, csv_path);
+    std::set<std::string> csv_rows;
+    std::istringstream csv(read_file(csv_path));
+    for (std::string line; std::getline(csv, line);) {
+        csv_rows.insert(line.substr(0, line.find(',')));
+    }
+
+    std::ostringstream report;
+    telemetry::write_run_report(m, nullptr, report);
+    const telemetry::JsonValue doc = telemetry::parse_json(report.str());
+    const auto& report_metrics = doc.at("metrics").object;
+
+    for (const MetricDef& def : metric_catalog()) {
+        EXPECT_TRUE(csv_rows.count(def.name)) << def.name << " not in out=";
+        EXPECT_TRUE(report_metrics.count(def.name))
+            << def.name << " not in the run report";
+    }
+
+    Config cfg;
+    cfg.set("replicas", "1");
+    CampaignRunner runner(CampaignSpec::from_config(cfg));
+    runner.set_replica_fn([&](const Config&, double) { return m; });
+    const std::string campaign_path = temp_path("catalog_campaign.csv");
+    write_campaign_csv(runner.run(1), campaign_path);
+    const std::string campaign = read_file(campaign_path);
+    const std::string header = campaign.substr(0, campaign.find('\n'));
+    for (const MetricDef& def : campaign_metrics()) {
+        EXPECT_NE(header.find(std::string(def.name) + "_mean"),
+                  std::string::npos)
+            << def.name << " not in the campaign CSV";
+    }
 }
 
 TEST(CampaignRunner, BadConfigCellFailsInPlace) {

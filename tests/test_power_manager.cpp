@@ -18,6 +18,12 @@ protected:
         return PowerManager(chip_, model_, budget_, p);
     }
 
+    /// One control epoch on the measurement the platform would pass: the
+    /// chip's core power at the leakage reference temperature.
+    void epoch(PowerManager& mgr, SimTime now) {
+        mgr.control_epoch(now, model_.chip_power_w(chip_, {}), {});
+    }
+
     void make_busy(std::size_t n, SimTime now = 0) {
         for (std::size_t i = 0; i < n; ++i) {
             chip_.core(static_cast<CoreId>(i)).start_task(now);
@@ -31,14 +37,14 @@ protected:
 
 TEST_F(PowerManagerTest, MeasuresChipPower) {
     auto mgr = make();
-    mgr.control_epoch(0, {});
+    epoch(mgr, 0);
     EXPECT_NEAR(mgr.measured_power_w(), model_.chip_power_w(chip_, {}), 1e-9);
     EXPECT_EQ(budget_.samples(), 1u);
 }
 
 TEST_F(PowerManagerTest, ExtraPowerIncluded) {
     auto mgr = make();
-    mgr.control_epoch(0, {}, 5.0);
+    mgr.control_epoch(0, model_.chip_power_w(chip_, {}) + 5.0, {});
     EXPECT_NEAR(mgr.measured_power_w(),
                 model_.chip_power_w(chip_, {}) + 5.0, 1e-9);
 }
@@ -49,8 +55,7 @@ TEST_F(PowerManagerTest, ThrottlesWhenOverBudget) {
     auto mgr = make(p);
     make_busy(16);  // 16 busy cores at top level >> TDP at 16nm
     for (int e = 0; e < 50; ++e) {
-        mgr.control_epoch(static_cast<SimTime>(e + 1) * 100 * kMicrosecond,
-                          {});
+        epoch(mgr, static_cast<SimTime>(e + 1) * 100 * kMicrosecond);
     }
     EXPECT_GT(mgr.throttle_steps(), 0u);
     // Power must have been brought to (or below) the setpoint.
@@ -75,8 +80,7 @@ TEST_F(PowerManagerTest, BoostsWhenSlackAndNeverOvershoots) {
         chip_.core(static_cast<CoreId>(i)).set_vf_level(0, 0);
     }
     for (int e = 0; e < 100; ++e) {
-        mgr.control_epoch(static_cast<SimTime>(e + 1) * 100 * kMicrosecond,
-                          {});
+        epoch(mgr, static_cast<SimTime>(e + 1) * 100 * kMicrosecond);
     }
     EXPECT_GT(mgr.boost_steps(), 0u);
     // 4 busy cores fit comfortably: they should reach the top level.
@@ -98,15 +102,14 @@ TEST_F(PowerManagerTest, VfListenerInvoked) {
         ++calls;
     });
     for (int e = 0; e < 20; ++e) {
-        mgr.control_epoch(static_cast<SimTime>(e + 1) * 100 * kMicrosecond,
-                          {});
+        epoch(mgr, static_cast<SimTime>(e + 1) * 100 * kMicrosecond);
     }
     EXPECT_GT(calls, 0);
 }
 
 TEST_F(PowerManagerTest, GrantTaskLevelRespectsHeadroom) {
     auto mgr = make();
-    mgr.control_epoch(0, {});  // establish the ledger from an idle chip
+    epoch(mgr, 0);  // establish the ledger from an idle chip
     // Plenty of headroom with everything idle: first grant is near the top.
     const int first = mgr.grant_task_level(0, 45.0);
     EXPECT_GE(first, chip_.max_vf_level() - 1);
@@ -123,17 +126,17 @@ TEST_F(PowerManagerTest, GrantTaskLevelRespectsHeadroom) {
 
 TEST_F(PowerManagerTest, LedgerResetsAtEpoch) {
     auto mgr = make();
-    mgr.control_epoch(0, {});
+    epoch(mgr, 0);
     mgr.reserve_power(5.0);
     const double committed = mgr.committed_power_w();
     EXPECT_GT(committed, mgr.measured_power_w() + 4.9);
-    mgr.control_epoch(100 * kMicrosecond, {});
+    epoch(mgr, 100 * kMicrosecond);
     EXPECT_NEAR(mgr.committed_power_w(), mgr.measured_power_w(), 1e-9);
 }
 
 TEST_F(PowerManagerTest, HeadroomNeverNegative) {
     auto mgr = make();
-    mgr.control_epoch(0, {});
+    epoch(mgr, 0);
     mgr.reserve_power(1000.0);
     EXPECT_DOUBLE_EQ(mgr.headroom_w(), 0.0);
     EXPECT_THROW(mgr.reserve_power(-1.0), RequireError);
@@ -143,9 +146,9 @@ TEST_F(PowerManagerTest, PowerGatingAfterDelay) {
     PowerManagerParams p;
     p.gate_delay = kMillisecond;
     auto mgr = make(p);
-    mgr.control_epoch(0, {});
+    epoch(mgr, 0);
     EXPECT_EQ(mgr.cores_gated(), 0u);
-    mgr.control_epoch(2 * kMillisecond, {});
+    epoch(mgr, 2 * kMillisecond);
     EXPECT_EQ(mgr.cores_gated(), chip_.core_count());
     for (const Core& c : chip_.cores()) {
         EXPECT_EQ(c.state(), CoreState::Dark);
@@ -157,8 +160,8 @@ TEST_F(PowerManagerTest, ReservedCoresNotGated) {
     p.gate_delay = kMillisecond;
     auto mgr = make(p);
     chip_.core(3).set_reserved(true);
-    mgr.control_epoch(0, {});
-    mgr.control_epoch(2 * kMillisecond, {});
+    epoch(mgr, 0);
+    epoch(mgr, 2 * kMillisecond);
     EXPECT_EQ(chip_.core(3).state(), CoreState::Idle);
     EXPECT_EQ(mgr.cores_gated(), chip_.core_count() - 1);
 }
@@ -167,9 +170,9 @@ TEST_F(PowerManagerTest, TouchDefersGating) {
     PowerManagerParams p;
     p.gate_delay = kMillisecond;
     auto mgr = make(p);
-    mgr.control_epoch(0, {});
+    epoch(mgr, 0);
     mgr.touch(900 * kMicrosecond, 5);
-    mgr.control_epoch(kMillisecond, {});
+    epoch(mgr, kMillisecond);
     EXPECT_EQ(chip_.core(5).state(), CoreState::Idle);  // touched recently
     EXPECT_EQ(chip_.core(6).state(), CoreState::Dark);
 }
@@ -178,8 +181,8 @@ TEST_F(PowerManagerTest, WakeCore) {
     PowerManagerParams p;
     p.gate_delay = kMillisecond;
     auto mgr = make(p);
-    mgr.control_epoch(0, {});
-    mgr.control_epoch(2 * kMillisecond, {});
+    epoch(mgr, 0);
+    epoch(mgr, 2 * kMillisecond);
     ASSERT_EQ(chip_.core(0).state(), CoreState::Dark);
     const double committed_before = mgr.committed_power_w();
     mgr.wake_core(3 * kMillisecond, 0);
@@ -194,8 +197,8 @@ TEST_F(PowerManagerTest, GatingDisabledKeepsCoresIdle) {
     PowerManagerParams p;
     p.enable_power_gating = false;
     auto mgr = make(p);
-    mgr.control_epoch(0, {});
-    mgr.control_epoch(seconds(1), {});
+    epoch(mgr, 0);
+    epoch(mgr, seconds(1));
     for (const Core& c : chip_.cores()) {
         EXPECT_EQ(c.state(), CoreState::Idle);
     }
@@ -209,8 +212,7 @@ TEST_F(PowerManagerTest, TestingCoresNotTouchedByActuation) {
     chip_.core(15).start_test(0);
     const int test_level = chip_.core(15).vf_level();
     for (int e = 0; e < 50; ++e) {
-        mgr.control_epoch(static_cast<SimTime>(e + 1) * 100 * kMicrosecond,
-                          {});
+        epoch(mgr, static_cast<SimTime>(e + 1) * 100 * kMicrosecond);
     }
     EXPECT_EQ(chip_.core(15).vf_level(), test_level);
 }
@@ -221,7 +223,7 @@ TEST_F(PowerManagerTest, BangBangStepsWholeChip) {
     p.enable_power_gating = false;
     auto mgr = make(p);
     make_busy(16);  // well over TDP at top level
-    mgr.control_epoch(100 * kMicrosecond, {});
+    epoch(mgr, 100 * kMicrosecond);
     // Every busy core stepped down by exactly one level in one epoch.
     for (std::size_t i = 0; i < 16; ++i) {
         EXPECT_EQ(chip_.core(static_cast<CoreId>(i)).vf_level(),
@@ -234,7 +236,7 @@ TEST_F(PowerManagerTest, BangBangGrantsMaxUnconditionally) {
     PowerManagerParams p;
     p.mode = CappingMode::BangBang;
     auto mgr = make(p);
-    mgr.control_epoch(0, {});
+    epoch(mgr, 0);
     mgr.reserve_power(1e6);  // ledger ignored in naive mode
     EXPECT_EQ(mgr.grant_task_level(0, 45.0), chip_.max_vf_level());
 }
@@ -248,8 +250,7 @@ TEST_F(PowerManagerTest, PriorityLookupShieldsImportantCores) {
     mgr.set_priority_lookup(
         [](CoreId id) { return id < 4 ? 2 : 0; });
     for (int e = 0; e < 50; ++e) {
-        mgr.control_epoch(static_cast<SimTime>(e + 1) * 100 * kMicrosecond,
-                          {});
+        epoch(mgr, static_cast<SimTime>(e + 1) * 100 * kMicrosecond);
     }
     // The chip is far over budget, but the protected cores must keep a
     // strictly higher level than the average victim.

@@ -1,5 +1,3 @@
-#include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <iterator>
 #include <map>
@@ -15,6 +13,7 @@
 #include "scenario/scenario_spec.hpp"
 #include "support/differential.hpp"
 #include "telemetry/json.hpp"
+#include "util/fnv1a.hpp"
 #include "util/require.hpp"
 
 // The committed scenario corpus (examples/scenarios/) is a contract, not
@@ -38,20 +37,10 @@ std::string corpus_dir() {
 
 std::string goldens_path() { return corpus_dir() + "goldens.json"; }
 
-std::uint64_t fnv1a64(const std::string& bytes) {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const char c : bytes) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
 std::string digest(const std::string& bytes) {
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(fnv1a64(bytes)));
-    return std::string(buf);
+    Fnv1a h;
+    h.bytes(bytes);
+    return h.hex();
 }
 
 /// Reference replay platform: the paper's 8x8 chip under moderate load

@@ -254,26 +254,6 @@ TEST(ScenarioPlayer, MatchesHandDrivenOnCorpus) {
     }
 }
 
-TEST(ScenarioPlayer, ByteIdenticalAcrossEpochWorkers) {
-    const ScenarioSpec spec = mini_spec();
-    for (const SchedulerKind kind :
-         {SchedulerKind::PowerAware, SchedulerKind::Periodic,
-          SchedulerKind::Greedy, SchedulerKind::None,
-          SchedulerKind::DeadlineAware}) {
-        SystemConfig cfg = mini_config(11);
-        cfg.scheduler = kind;
-        cfg.periodic_test_period = 100 * kMillisecond;
-        const RunArtifacts ref = run_scenario(cfg, spec, kMiniHorizon);
-        for (const int workers : {2, 8}) {
-            SystemConfig wcfg = cfg;
-            wcfg.epoch_workers = workers;
-            expect_identical(run_scenario(wcfg, spec, kMiniHorizon), ref,
-                             std::string(to_string(kind)) + "/workers-" +
-                                 std::to_string(workers));
-        }
-    }
-}
-
 TEST(ScenarioPlayer, CheckpointMidScenarioRestoresByteIdentical) {
     const ScenarioSpec spec = mini_spec();
     for (const SchedulerKind kind :

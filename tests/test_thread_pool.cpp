@@ -1,4 +1,4 @@
-#include "runner/thread_pool.hpp"
+#include "util/thread_pool.hpp"
 
 #include <atomic>
 #include <chrono>

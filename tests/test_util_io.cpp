@@ -6,6 +6,7 @@
 
 #include "util/config.hpp"
 #include "util/csv.hpp"
+#include "util/fnv1a.hpp"
 #include "util/require.hpp"
 #include "util/table.hpp"
 
@@ -79,6 +80,31 @@ TEST(Fmt, Integers) {
 TEST(Fmt, Percent) {
     EXPECT_EQ(fmt_pct(0.0123, 2), "1.23%");
     EXPECT_EQ(fmt_pct(1.0, 0), "100%");
+}
+
+// ------------------------------------------------------------------ fnv1a
+
+TEST(Fnv1a, KnownAnswers) {
+    EXPECT_EQ(fnv1a64(""), 0xcbf29ce484222325ULL);
+    EXPECT_EQ(fnv1a64("a"), 0xaf63dc4c8601ec8cULL);
+    Fnv1a h;
+    EXPECT_EQ(h.hex(), "cbf29ce484222325");
+    h.bytes("a");
+    EXPECT_EQ(h.hex(), "af63dc4c8601ec8c");
+}
+
+TEST(Fnv1a, FieldsHashTheirCanonicalBytes) {
+    Fnv1a fields;
+    fields.u64(0x0102030405060708ULL);
+    fields.boolean(true);
+    fields.str("ab");
+    // u64 little-endian, bool as one byte, str as u64 length + raw bytes.
+    const std::string canonical("\x08\x07\x06\x05\x04\x03\x02\x01"
+                                "\x01"
+                                "\x02\x00\x00\x00\x00\x00\x00\x00"
+                                "ab",
+                                19);
+    EXPECT_EQ(fields.value(), fnv1a64(canonical));
 }
 
 // -------------------------------------------------------------------- csv

@@ -6,9 +6,6 @@
 //
 // Keys: see core/config_bridge.hpp. Driver-specific keys:
 //   seconds=<double>    simulation horizon (default 10)
-//   epoch_workers=<n>   threads sharding per-core epoch work inside THIS
-//                       run (0 = hardware); output bytes are identical
-//                       for any value (docs/parallelism.md)
 //   out=<path>          write a (metric,value) CSV report
 //   report=<path>       write the RunReport JSON (metrics + registry)
 //   trace=<path>        write the event trace (*.jsonl -> JSONL, anything
@@ -36,10 +33,8 @@
 //   replica_out=<path>     per-replica CSV
 //   report=<path>          aggregate campaign report JSON
 //   out_dir=<dir>          as in single-run mode (default build/out)
-// The aggregate CSV/JSON bytes are bit-identical for every --jobs value.
-// epoch_workers= composes with --jobs: jobs shards replicas across
-// processes' worth of threads, epoch_workers shards cores inside each
-// replica (total threads ~ jobs x epoch_workers; bytes unchanged).
+// The aggregate CSV/JSON bytes are bit-identical for every --jobs value
+// (docs/sweeps.md).
 // Exit status is nonzero if any replica failed.
 //
 // NOTE: in both modes, RELATIVE output paths land under out_dir -- by
