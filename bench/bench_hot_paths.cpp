@@ -1,4 +1,4 @@
-// H1 -- hot-path refactor gate: calendar event queue, SoA core lanes,
+// H1 -- hot-path gate: event-queue pop order, SoA core lanes,
 // patch-on-commit test candidacy.
 //
 // Two halves, matching the perf-gate split in tools/check_bench.py:
@@ -11,10 +11,10 @@
 //     so any reorder trips the 1e-6 gate).
 //
 //   * "wall" (aux, advisory): wall-clock of the epoch-quantized queue mix
-//     on the calendar queue vs a binary-heap reference, and of the per-core
-//     power fill on SoA lanes vs the pre-refactor fat-struct layout. These
-//     are the measured wins; they land in bench/trend.jsonl without ever
-//     entering the determinism comparison.
+//     on EventQueue, and of the per-core power fill on SoA lanes vs the
+//     pre-refactor fat-struct layout. These are timings, not wins: the two
+//     fill layouts measure the same (docs/hot_paths.md). They land in
+//     bench/trend.jsonl without ever entering the determinism comparison.
 
 #include <chrono>
 #include <cstdio>
@@ -45,8 +45,8 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 /// One round of the simulator's characteristic queue workload: schedule a
 /// burst at epoch-quantized times (forcing FIFO ties), cancel a few live
 /// events (retimed completions), drain everything due. Runs the identical
-/// seeded sequence against any queue via the three callbacks, so the
-/// calendar queue and the heap reference see the same operations.
+/// seeded sequence against any queue via the three callbacks, so EventQueue
+/// and the reference oracle see the same operations.
 template <typename Schedule, typename Cancel, typename DrainUpTo>
 void run_epoch_mix(int rounds, Schedule&& schedule, Cancel&& cancel,
                    DrainUpTo&& drain_up_to) {
@@ -91,8 +91,8 @@ struct PopHash {
 int main(int argc, char** argv) {
     const BenchOptions opt = parse_options(argc, argv);
     print_header("H1 (gate): hot-path state refactor",
-                 "calendar queue, SoA lanes and patched candidacy change "
-                 "cost, not behaviour");
+                 "event-queue order, SoA lanes and patched candidacy keep "
+                 "the run's behaviour");
     BenchReport report("hot_paths", opt);
     const int kRounds = opt.quick ? 2'000 : 20'000;
 
@@ -156,17 +156,16 @@ int main(int argc, char** argv) {
                     ++popped;
                 }
             });
-        report.aux("wall", "eq_calendar_s", seconds_since(t0));
+        report.aux("wall", "eq_queue_s", seconds_since(t0));
         report.metric("eq.pop_hash", hash.folded());
         report.metric("eq.popped", static_cast<double>(popped));
         report.metric("eq.cancelled",
                       static_cast<double>(q.cancelled_count()));
     }
     {
-        // Binary-heap reference: strict (when, seq) min-heap plus the
-        // seq -> when index the old implementation needed for cancel /
-        // is_pending / time_of, with lazy cancellation (tombstones stay
-        // in the heap until they surface) -- the pre-refactor shape.
+        // Pop-order oracle, independent of EventQueue: a std::priority_queue
+        // of (when, seq) plus a seq -> when index, with lazy cancellation
+        // (tombstones stay in the heap until they surface). Not timed.
         using Entry = std::pair<SimTime, std::uint64_t>;
         std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>>
             heap;
@@ -174,7 +173,6 @@ int main(int argc, char** argv) {
         std::uint64_t next_seq = 1;
         std::uint64_t popped = 0;
         PopHash hash;
-        const auto t0 = std::chrono::steady_clock::now();
         run_epoch_mix(
             kRounds,
             [&](SimTime when) {
@@ -192,9 +190,8 @@ int main(int argc, char** argv) {
                     ++popped;
                 }
             });
-        report.aux("wall", "eq_heap_ref_s", seconds_since(t0));
-        // Same ops, same order: the reference must reproduce the calendar
-        // queue's pop stream exactly.
+        // Same ops, same order: the oracle must reproduce EventQueue's pop
+        // stream exactly.
         report.metric("eq.ref_pop_hash", hash.folded());
         report.metric("eq.ref_popped", static_cast<double>(popped));
     }

@@ -58,9 +58,8 @@ void BM_EventQueueEpochMix(benchmark::State& state) {
     // The simulator's real access pattern: timestamps quantized to epoch
     // boundaries (so many events tie and pop in FIFO seq order), a steady
     // schedule/cancel churn from retimed completions, and a drain of
-    // everything due each tick. The calendar queue's bucket-per-window
-    // layout targets exactly this mix; a comparison heap pays a log-n
-    // sift on every tie.
+    // everything due each tick. Cancelled keys stay in the heap until
+    // they surface, so this mix also prices the lazy drop.
     constexpr SimTime kEpoch = 10'000;
     EventQueue q;
     Rng rng(6);

@@ -93,8 +93,9 @@ Leg run_leg(const mcs::ScenarioSpec& spec,
 
 int main(int argc, char** argv) {
     const BenchOptions opt = mcs::bench::parse_options(argc, argv);
-    // Corpus location: scenario_dir=<path> overrides the repo-root default.
-    std::string dir = "examples/scenarios";
+    // Corpus location: scenario_dir=<path> overrides the source tree's
+    // examples/scenarios.
+    std::string dir = MCS_SOURCE_DIR "/examples/scenarios";
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.rfind("scenario_dir=", 0) == 0) {

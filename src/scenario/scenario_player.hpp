@@ -1,6 +1,6 @@
 #pragma once
 
-// ScenarioPlayer: compiles a ScenarioSpec into calendar-queue events over
+// ScenarioPlayer: compiles a ScenarioSpec into simulator events over
 // the engine seams of a ManycoreSystem. Directives are chained -- each
 // directive's event schedules the next one -- so the player contributes at
 // most one pending event to the queue at any instant, which keeps the

@@ -4,7 +4,7 @@
 // named, time-ordered list of directives that perturb a run mid-flight --
 // arrival bursts, forced test aborts / progress invalidations, fault and
 // wear injections, power-budget retargeting and forced DVFS moves. A spec
-// is pure data; src/scenario/scenario_player.hpp compiles it into calendar
+// is pure data; src/scenario/scenario_player.hpp compiles it into queued
 // events over the engine seams so replays are deterministic and snapshots
 // carry the replay position.
 //

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
@@ -16,49 +17,37 @@ struct EventId {
     bool valid() const noexcept { return seq != 0; }
 };
 
-/// Time-ordered event queue backed by a bucketed calendar (Brown-style
-/// calendar queue) instead of a binary heap. Ties break in scheduling order
-/// (FIFO at equal timestamps: pop order is ascending (when, seq)), which
-/// keeps simulations deterministic, and `next_seq()` exposes the sequence
-/// number the next schedule() call will assign so callers can register
-/// bookkeeping for an event before creating it (the snapshot manifest keys
-/// in-flight work by event sequence).
+/// Time-ordered event queue: a binary min-heap of (when, seq) keys plus a
+/// seq -> {when, callback} map. Pop order is strict ascending (when, seq),
+/// so ties break in scheduling order (FIFO at equal timestamps), which keeps
+/// simulations deterministic. `next_seq()` exposes the sequence number the
+/// next schedule() call will assign so callers can register bookkeeping for
+/// an event before creating it (the snapshot manifest keys in-flight work by
+/// event sequence).
 ///
-/// Layout: events hash into `buckets_` by `(when >> width_shift_) & mask`.
-/// The bucket width is a power of two re-derived at every resize from the
-/// pending set's time span divided by its population -- i.e. sized to the
-/// mean inter-event gap of the epoch-quantized event mix, so one "day"
-/// window usually holds O(1) events. The minimum is found by walking
-/// consecutive day windows from a floor that lower-bounds every pending
-/// timestamp; a full fruitless lap (a sparse far-future tail) falls back to
-/// one direct scan. Resizes trigger on population thresholds only, so the
-/// structure's shape is a pure function of the pending set and never
-/// depends on wall clock or callers' identities.
-///
-/// Cancellation is eager: cancel() removes the entry from its bucket
-/// immediately (the old heap kept cancelled entries until they surfaced),
-/// so cancel-heavy workloads no longer grow the backing storage.
-/// `cancelled_count()` reports lifetime cancellations for telemetry.
+/// cancel() erases the map entry, which destroys the callback at once; the
+/// cancelled key stays in the heap until it reaches the top, where pop() and
+/// cancel() drop it. The top key is therefore always pending, so
+/// `next_time()` is O(1). `cancelled_count()` reports lifetime
+/// cancellations for telemetry.
 class EventQueue {
 public:
     using Callback = std::function<void()>;
 
-    EventQueue();
-
     /// Schedules `cb` at absolute time `when`. Returns a cancellation handle.
     EventId schedule(SimTime when, Callback cb);
 
-    /// Cancels a pending event, reclaiming its slot immediately. Cancelling
-    /// an already-fired or already-cancelled event is a no-op. Returns true
-    /// if the event was pending.
+    /// Cancels a pending event and destroys its callback. Cancelling an
+    /// already-fired or already-cancelled event is a no-op. Returns true if
+    /// the event was pending.
     bool cancel(EventId id);
 
     /// True if the given event is still pending (scheduled, not fired, not
     /// cancelled).
     bool is_pending(EventId id) const;
 
-    bool empty() const noexcept { return index_.empty(); }
-    std::size_t pending() const noexcept { return index_.size(); }
+    bool empty() const noexcept { return pending_.empty(); }
+    std::size_t pending() const noexcept { return pending_.size(); }
 
     /// Time of the earliest pending event. Requires !empty().
     SimTime next_time() const;
@@ -78,48 +67,25 @@ public:
     /// Overwrites the cancellation count from a checkpoint.
     void restore_cancelled_count(std::uint64_t n) noexcept { cancelled_ = n; }
 
-    /// Entries physically stored across all buckets. Equals pending() --
-    /// exposed so tests can assert that cancellation reclaims eagerly.
-    std::size_t stored_entries() const noexcept;
-
-    /// Current bucket count (introspection for tests/benches).
-    std::size_t bucket_count() const noexcept { return buckets_.size(); }
-
 private:
-    struct Entry {
+    struct Key {
         SimTime when;
         std::uint64_t seq;
+        auto operator<=>(const Key&) const = default;
+    };
+    struct Pending {
+        SimTime when;
         Callback cb;
     };
 
-    std::size_t bucket_of(SimTime when) const noexcept {
-        return static_cast<std::size_t>(when >> width_shift_) &
-               (buckets_.size() - 1);
-    }
-    /// Recomputes the cached minimum (lap scan + direct-search fallback).
-    void ensure_min() const;
-    /// Removes the entry `seq` from bucket `b` (swap-remove) and returns it.
-    Entry extract(std::size_t b, std::uint64_t seq);
-    /// Rebuilds into `want_buckets` buckets with a width re-derived from the
-    /// pending set (span / population, rounded to a power of two).
-    void rebuild(std::size_t want_buckets);
-    void maybe_grow();
-    void maybe_shrink();
+    /// Pops keys whose entry is gone (fired or cancelled) until the top key
+    /// is pending or the heap is empty.
+    void drop_stale_top();
 
-    std::vector<std::vector<Entry>> buckets_;
-    std::uint32_t width_shift_ = 0;
-    // seq -> scheduled time: liveness ground truth, O(1) time_of for the
-    // snapshot manifest, and the bucket locator for eager cancellation.
-    std::unordered_map<std::uint64_t, SimTime> index_;
+    std::vector<Key> heap_;  // min-heap under std::greater<>
+    std::unordered_map<std::uint64_t, Pending> pending_;
     std::uint64_t next_seq_ = 1;
     std::uint64_t cancelled_ = 0;
-    /// Lower bound on every pending timestamp (start of the min search).
-    SimTime floor_ = 0;
-    // Cached minimum: valid until the next mutation that can move it.
-    mutable bool min_valid_ = false;
-    mutable SimTime min_when_ = 0;
-    mutable std::uint64_t min_seq_ = 0;
-    mutable std::size_t min_bucket_ = 0;
 };
 
 }  // namespace mcs

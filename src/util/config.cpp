@@ -13,9 +13,8 @@ Config Config::from_args(std::span<const char* const> args) {
     for (const char* raw : args) {
         const std::string token(raw);
         const auto eq = token.find('=');
-        if (eq == std::string::npos || eq == 0) {
-            continue;
-        }
+        MCS_REQUIRE(eq != std::string::npos && eq != 0,
+                    "expected key=value argument: " + token);
         cfg.set(token.substr(0, eq), token.substr(eq + 1));
     }
     return cfg;

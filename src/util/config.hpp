@@ -13,7 +13,8 @@ class Config {
 public:
     Config() = default;
 
-    /// Parses `key=value` tokens; tokens without '=' are ignored.
+    /// Parses `key=value` tokens. Throws RequireError naming the first token
+    /// that has no '=' or an empty key.
     static Config from_args(std::span<const char* const> args);
 
     /// Parses a file of `key=value` lines ('#' starts a comment). Throws

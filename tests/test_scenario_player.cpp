@@ -88,7 +88,7 @@ RunArtifacts run_scenario_restored(const SystemConfig& cfg,
 
 /// The differential reference: a driver that hand-issues the exact same
 /// engine-seam calls the ScenarioPlayer makes, through its own chained
-/// calendar events. Burst applications come from an embedded player (the
+/// queued events. Burst applications come from an embedded player (the
 /// generator is part of the scenario contract); every other seam call is
 /// spelled out explicitly. Byte-identical artifacts prove the player adds
 /// nothing beyond the documented seam sequence.

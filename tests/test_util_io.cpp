@@ -154,12 +154,26 @@ TEST(Csv, BadPathThrows) {
 // ----------------------------------------------------------------- config
 
 TEST(Config, ParsesKeyValueArgs) {
-    const char* argv[] = {"cores=64", "rate=1.5", "name=test", "flagless"};
+    const char* argv[] = {"cores=64", "rate=1.5", "name=test"};
     const Config c = Config::from_args(argv);
     EXPECT_EQ(c.get_int("cores", 0), 64);
     EXPECT_DOUBLE_EQ(c.get_double("rate", 0.0), 1.5);
     EXPECT_EQ(c.get_string("name", ""), "test");
-    EXPECT_FALSE(c.has("flagless"));
+}
+
+TEST(Config, RejectsBareTokens) {
+    for (const char* bad : {"flagless", "--config", "=value"}) {
+        const char* argv[] = {"cores=64", bad};
+        try {
+            (void)Config::from_args(argv);
+            ADD_FAILURE() << "accepted " << bad;
+        } catch (const RequireError& e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          std::string("expected key=value argument: ") + bad),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(Config, FallbacksWhenMissing) {

@@ -11,7 +11,7 @@ Two kinds of rule, one per guarded header:
     deliberately-hidden headers reappears.
 
   * src/sim/event_queue.hpp -- the simulation substrate must stay below the
-    architecture/engine layers: the calendar queue is a pure (time, seq,
+    architecture/engine layers: the event queue is a pure (time, seq,
     callback) container and must never reach up into arch/ or core/
     headers. A forbidden *prefix* guards the whole subtree, so a new
     core/foo.hpp cannot slip in unnamed.
