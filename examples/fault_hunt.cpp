@@ -3,47 +3,37 @@
 // the cores. Prints a per-fault timeline and the detection-latency
 // distribution.
 //
-// Usage: fault_hunt [seconds=15] [rate=0.05] [occupancy=0.6] [seed=7]
-//                   [scheduler=power-aware|periodic|greedy|none]
+// Usage: fault_hunt [seconds=15] [fault_rate=0.05] [occupancy=0.6]
+//                   [seed=7] [scheduler=power-aware|periodic|greedy|
+//                   deadline|none] [any other core/config_bridge.hpp key]
 
 #include <cstdio>
 
+#include "core/config_bridge.hpp"
 #include "core/system.hpp"
 #include "util/config.hpp"
+#include "util/require.hpp"
 #include "util/table.hpp"
 
 using namespace mcs;
 
 int run(int argc, char** argv) {
-    const Config args = Config::from_args(
+    // This example's defaults; the command line overrides them.
+    Config args;
+    args.set("seed", "7");
+    args.set("faults", "true");
+    args.set("fault_rate", "0.05");
+    args.merge(Config::from_args(
         std::span<const char* const>(argv + 1,
-                                     static_cast<std::size_t>(argc - 1)));
-
-    SystemConfig cfg;
-    cfg.width = 8;
-    cfg.height = 8;
-    cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
-    cfg.enable_fault_injection = true;
-    cfg.faults.base_rate_per_core_s = args.get_double("rate", 0.05);
-
-    const std::string sched = args.get_string("scheduler", "power-aware");
-    if (sched == "periodic") {
-        cfg.scheduler = SchedulerKind::Periodic;
-    } else if (sched == "greedy") {
-        cfg.scheduler = SchedulerKind::Greedy;
-    } else if (sched == "none") {
-        cfg.scheduler = SchedulerKind::None;
-    }
-
-    const double occupancy = args.get_double("occupancy", 0.6);
-    const double capacity = 64.0 * technology(cfg.node).max_freq_hz;
-    cfg.workload.arrival_rate_hz =
-        rate_for_occupancy(occupancy, cfg.workload.graphs, capacity);
+                                     static_cast<std::size_t>(argc - 1))));
+    const SystemConfig cfg = system_config_from(args);
+    MCS_REQUIRE(cfg.enable_fault_injection, "fault_hunt needs faults=true");
 
     const double seconds = args.get_double("seconds", 15.0);
     std::printf("fault hunt: %s scheduler, fault rate %.3f /core-s, "
                 "%.0f s horizon\n\n",
-                sched.c_str(), cfg.faults.base_rate_per_core_s, seconds);
+                to_string(cfg.scheduler), cfg.faults.base_rate_per_core_s,
+                seconds);
 
     ManycoreSystem sys(cfg);
     const RunMetrics m = sys.run(from_seconds(seconds));

@@ -2,10 +2,12 @@
 // power-aware online testing, and print the headline numbers.
 //
 // Usage: quickstart [width=8] [height=8] [seconds=10] [occupancy=0.6]
-//                   [seed=42] [scheduler=power-aware|periodic|greedy|none]
+//                   [seed=42] [scheduler=power-aware|periodic|greedy|
+//                   deadline|none] [any other core/config_bridge.hpp key]
 
 #include <cstdio>
 
+#include "core/config_bridge.hpp"
 #include "core/system.hpp"
 #include "util/config.hpp"
 
@@ -13,41 +15,16 @@ int run(int argc, char** argv) {
     const mcs::Config args = mcs::Config::from_args(
         std::span<const char* const>(argv + 1, static_cast<std::size_t>(
                                                    argc - 1)));
-
-    mcs::SystemConfig cfg;
-    cfg.width = static_cast<int>(args.get_int("width", 8));
-    cfg.height = static_cast<int>(args.get_int("height", 8));
-    cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
-
-    const std::string sched = args.get_string("scheduler", "power-aware");
-    if (sched == "periodic") {
-        cfg.scheduler = mcs::SchedulerKind::Periodic;
-    } else if (sched == "greedy") {
-        cfg.scheduler = mcs::SchedulerKind::Greedy;
-    } else if (sched == "none") {
-        cfg.scheduler = mcs::SchedulerKind::None;
-    }
-
-    cfg.workload.graphs.min_tasks =
-        static_cast<int>(args.get_int("min_tasks", 4));
-    cfg.workload.graphs.max_tasks =
-        static_cast<int>(args.get_int("max_tasks", 16));
-
-    // Translate the requested chip occupancy into a Poisson arrival rate.
+    // The bridge rejects unknown keys and values (scheduler=typo fails)
+    // and turns occupancy into a Poisson arrival rate.
+    const mcs::SystemConfig cfg = mcs::system_config_from(args);
     const double occupancy = args.get_double("occupancy", 0.6);
-    const auto& tech = mcs::technology(cfg.node);
-    const double chip_cycles_per_s =
-        static_cast<double>(cfg.width) * static_cast<double>(cfg.height) *
-        tech.max_freq_hz;
-    cfg.workload.arrival_rate_hz = mcs::rate_for_occupancy(
-        occupancy, cfg.workload.graphs, chip_cycles_per_s);
-
     const double seconds = args.get_double("seconds", 10.0);
 
     std::printf("manycore online-test quickstart\n");
     std::printf("  chip        : %dx%d @ %s, TDP-capped\n", cfg.width,
                 cfg.height, mcs::to_string(cfg.node));
-    std::printf("  scheduler   : %s\n", sched.c_str());
+    std::printf("  scheduler   : %s\n", mcs::to_string(cfg.scheduler));
     std::printf("  occupancy   : %.2f (%.1f apps/s)\n", occupancy,
                 cfg.workload.arrival_rate_hz);
     std::printf("  horizon     : %.1f s\n\n", seconds);

@@ -3,7 +3,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "core/config_bridge.hpp"
 #include "telemetry/json.hpp"
 #include "util/require.hpp"
 
@@ -25,16 +24,6 @@ void apply_restore(ManycoreSystem& sys, const Config& cfg) {
     RestoreOptions opts;
     opts.relax_config = cfg.get_bool("restore_relax", false);
     sys.restore(load_snapshot_file(cfg.get_string("restore", "")), opts);
-}
-
-std::unique_ptr<ManycoreSystem> make_system(const Config& cfg) {
-    auto sys = std::make_unique<ManycoreSystem>(system_config_from(cfg));
-    apply_restore(*sys, cfg);
-    return sys;
-}
-
-RunMetrics run_system(const Config& cfg, SimDuration horizon) {
-    return make_system(cfg)->run(horizon);
 }
 
 }  // namespace mcs

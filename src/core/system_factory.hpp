@@ -1,7 +1,5 @@
 #pragma once
 
-#include <memory>
-
 #include "core/system.hpp"
 #include "util/config.hpp"
 
@@ -16,17 +14,5 @@ telemetry::JsonValue load_snapshot_file(const std::string& path);
 /// fork may vary policy knobs); otherwise does nothing. Call after
 /// attaching the tracer so the captured trace ring reloads into it.
 void apply_restore(ManycoreSystem& sys, const Config& cfg);
-
-/// Constructs a fresh ManycoreSystem from generic key=value configuration
-/// (core/config_bridge.hpp keys), restoring it from `restore=<path>` when
-/// present. The build path touches no global mutable state, so factories
-/// may run concurrently from any number of threads — this is the entry the
-/// campaign runner uses for each replica (fork-from-checkpoint sweeps pass
-/// the same snapshot to every cell).
-std::unique_ptr<ManycoreSystem> make_system(const Config& cfg);
-
-/// Builds and runs one system for `horizon` simulated time and returns its
-/// metrics; the convenience form of make_system for one-shot replicas.
-RunMetrics run_system(const Config& cfg, SimDuration horizon);
 
 }  // namespace mcs

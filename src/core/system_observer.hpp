@@ -12,12 +12,14 @@
 // that caused them, in deterministic order. Observers must not mutate
 // system state from a callback.
 
+#include <algorithm>
 #include <cstdint>
+#include <vector>
 
 #include "arch/core.hpp"
 #include "core/metrics.hpp"
-#include "sim/observer.hpp"
 #include "sim/time.hpp"
+#include "util/require.hpp"
 
 namespace mcs {
 
@@ -69,57 +71,70 @@ public:
     virtual bool wants_trace_samples() const { return true; }
 };
 
-/// Fan-out dispatcher the engines emit into. Thin wrapper over
-/// ObserverList<SystemObserver> with one named method per event so call
-/// sites stay grep-able.
+/// Fan-out dispatcher the engines emit into, with one named method per
+/// event so call sites stay grep-able. Observers are non-owning pointers,
+/// notified in registration order (deterministic dispatch); an empty hub
+/// costs one loop test per event.
 class SystemObserverHub {
 public:
-    void add(SystemObserver* observer) { list_.add(observer); }
-    void remove(SystemObserver* observer) { list_.remove(observer); }
+    void add(SystemObserver* observer) {
+        MCS_REQUIRE(observer != nullptr, "observer must not be null");
+        MCS_REQUIRE(std::find(observers_.begin(), observers_.end(),
+                              observer) == observers_.end(),
+                    "observer already registered");
+        observers_.push_back(observer);
+    }
+    void remove(SystemObserver* observer) {
+        observers_.erase(std::remove(observers_.begin(), observers_.end(),
+                                     observer),
+                         observers_.end());
+    }
 
     void app_arrival(SimTime now, std::size_t app, std::size_t tasks) const {
-        list_.notify([&](SystemObserver& o) {
-            o.on_app_arrival(now, app, tasks);
-        });
+        for (SystemObserver* o : observers_) {
+            o->on_app_arrival(now, app, tasks);
+        }
     }
     void app_mapped(SimTime now, std::size_t app, CoreId first,
                     std::size_t cores) const {
-        list_.notify([&](SystemObserver& o) {
-            o.on_app_mapped(now, app, first, cores);
-        });
+        for (SystemObserver* o : observers_) {
+            o->on_app_mapped(now, app, first, cores);
+        }
     }
     void app_complete(SimTime now, std::size_t app, bool corrupted,
                       double latency_ms) const {
-        list_.notify([&](SystemObserver& o) {
-            o.on_app_complete(now, app, corrupted, latency_ms);
-        });
+        for (SystemObserver* o : observers_) {
+            o->on_app_complete(now, app, corrupted, latency_ms);
+        }
     }
     void test_session_begin(SimTime now, CoreId core, int vf) const {
-        list_.notify([&](SystemObserver& o) {
-            o.on_test_session_begin(now, core, vf);
-        });
+        for (SystemObserver* o : observers_) {
+            o->on_test_session_begin(now, core, vf);
+        }
     }
     void test_session_complete(SimTime now, CoreId core, int vf) const {
-        list_.notify([&](SystemObserver& o) {
-            o.on_test_session_complete(now, core, vf);
-        });
+        for (SystemObserver* o : observers_) {
+            o->on_test_session_complete(now, core, vf);
+        }
     }
     void test_session_abort(SimTime now, CoreId core, int vf) const {
-        list_.notify([&](SystemObserver& o) {
-            o.on_test_session_abort(now, core, vf);
-        });
+        for (SystemObserver* o : observers_) {
+            o->on_test_session_abort(now, core, vf);
+        }
     }
     void trace_sample(const TraceSample& sample) const {
-        list_.notify([&](SystemObserver& o) { o.on_trace_sample(sample); });
+        for (SystemObserver* o : observers_) {
+            o->on_trace_sample(sample);
+        }
     }
     bool wants_trace_samples() const {
-        return list_.any([](SystemObserver& o) {
-            return o.wants_trace_samples();
-        });
+        return std::any_of(
+            observers_.begin(), observers_.end(),
+            [](const SystemObserver* o) { return o->wants_trace_samples(); });
     }
 
 private:
-    ObserverList<SystemObserver> list_;
+    std::vector<SystemObserver*> observers_;
 };
 
 }  // namespace mcs

@@ -6,134 +6,48 @@
 
 namespace mcs {
 
-void TestCandidacyView::bind(CoreLanes* lanes,
-                             const std::vector<SimTime>* last_abort,
-                             SimDuration retry_backoff) {
-    MCS_REQUIRE(lanes != nullptr && last_abort != nullptr,
-                "candidacy view needs lanes and abort stamps");
-    MCS_REQUIRE(last_abort->size() == lanes->size(),
-                "candidacy view: abort stamp count mismatch");
+void TestCandidacyView::bind(CoreLanes* lanes) {
+    MCS_REQUIRE(lanes != nullptr, "candidacy view needs lanes");
     lanes_ = lanes;
-    last_abort_ = last_abort;
-    retry_backoff_ = retry_backoff;
-    member_flag_.assign(lanes_->size(), 0);
-    cooling_flag_.assign(lanes_->size(), 0);
     members_.clear();
-    cooling_.clear();
     valid_ = false;
 }
 
-bool TestCandidacyView::eligible(CoreId id, SimTime now) const {
-    if (lanes_->reserved[id] != 0) {
-        return false;
-    }
+bool TestCandidacyView::member(CoreId id) const {
     const CoreState s = lanes_->state[id];
-    if (s != CoreState::Idle && s != CoreState::Dark) {
-        return false;
-    }
-    const SimTime abort = (*last_abort_)[id];
-    return !(abort != 0 && now - abort < retry_backoff_);
+    return lanes_->reserved[id] == 0 &&
+           (s == CoreState::Idle || s == CoreState::Dark);
 }
 
-bool TestCandidacyView::cooling(CoreId id, SimTime now) const {
-    if (lanes_->reserved[id] != 0) {
-        return false;
-    }
-    const CoreState s = lanes_->state[id];
-    if (s != CoreState::Idle && s != CoreState::Dark) {
-        return false;
-    }
-    const SimTime abort = (*last_abort_)[id];
-    return abort != 0 && now - abort < retry_backoff_;
-}
-
-void TestCandidacyView::insert_member(CoreId id) {
-    if (member_flag_[id]) {
-        return;
-    }
-    member_flag_[id] = 1;
-    members_.insert(std::lower_bound(members_.begin(), members_.end(), id),
-                    id);
-}
-
-void TestCandidacyView::erase_member(CoreId id) {
-    if (!member_flag_[id]) {
-        return;
-    }
-    member_flag_[id] = 0;
-    members_.erase(std::lower_bound(members_.begin(), members_.end(), id));
-}
-
-void TestCandidacyView::full_rescan(SimTime now) {
-    ++rescans_;
-    std::fill(member_flag_.begin(), member_flag_.end(), 0);
-    std::fill(cooling_flag_.begin(), cooling_flag_.end(), 0);
-    members_.clear();
-    cooling_.clear();
-    const std::size_t n = lanes_->size();
-    for (CoreId id = 0; id < n; ++id) {
-        if (eligible(id, now)) {
-            member_flag_[id] = 1;
-            members_.push_back(id);
-        } else if (cooling(id, now)) {
-            cooling_flag_[id] = 1;
-            cooling_.push_back(id);
+const std::vector<CoreId>& TestCandidacyView::members() {
+    MCS_REQUIRE(lanes_ != nullptr, "candidacy view used before bind");
+    if (!valid_) {
+        ++rescans_;
+        members_.clear();
+        for (CoreId id = 0; id < lanes_->size(); ++id) {
+            if (member(id)) {
+                members_.push_back(id);
+            }
         }
-    }
-    lanes_->clear_dirty();
-    valid_ = true;
-}
-
-void TestCandidacyView::apply_patches(SimTime now) {
-    // Drain the membership journal: re-apply the predicate to exactly the
-    // cores whose state or reservation changed since the last refresh.
-    for (CoreId id : lanes_->dirty()) {
-        ++patches_;
-        if (eligible(id, now)) {
-            insert_member(id);
-            cooling_flag_[id] = 0;
-        } else {
-            erase_member(id);
-            if (cooling(id, now)) {
-                if (!cooling_flag_[id]) {
-                    cooling_flag_[id] = 1;
-                    cooling_.push_back(id);
+        valid_ = true;
+    } else {
+        // Drain the membership journal: re-apply the predicate to exactly
+        // the cores whose state or reservation changed since the last call.
+        for (CoreId id : lanes_->dirty()) {
+            ++patches_;
+            const auto it =
+                std::lower_bound(members_.begin(), members_.end(), id);
+            const bool present = it != members_.end() && *it == id;
+            if (member(id) != present) {
+                if (present) {
+                    members_.erase(it);
+                } else {
+                    members_.insert(it, id);
                 }
-            } else {
-                cooling_flag_[id] = 0;
             }
         }
     }
     lanes_->clear_dirty();
-    // Promote cooling cores whose backoff window has passed. Compact the
-    // list in place; entries whose flag was cleared by a patch above drop
-    // out here, so each flagged core appears exactly once.
-    std::size_t keep = 0;
-    for (CoreId id : cooling_) {
-        if (!cooling_flag_[id]) {
-            continue;  // left the cooling set via a journal patch
-        }
-        if (eligible(id, now)) {
-            cooling_flag_[id] = 0;
-            insert_member(id);
-            continue;
-        }
-        if (!cooling(id, now)) {
-            cooling_flag_[id] = 0;  // no longer idle/dark or got reserved
-            continue;
-        }
-        cooling_[keep++] = id;
-    }
-    cooling_.resize(keep);
-}
-
-const std::vector<CoreId>& TestCandidacyView::members(SimTime now) {
-    MCS_REQUIRE(lanes_ != nullptr, "candidacy view used before bind");
-    if (!valid_) {
-        full_rescan(now);
-    } else {
-        apply_patches(now);
-    }
     return members_;
 }
 

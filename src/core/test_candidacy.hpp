@@ -5,80 +5,50 @@
 
 #include "arch/core.hpp"
 #include "arch/core_lanes.hpp"
-#include "sim/time.hpp"
 
 namespace mcs {
 
-/// Patch-on-commit view of the test-candidate set (the analogue of
-/// mapping/view_cache for the test engine).
+/// Journal-patched view of the test-candidate set
 ///
-/// Every test epoch used to rescan the whole chip to find candidates:
+///   member(i) := !reserved[i] && (state[i] == Idle || state[i] == Dark)
 ///
-///   eligible(i, now) :=  !reserved[i]
-///                     && (state[i] == Idle || state[i] == Dark)
-///                     && !(last_abort[i] != 0
-///                          && now - last_abort[i] < retry_backoff)
+/// so a test epoch need not rescan the whole chip. The post-abort retry
+/// backoff is the one clock-dependent term of candidacy;
+/// TestEngine::test_epoch applies it while it builds candidates, so this
+/// view reads no clock.
 ///
-/// This view maintains {i : eligible(i, now)} incrementally instead.
+/// Equivalence argument: reserved[i] and state[i] are written only by Core
+/// methods (transition, set_reserved, mark_faulty, load_state), each of
+/// which records the core in the CoreLanes membership journal.
+/// Re-applying the predicate to exactly the journaled cores therefore
+/// keeps the member set equal to a full rescan. A full rescan runs only
+/// after invalidate() (construction and snapshot restore); the
+/// rescans()/patches() counters witness that steady-state epochs run on
+/// journal patches alone.
 ///
-/// Equivalence argument. The predicate depends on three inputs:
-///   1. reserved[i] / state[i] -- every write funnels through
-///      Core::transition / Core::set_reserved / Core::load_state, all of
-///      which record the core in the CoreLanes membership journal. Draining
-///      the journal and re-applying the predicate to exactly the dirty
-///      cores therefore covers every state/reservation change.
-///   2. last_abort[i] -- written only by TestEngine::abort_test, which
-///      also finishes the test session (a journaled Testing->Idle
-///      transition at the same timestamp), so an abort is always visible
-///      through the journal too.
-///   3. `now` -- the backoff term expires passively, with no event or
-///      journal entry. Cores that pass (1)+(2) but are still inside their
-///      backoff window are parked in a cooling set that refresh() rechecks
-///      every epoch; expiry is monotone in `now` (last_abort only moves
-///      forward, via another journaled abort), so a parked core is
-///      promoted the first epoch its window has passed, exactly when the
-///      full rescan would have admitted it.
-/// A full rescan is performed only when the view is invalidated
-/// (construction and snapshot restore); the rescans()/patches() counters
-/// witness that steady-state epochs run on journal patches alone.
-///
-/// Members are kept sorted by core id, so the candidate list is pushed in
-/// the same core order the full rescan produced.
+/// Members are kept sorted by core id, the order a full rescan produces.
 class TestCandidacyView {
 public:
-    /// Binds the view to the chip's lanes (the journal's single consumer)
-    /// and the engine's abort stamps. All must outlive the view.
-    void bind(CoreLanes* lanes, const std::vector<SimTime>* last_abort,
-              SimDuration retry_backoff);
+    /// Binds the view to the chip's lanes (the journal's single consumer).
+    /// The lanes must outlive the view.
+    void bind(CoreLanes* lanes);
 
     /// Forces a full rescan at the next members() call (snapshot restore,
     /// anything that mutates state without the journal).
     void invalidate() noexcept { valid_ = false; }
 
-    /// The eligible cores at `now`, sorted by id.
-    const std::vector<CoreId>& members(SimTime now);
+    /// The current members, sorted by id.
+    const std::vector<CoreId>& members();
 
     std::uint64_t rescans() const noexcept { return rescans_; }
     std::uint64_t patches() const noexcept { return patches_; }
 
 private:
-    bool eligible(CoreId id, SimTime now) const;
-    /// True when the only failing predicate term is the abort backoff.
-    bool cooling(CoreId id, SimTime now) const;
-    void insert_member(CoreId id);
-    void erase_member(CoreId id);
-    void full_rescan(SimTime now);
-    void apply_patches(SimTime now);
+    bool member(CoreId id) const;
 
     CoreLanes* lanes_ = nullptr;
-    const std::vector<SimTime>* last_abort_ = nullptr;
-    SimDuration retry_backoff_ = 0;
-
     bool valid_ = false;
-    std::vector<std::uint8_t> member_flag_;
     std::vector<CoreId> members_;  ///< sorted by id
-    std::vector<std::uint8_t> cooling_flag_;
-    std::vector<CoreId> cooling_;  ///< unsorted scratch; compacted in place
 
     std::uint64_t rescans_ = 0;
     std::uint64_t patches_ = 0;

@@ -59,8 +59,7 @@ TestEngine::TestEngine(SystemContext& ctx)
     test_progress_.assign(ctx_.chip.core_count(), 0);
     last_test_done_.assign(ctx_.chip.core_count(), 0);
     last_test_abort_.assign(ctx_.chip.core_count(), 0);
-    candidacy_.bind(&ctx_.chip.lanes(), &last_test_abort_,
-                    ctx_.cfg.test_retry_backoff);
+    candidacy_.bind(&ctx_.chip.lanes());
     ctx_.link_tester = link_tester_ ? &*link_tester_ : nullptr;
     ctx_.test = this;
 }
@@ -75,13 +74,19 @@ void TestEngine::test_epoch() {
     sctx.power_slack_w = ctx_.power_mgr->headroom_w();
     sctx.tests_running = tests_running_;
     sctx.vf_table = &ctx_.chip.vf_table();
-    // Candidate ids come from the patched candidacy view (no chip rescan;
-    // equivalence argument in core/test_candidacy.hpp), in member (= core)
-    // order.
-    const std::vector<CoreId>& members = candidacy_.members(now);
+    // Candidate ids come from the journal-patched candidacy view (no chip
+    // rescan; equivalence argument in core/test_candidacy.hpp), in member
+    // (= core) order, minus cores still inside the retry backoff of their
+    // last abort (t == 0 means never aborted).
+    const std::vector<CoreId>& members = candidacy_.members();
     const CoreLanes& lanes = ctx_.chip.lanes();
+    const SimDuration backoff = ctx_.cfg.test_retry_backoff;
     sctx.candidates.reserve(members.size());
     for (const CoreId id : members) {
+        const SimTime abort = last_test_abort_[id];
+        if (abort != 0 && now - abort < backoff) {
+            continue;
+        }
         sctx.candidates.push_back(TestCandidate{
             id, crit[id], lanes.state[id] == CoreState::Dark,
             now - lanes.last_state_change[id], lanes.temp_c[id],
@@ -428,8 +433,8 @@ void TestEngine::load_state(const telemetry::JsonValue& doc) {
                                  link.at("escaped").u64(),
                                  link.at("corrupted").u64());
     }
-    // The abort stamps (and, via Core::load_state, every state lane) were
-    // just rewritten wholesale; rebuild the candidate view from scratch.
+    // Core::load_state rewrote every state lane wholesale; rebuild the
+    // candidate view from scratch.
     candidacy_.invalidate();
 }
 

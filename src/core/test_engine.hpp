@@ -30,10 +30,10 @@ public:
     TestEngine& operator=(const TestEngine&) = delete;
 
     /// One test epoch: refresh criticality, assemble the SchedulerContext
-    /// from the patched candidacy view (idle/dark candidates minus abort
-    /// backoff -- maintained incrementally from the lanes membership
-    /// journal, no per-epoch chip rescan), run the policy, then schedule
-    /// link tests on overdue idle links.
+    /// from the candidacy view (unreserved idle/dark cores, patched from
+    /// the lanes membership journal with no per-epoch chip rescan) minus
+    /// cores inside the abort backoff, run the policy, then schedule link
+    /// tests on overdue idle links.
     void test_epoch();
 
     /// Starts an SBST session on `core` at `vf_level` (wakes a dark core,
@@ -129,9 +129,9 @@ private:
     std::vector<SimTime> last_test_abort_;
     int tests_running_ = 0;
 
-    /// Incrementally maintained candidate set (sorted by core id); the
-    /// per-epoch work is draining the lanes membership journal instead of
-    /// rescanning the chip. Mutable through members() only.
+    /// Unreserved idle/dark cores (sorted by core id); the per-epoch work
+    /// is draining the lanes membership journal instead of rescanning the
+    /// chip. Mutable through members() only.
     TestCandidacyView candidacy_;
 };
 

@@ -53,11 +53,13 @@ std::unique_ptr<Mapper> make_mapper(const SystemConfig& cfg) {
 WorkloadEngine::WorkloadEngine(SystemContext& ctx)
     : ctx_(ctx),
       mapper_(make_mapper(ctx.cfg)),
-      idle_predictor_(ctx.chip.core_count()),
-      rebuild_([this](PlatformViewCache& cache) { rebuild_view(cache); }) {
+      idle_predictor_(ctx.chip.core_count()) {
     core_exec_.resize(ctx_.chip.core_count());
-    view_cache_.reset(ctx_.cfg.width, ctx_.cfg.height,
-                      ctx_.chip.core_count());
+    view_.width = ctx_.cfg.width;
+    view_.height = ctx_.cfg.height;
+    view_allocatable_.assign(ctx_.chip.core_count(), 0);
+    view_testing_.assign(ctx_.chip.core_count(), 0);
+    view_utilization_.assign(ctx_.chip.core_count(), 0.0);
     for (const Core& c : ctx_.chip.cores()) {
         idle_predictor_.notify_available(c.id(), 0);
     }
@@ -125,11 +127,24 @@ void WorkloadEngine::on_arrival(std::size_t app_index) {
     try_map_pending();
 }
 
-void WorkloadEngine::rebuild_view(PlatformViewCache& cache) {
+// One full chip scan per mapping round, not one per queued application:
+// the round's first mapper call scans, later calls in the same round reuse
+// the buffers. After each commit, commit_mapping() clears the committed
+// cores' allocatable and testing entries. Within one simulation event
+// those are the only view inputs a commit can change (reservation,
+// wake-up, test abort):
+//
+//   * utilization: Core::busy_fraction(now) is unchanged at the same
+//     timestamp (a task started "now" has accrued zero busy time);
+//   * criticality: an aborted test does not reset stress counters or
+//     last_test_end, and aging damage only moves at wear epochs;
+//   * temperature: the thermal model only steps at thermal epochs.
+//
+// So the patched view is byte-identical to a full rescan. It is not a
+// membership-journal consumer because utilization and criticality move
+// with the clock between rounds.
+void WorkloadEngine::scan_view() {
     const SimTime now = ctx_.sim.now();
-    auto& alloc = cache.allocatable_buf();
-    auto& testing = cache.testing_buf();
-    auto& util = cache.utilization_buf();
     for (const Core& c : ctx_.chip.cores()) {
         bool ok = !c.reserved();
         switch (c.state()) {
@@ -144,13 +159,17 @@ void WorkloadEngine::rebuild_view(PlatformViewCache& cache) {
                 ok = false;
                 break;
         }
-        alloc[c.id()] = ok ? 1 : 0;
-        testing[c.id()] = c.is_testing() ? 1 : 0;
-        util[c.id()] = c.busy_fraction(now);
+        view_allocatable_[c.id()] = ok ? 1 : 0;
+        view_testing_[c.id()] = c.is_testing() ? 1 : 0;
+        view_utilization_[c.id()] = c.busy_fraction(now);
     }
-    PlatformView& view = cache.view();
-    view.criticality = ctx_.platform->refresh_criticality(now);
-    view.temperature_c = ctx_.thermal->temps_c();
+    view_.allocatable = view_allocatable_;
+    view_.utilization = view_utilization_;
+    view_.testing = view_testing_;
+    view_.criticality = ctx_.platform->refresh_criticality(now);
+    view_.temperature_c = ctx_.thermal->temps_c();
+    ++chip_scans_;
+    view_valid_ = true;
 }
 
 void WorkloadEngine::try_map_pending() {
@@ -160,8 +179,7 @@ void WorkloadEngine::try_map_pending() {
     mapping_in_progress_ = true;
     // Chip state may have moved since the last round (this call sits behind
     // a simulation event): force a fresh scan on first use.
-    view_cache_.invalidate();
-    const std::uint64_t scans_before = view_cache_.chip_scans();
+    view_valid_ = false;
     // Serve classes in priority order (hard RT first). Within a class the
     // queue is FIFO with head-of-line blocking; a blocked head of a higher
     // class does not stall lower classes (work-conserving).
@@ -170,23 +188,24 @@ void WorkloadEngine::try_map_pending() {
         while (!queue.empty()) {
             const std::size_t index = queue.front();
             AppRun& app = apps_[index];
-            const PlatformView& view = view_cache_.get(rebuild_);
+            if (!view_valid_) {
+                scan_view();
+            }
             ++mapping_attempts_;
             MapRequest request{app.spec.id, app.spec.graph.size()};
-            const auto result = mapper_->map(request, view, ctx_.map_rng);
+            const auto result = mapper_->map(request, view_, ctx_.map_rng);
             if (!result) {
                 break;
             }
             ctx_.metrics.mapping_dispersion_hops.add(
-                mapping_dispersion(view, result->cores));
+                mapping_dispersion(view_, result->cores));
             queue.pop_front();
             --pending_total_;
-            view_cache_.on_commit(result->cores);
             commit_mapping(index, *result);
         }
     }
-    if (view_cache_.chip_scans() != scans_before) {
-        ++mapping_rounds_;
+    if (view_valid_) {
+        ++mapping_rounds_;  // the round reached the mapper
     }
     mapping_in_progress_ = false;
 }
@@ -199,6 +218,9 @@ void WorkloadEngine::commit_mapping(std::size_t app_index,
                 "mapping result size mismatch");
     for (CoreId id : result.cores) {
         Core& c = ctx_.chip.core(id);
+        // Patch the round's view (see scan_view()).
+        view_allocatable_[id] = 0;
+        view_testing_[id] = 0;
         if (c.is_testing()) {
             // Testing cores are only allocatable when aborts are allowed;
             // a mapper handing one over otherwise broke its contract.
@@ -457,6 +479,10 @@ void WorkloadEngine::load_state(const telemetry::JsonValue& doc) {
         for (const auto& n : a.at("waiting").array) {
             app.waiting.push_back(static_cast<std::uint32_t>(n.u64()));
         }
+        MCS_REQUIRE(app.waiting.size() == app.task_core.size(),
+                    "snapshot workload: waiting size mismatch");
+        MCS_REQUIRE(app.tasks_done <= app.spec.graph.size(),
+                    "snapshot workload: tasks_done out of range");
     }
     const auto& pending = doc.at("pending").array;
     MCS_REQUIRE(pending.size() == pending_.size(),

@@ -1,8 +1,8 @@
 #pragma once
 
 // WorkloadEngine: dynamic application admission and execution. Owns the
-// QoS admission queues, the runtime mapper and its per-round platform-view
-// cache, the per-core task execution state and the idle predictor; runs the
+// QoS admission queues, the runtime mapper and the platform view it maps
+// over, the per-core task execution state and the idle predictor; runs the
 // mapping rounds, task starts/completions and NoC edge delivery. Testing
 // and the power substrate are reached through SystemContext.
 
@@ -19,7 +19,6 @@
 #include "core/snapshot.hpp"
 #include "core/system_context.hpp"
 #include "mapping/mapper.hpp"
-#include "mapping/view_cache.hpp"
 
 namespace mcs {
 
@@ -41,8 +40,8 @@ public:
 
     /// One mapping round: serve class queues in priority order, mapping
     /// queue heads until the mapper rejects. The platform view is scanned
-    /// once per round and patched on each commit (see mapping/view_cache.hpp
-    /// for the equivalence argument).
+    /// once per round and patched on each commit (equivalence argument above
+    /// scan_view() in workload_engine.cpp).
     void try_map_pending();
 
     /// DVFS transition on `core`: rescale the in-flight task's remaining
@@ -61,11 +60,9 @@ public:
     bool app_done(std::size_t app_index) const;
     std::size_t pending_in_class(std::size_t cls) const;
     std::size_t pending_total() const noexcept { return pending_total_; }
-    /// Full chip scans performed by mapping rounds (the view-cache
-    /// counter: == rounds that consulted the mapper).
-    std::uint64_t chip_scans() const noexcept {
-        return view_cache_.chip_scans();
-    }
+    /// Full chip scans performed by mapping rounds (== rounds that
+    /// consulted the mapper since construction).
+    std::uint64_t chip_scans() const noexcept { return chip_scans_; }
     std::uint64_t mapping_rounds() const noexcept { return mapping_rounds_; }
     /// Individual mapper invocations (> chip_scans() whenever a round
     /// served more than one queued application off one scan).
@@ -123,7 +120,7 @@ private:
     };
 
     void commit_mapping(std::size_t app_index, const MappingResult& result);
-    void rebuild_view(PlatformViewCache& cache);
+    void scan_view();
     void start_task(std::size_t app_index, TaskIndex task);
     void on_task_complete(CoreId core);
     void deliver_edge(std::size_t app_index, TaskIndex dst);
@@ -132,8 +129,14 @@ private:
     SystemContext& ctx_;
     std::unique_ptr<Mapper> mapper_;
     IdlePredictor idle_predictor_;
-    PlatformViewCache view_cache_;
-    PlatformViewCache::Rebuild rebuild_;
+    /// The mapper's view of the chip and its owned buffers; valid from the
+    /// round's first mapper call to the end of the round.
+    PlatformView view_;
+    std::vector<std::uint8_t> view_allocatable_;
+    std::vector<std::uint8_t> view_testing_;
+    std::vector<double> view_utilization_;
+    bool view_valid_ = false;
+    std::uint64_t chip_scans_ = 0;
 
     std::vector<AppRun> apps_;
     /// One FIFO admission queue per QoS class; higher classes are served

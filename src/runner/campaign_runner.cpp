@@ -5,7 +5,7 @@
 #include <mutex>
 #include <utility>
 
-#include "core/system_factory.hpp"
+#include "scenario/scenario_runner.hpp"
 #include "sim/time.hpp"
 #include "util/require.hpp"
 #include "util/thread_pool.hpp"

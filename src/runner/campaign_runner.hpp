@@ -62,8 +62,9 @@ struct CampaignResult {
 class CampaignRunner {
 public:
     /// Runs one replica config for `seconds` of simulated time. The
-    /// default executes a ManycoreSystem via core/system_factory.hpp;
-    /// tests inject failing or instrumented replicas here.
+    /// default is run_system (scenario/scenario_runner.hpp), which honours
+    /// scenario= and restore=; tests inject failing or instrumented
+    /// replicas here.
     using ReplicaFn =
         std::function<RunMetrics(const Config& cfg, double seconds)>;
     /// Called after each replica finishes (any thread, serialized).

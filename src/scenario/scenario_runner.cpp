@@ -16,15 +16,15 @@ bool attach_scenario_from(ManycoreSystem& sys, const Config& cfg) {
     return true;
 }
 
-std::unique_ptr<ManycoreSystem> make_system_with_scenario(const Config& cfg) {
+std::unique_ptr<ManycoreSystem> make_system(const Config& cfg) {
     auto sys = std::make_unique<ManycoreSystem>(system_config_from(cfg));
     attach_scenario_from(*sys, cfg);
     apply_restore(*sys, cfg);
     return sys;
 }
 
-RunMetrics run_system_with_scenario(const Config& cfg, SimDuration horizon) {
-    return make_system_with_scenario(cfg)->run(horizon);
+RunMetrics run_system(const Config& cfg, SimDuration horizon) {
+    return make_system(cfg)->run(horizon);
 }
 
 }  // namespace mcs

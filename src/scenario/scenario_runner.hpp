@@ -17,13 +17,18 @@ namespace mcs {
 /// was attached.
 bool attach_scenario_from(ManycoreSystem& sys, const Config& cfg);
 
-/// make_system() plus scenario attachment, in the order restore requires
-/// (attach first, then restore, so a snapshot captured mid-scenario can
-/// reload its replay position).
-std::unique_ptr<ManycoreSystem> make_system_with_scenario(const Config& cfg);
+/// Constructs a fresh ManycoreSystem from generic key=value configuration
+/// (core/config_bridge.hpp keys), attaches `scenario=<path>` when present,
+/// then restores from `restore=<path>` when present (attach first, so a
+/// snapshot captured mid-scenario can reload its replay position). The
+/// build path touches no global mutable state, so factories may run
+/// concurrently from any number of threads -- this is the campaign
+/// runner's default replica body (fork-from-checkpoint sweeps pass the
+/// same snapshot to every cell).
+std::unique_ptr<ManycoreSystem> make_system(const Config& cfg);
 
-/// Builds and runs one (possibly scenario-driven) system; drop-in
-/// replacement for run_system as a campaign replica function.
-RunMetrics run_system_with_scenario(const Config& cfg, SimDuration horizon);
+/// Builds and runs one system for `horizon` simulated time and returns its
+/// metrics; the convenience form of make_system for one-shot replicas.
+RunMetrics run_system(const Config& cfg, SimDuration horizon);
 
 }  // namespace mcs

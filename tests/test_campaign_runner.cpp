@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <set>
@@ -10,9 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include "core/metric_catalog.hpp"
 #include "core/report.hpp"
-#include "core/system_factory.hpp"
 #include "runner/result_sink.hpp"
+#include "scenario/scenario_runner.hpp"
 #include "sim/time.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/run_report.hpp"
@@ -348,6 +350,39 @@ TEST(CampaignRunner, ForksReplicasFromWarmCheckpoint) {
         EXPECT_GT(r.metrics.apps_completed, 0u);
     }
     std::remove(snap.c_str());
+}
+
+TEST(CampaignRunner, DefaultReplicaHonoursScenario) {
+    // The default replica body is the one system factory, so a scenario=
+    // key in the spec reaches every replica without a set_replica_fn.
+    Config cfg;
+    cfg.set("side", "8");
+    cfg.set("occupancy", "0.7");
+    cfg.set("seconds", "2");
+    const auto run_one = [](const Config& spec_cfg) {
+        CampaignRunner runner(CampaignSpec::from_config(spec_cfg));
+        CampaignResult res = runner.run(1);
+        EXPECT_EQ(res.replicas.size(), 1u);
+        EXPECT_TRUE(res.replicas.front().ok) << res.replicas.front().error;
+        return res;
+    };
+    const CampaignResult plain = run_one(cfg);
+    cfg.set("scenario", std::string(MCS_SOURCE_DIR) +
+                            "/examples/scenarios/budget_cut.json");
+    const CampaignResult cut = run_one(cfg);
+
+    const RunMetrics direct =
+        run_system(cut.spec.replica_config(0, 0), from_seconds(2.0));
+    for (const MetricDef& def : metric_catalog()) {
+        const double want = def.get(direct);
+        const double got = def.get(cut.replicas.front().metrics);
+        EXPECT_TRUE(got == want || (std::isnan(got) && std::isnan(want)))
+            << def.name << ": campaign " << got << " vs run_system " << want;
+    }
+    // The budget cut lowers the chip's mean power against the same spec
+    // without the scenario.
+    EXPECT_LT(cut.replicas.front().metrics.mean_power_w,
+              plain.replicas.front().metrics.mean_power_w);
 }
 
 }  // namespace

@@ -8,7 +8,7 @@
 
 #include "arch/technology.hpp"
 #include "core/system.hpp"
-#include "core/system_factory.hpp"
+#include "scenario/scenario_runner.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/run_report.hpp"
 #include "util/config.hpp"

@@ -1,16 +1,22 @@
 // Unit-level tests for the engine seams behind the ManycoreSystem façade:
-// the per-round platform-view cache (one chip scan per mapping round), the
-// segmented-test abort/resume path under mapping contention, the abort
-// backoff filter, and set_priority_blind's interaction with the QoS
-// admission queues. These drive WorkloadEngine/TestEngine directly --
-// no full-system run() needed except where app completion matters.
+// the per-round mapper view (one chip scan per mapping round, patched on
+// each commit), the segmented-test abort/resume path under mapping
+// contention, the abort backoff filter, and set_priority_blind's
+// interaction with the QoS admission queues. These drive
+// WorkloadEngine/TestEngine directly -- no full-system run() needed except
+// where app completion matters.
+
+#include <algorithm>
+#include <memory>
 
 #include <gtest/gtest.h>
 
+#include "core/platform_engine.hpp"
 #include "core/system.hpp"
 #include "core/system_observer.hpp"
 #include "core/test_engine.hpp"
 #include "core/workload_engine.hpp"
+#include "mapping/contiguous_mapper.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 
@@ -72,7 +78,7 @@ TEST(WorkloadEngineSeams, OneChipScanPerMappingRound) {
     EXPECT_EQ(we.mapping_attempts(), 3u);
 
     // a0 finishes during the run; its release round maps BOTH queued apps
-    // off a single chip scan (the cache is patched per commit, not
+    // off a single chip scan (the view is patched per commit, not
     // rebuilt). Their own completions find empty queues: no further scans.
     sys.run(50 * kMillisecond);
     EXPECT_TRUE(we.app_done(a0));
@@ -86,6 +92,98 @@ TEST(WorkloadEngineSeams, OneChipScanPerMappingRound) {
     // made attempts outnumber scans (pre-refactor: attempts == scans).
     EXPECT_EQ(we.chip_scans(), we.mapping_rounds());
     EXPECT_GT(we.mapping_attempts(), we.chip_scans());
+}
+
+// Differential for the per-round mapper view: a mapper installed through
+// SystemConfig::mapper_factory compares every view it receives with a
+// fresh scan of the chip, then places with the test-aware mapper. A call
+// after a successful one within the same round (no new chip scan) sees
+// the round's scan patched by the commits in between.
+TEST(WorkloadEngineSeams, MapperViewMatchesFreshScan) {
+    SystemConfig cfg;
+    cfg.width = 6;
+    cfg.height = 6;
+    cfg.seed = 4242;
+    const double capacity = 36.0 * technology(cfg.node).max_freq_hz;
+    cfg.workload.arrival_rate_hz =
+        rate_for_occupancy(0.9, cfg.workload.graphs, capacity);
+
+    struct ViewProbe {
+        ManycoreSystem* sys = nullptr;
+        ContiguousMapper inner = ContiguousMapper::test_aware();
+        std::size_t calls = 0;
+        std::size_t mismatches = 0;
+        std::size_t patched = 0;    ///< calls on a commit-patched view
+        std::size_t testing = 0;    ///< calls with cores under test
+        std::uint64_t last_scans = 0;
+        bool last_placed = false;
+
+        void check(const PlatformView& view) {
+            ManycoreSystem& s = *sys;
+            const SimTime now = s.simulator().now();
+            const std::size_t n = s.chip().core_count();
+            const std::vector<double> crit =
+                CriticalityEvaluator(s.config().criticality)
+                    .evaluate_chip(s.chip(), now, s.aging().damage_all());
+            ThermalModel& thermal = s.platform_engine().thermal();
+            bool same = view.width == s.config().width &&
+                        view.height == s.config().height &&
+                        view.allocatable.size() == n &&
+                        view.testing.size() == n &&
+                        view.utilization.size() == n &&
+                        view.criticality.size() == n &&
+                        view.temperature_c.size() == n;
+            for (CoreId i = 0; same && i < n; ++i) {
+                const Core& c = s.chip().core(i);
+                const bool free = c.state() == CoreState::Idle ||
+                                  c.state() == CoreState::Dark ||
+                                  (c.is_testing() &&
+                                   s.config().abort_tests_for_mapping);
+                same = (view.allocatable[i] != 0) == (free && !c.reserved()) &&
+                       (view.testing[i] != 0) == c.is_testing() &&
+                       view.utilization[i] == c.busy_fraction(now) &&
+                       view.criticality[i] == crit[i] &&
+                       view.temperature_c[i] == thermal.temp_c(i);
+            }
+            const std::uint64_t scans = s.workload_engine().chip_scans();
+            ++calls;
+            mismatches += same ? 0 : 1;
+            patched += scans == last_scans && last_placed ? 1 : 0;
+            testing += std::any_of(view.testing.begin(), view.testing.end(),
+                                   [](std::uint8_t t) { return t != 0; })
+                           ? 1
+                           : 0;
+            last_scans = scans;
+        }
+    };
+    auto probe = std::make_shared<ViewProbe>();
+    cfg.mapper_factory = [probe]() {
+        struct Fwd final : Mapper {
+            std::shared_ptr<ViewProbe> probe;
+            explicit Fwd(std::shared_ptr<ViewProbe> p) : probe(std::move(p)) {}
+            std::optional<MappingResult> map(const MapRequest& request,
+                                             const PlatformView& view,
+                                             Rng& rng) override {
+                probe->check(view);
+                auto result = probe->inner.map(request, view, rng);
+                probe->last_placed = result.has_value();
+                return result;
+            }
+            std::string_view name() const override { return "view-probe"; }
+        };
+        return std::unique_ptr<Mapper>(new Fwd(probe));
+    };
+    ManycoreSystem sys(cfg);
+    probe->sys = &sys;
+    sys.run(2 * kSecond);
+
+    EXPECT_GT(probe->calls, 1000u);
+    EXPECT_EQ(probe->mismatches, 0u);
+    EXPECT_GT(probe->patched, 100u);
+    EXPECT_GT(probe->testing, 100u);
+    EXPECT_EQ(sys.workload_engine().chip_scans(),
+              sys.workload_engine().mapping_rounds());
+    EXPECT_EQ(sys.workload_engine().mapping_attempts(), probe->calls);
 }
 
 TEST(TestEngineSeams, SegmentedAbortResumeAcrossMappingContention) {
@@ -202,7 +300,7 @@ TEST(TestEngineSeams, AbortBackoffFiltersCandidates) {
     EXPECT_EQ(probe->seen, (std::vector<CoreId>{0, 1, 2, 3}));
 }
 
-// Differential for the patch-on-commit candidacy view: under a real
+// Differential for the journal-patched candidacy view: under a real
 // workload plus randomized test-session churn (starts and aborts driven
 // from inside the scheduler hook), the candidate set offered to the policy
 // every epoch must equal a fresh whole-chip predicate scan, while the
@@ -294,7 +392,7 @@ TEST(TestEngineSeams, PatchedCandidacyMatchesFreshScan) {
     EXPECT_GT(probe->checks, 10u);
     EXPECT_EQ(probe->mismatches, 0u);
     EXPECT_GT(probe->started, 0u);
-    EXPECT_GT(probe->aborted, 0u);  // backoff/cooling path exercised
+    EXPECT_GT(probe->aborted, 0u);  // abort backoff path exercised
     // The whole run performed exactly the boot rescan; every epoch after
     // ran on journal patches alone.
     EXPECT_EQ(te.candidacy_rescans(), 1u);

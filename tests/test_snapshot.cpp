@@ -180,6 +180,50 @@ TEST_F(SnapshotGuards, TamperedCoreStateFailsCleanly) {
     EXPECT_THROW(restore_text(cfg_, text), RequireError);
 }
 
+TEST_F(SnapshotGuards, MalformedAppStateFailsCleanly) {
+    // Per-app runtime state must fit the app's (regenerated) task graph;
+    // the first mapped, unfinished app is the one a resumed run touches.
+    const telemetry::JsonValue doc = telemetry::parse_json(snapshot_);
+    const auto& apps = doc.at("workload").at("apps").array;
+    std::size_t target = apps.size();
+    for (std::size_t i = 0; i < apps.size() && target == apps.size(); ++i) {
+        if (!apps[i].at("done").boolean &&
+            !apps[i].at("task_core").array.empty()) {
+            target = i;
+        }
+    }
+    ASSERT_LT(target, apps.size()) << "no mapped, unfinished app captured";
+    ASSERT_GT(apps[target].at("waiting").array.size(), 1u);
+
+    using Edit = void (*)(telemetry::JsonValue& app);
+    const Edit edits[] = {
+        [](telemetry::JsonValue& app) {
+            app.object.at("waiting").array.clear();
+        },
+        [](telemetry::JsonValue& app) {
+            app.object.at("waiting").array.resize(1);
+        },
+        [](telemetry::JsonValue& app) {
+            telemetry::JsonValue& done = app.object.at("tasks_done");
+            done.raw = "999";
+            done.number = 999.0;
+        },
+    };
+    for (const Edit edit : edits) {
+        telemetry::JsonValue bad = doc;
+        edit(bad.object.at("workload").object.at("apps").array[target]);
+        ManycoreSystem sys(cfg_);
+        try {
+            sys.restore(bad);
+            ADD_FAILURE() << "malformed app state restored";
+        } catch (const RequireError& e) {
+            EXPECT_NE(std::string(e.what()).find("snapshot workload:"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 TEST_F(SnapshotGuards, SchemaVersionMismatchFailsCleanly) {
     std::string text = snapshot_;
     replace_once(text, "\"mcs.snapshot.v1\"", "\"mcs.snapshot.v2\"");

@@ -58,7 +58,6 @@ RULES = (
             "arch/chip.hpp",
             "sim/simulator.hpp",
             "mapping/mapper.hpp",
-            "mapping/view_cache.hpp",
             "telemetry/observer_adapter.hpp",
         ),
     ),

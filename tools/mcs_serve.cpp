@@ -26,7 +26,6 @@
 //                       408 + Connection: close (default 10000; 0 = off)
 //   max_requests_per_conn=<int>  keep-alive request cap per connection
 //                       (default 1000)
-//   io_timeout_s=<int>  legacy alias for idle_timeout_ms (seconds)
 //   quiet=true          suppress the startup banner
 // Every other key is part of the shared base run configuration
 // (core/config_bridge.hpp grammar) that each snapshot's config file
@@ -80,7 +79,7 @@ bool is_server_key(const std::string& key) {
            key == "queue" || key == "cache_entries" ||
            key == "cache_file" || key == "max_body_kib" ||
            key == "idle_timeout_ms" || key == "max_requests_per_conn" ||
-           key == "io_timeout_s" || key == "quiet" || key == "config" ||
+           key == "quiet" || key == "config" ||
            key.rfind("snapshot.", 0) == 0;
 }
 
@@ -108,10 +107,8 @@ int serve_main(int argc, char** argv) {
     opts.workers = static_cast<int>(args.get_int("workers", 0));
     opts.queue_limit =
         static_cast<std::size_t>(args.get_int("queue", 64));
-    // io_timeout_s survives as a legacy alias from the thread-per-
-    // connection era; idle_timeout_ms wins when both are given.
-    opts.idle_timeout_ms = static_cast<int>(args.get_int(
-        "idle_timeout_ms", args.get_int("io_timeout_s", 10) * 1000));
+    opts.idle_timeout_ms =
+        static_cast<int>(args.get_int("idle_timeout_ms", 10'000));
     opts.max_requests_per_conn =
         static_cast<int>(args.get_int("max_requests_per_conn", 1000));
     opts.http.max_body_bytes =

@@ -145,12 +145,6 @@ int run_sweep(const Config& args) {
 
     CampaignSpec spec = CampaignSpec::from_config(spec_cfg);
     CampaignRunner runner(std::move(spec));
-    // Scenario-aware replicas: a `scenario=` key (in the spec base or per
-    // cell) attaches the named spec to every replica; without the key this
-    // is exactly the default replica path.
-    runner.set_replica_fn([](const Config& cfg, double secs) {
-        return run_system_with_scenario(cfg, from_seconds(secs));
-    });
     if (!quiet) {
         std::printf("mcs_sim: sweep %s | %zu cells x %d replicas = %zu "
                     "runs | %.1f s horizon\n",
