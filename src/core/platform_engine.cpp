@@ -299,53 +299,45 @@ void PlatformEngine::load_state(const telemetry::JsonValue& doc) {
     testing_samples_ = samples.at("testing").u64();
     reserved_samples_ = samples.at("reserved").u64();
     energy_clock_ = doc.at("energy_clock").u64();
-    link_test_energy_j_ = doc.at("link_test_energy_j").number;
-    peak_temp_c_ = doc.at("peak_temp_c").number;
+    link_test_energy_j_ = doc.at("link_test_energy_j").number();
+    peak_temp_c_ = doc.at("peak_temp_c").number();
 
     const telemetry::JsonValue& pm = doc.at("power_mgr");
     PowerManager::PersistedState ps;
-    for (const auto& t : pm.at("last_active").array) {
-        ps.last_active.push_back(t.u64());
-    }
+    ps.last_active = pm.at("last_active").u64s();
     MCS_REQUIRE(ps.last_active.size() == ctx_.chip.core_count(),
                 "snapshot platform: power-manager core count mismatch");
     ps.last_epoch = pm.at("last_epoch").u64();
-    ps.has_epoch = pm.at("has_epoch").boolean;
-    ps.measured_power_w = pm.at("measured").number;
-    ps.committed_power_w = pm.at("committed").number;
+    ps.has_epoch = pm.at("has_epoch").boolean();
+    ps.measured_power_w = pm.at("measured").number();
+    ps.committed_power_w = pm.at("committed").number();
     ps.throttle_steps = pm.at("throttle").u64();
     ps.boost_steps = pm.at("boost").u64();
     ps.cores_gated = pm.at("gated").u64();
     ps.rotate = pm.at("rotate").u64();
     const telemetry::JsonValue& pid = pm.at("pid");
-    ps.pid_integral = pid.at("integral").number;
-    ps.pid_prev_error = pid.at("prev_error").number;
-    ps.pid_has_prev = pid.at("has_prev").boolean;
-    ps.pid_last_output = pid.at("last_output").number;
+    ps.pid_integral = pid.at("integral").number();
+    ps.pid_prev_error = pid.at("prev_error").number();
+    ps.pid_has_prev = pid.at("has_prev").boolean();
+    ps.pid_last_output = pid.at("last_output").number();
     power_mgr_.load_state(ps);
 
-    std::vector<double> temps;
-    for (const auto& t : doc.at("thermal").array) {
-        temps.push_back(t.number);
-    }
+    const std::vector<double> temps = doc.at("thermal").numbers();
     MCS_REQUIRE(temps.size() == ctx_.chip.core_count(),
                 "snapshot platform: thermal node count mismatch");
     thermal_.load_temps(temps);
 
     const telemetry::JsonValue& aging = doc.at("aging");
-    std::vector<double> damage;
-    for (const auto& d : aging.at("damage").array) {
-        damage.push_back(d.number);
-    }
+    const std::vector<double> damage = aging.at("damage").numbers();
     MCS_REQUIRE(damage.size() == ctx_.chip.core_count(),
                 "snapshot platform: damage vector size mismatch");
     aging_.load_state(damage, aging.at("last_update").u64(),
-                      aging.at("started").boolean);
+                      aging.at("started").boolean());
 
     if (faults_) {
         const telemetry::JsonValue& fd = doc.at("faults");
         std::vector<Fault> history;
-        for (const auto& f : fd.at("history").array) {
+        for (const auto& f : fd.at("history").array()) {
             const std::int64_t unit = f.at("unit").i64();
             const std::int64_t kind = f.at("kind").i64();
             MCS_REQUIRE(unit >= 0 && static_cast<std::size_t>(unit) <
@@ -360,7 +352,7 @@ void PlatformEngine::load_state(const telemetry::JsonValue& doc) {
             fault.unit = static_cast<FunctionalUnit>(unit);
             fault.kind = static_cast<FaultKind>(kind);
             fault.injected = f.at("injected").u64();
-            fault.detected = f.at("detected").boolean;
+            fault.detected = f.at("detected").boolean();
             fault.detected_at = f.at("detected_at").u64();
             history.push_back(fault);
         }

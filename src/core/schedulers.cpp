@@ -34,11 +34,12 @@ template <typename V>
 void read_core_map(const telemetry::JsonValue& doc, const std::string& key,
                    std::unordered_map<CoreId, V>& map) {
     map.clear();
-    for (const telemetry::JsonValue& entry : doc.at(key).array) {
-        MCS_REQUIRE(entry.is_array() && entry.array.size() == 2,
+    for (const telemetry::JsonValue& entry : doc.at(key).array()) {
+        const auto& pair = entry.array();
+        MCS_REQUIRE(pair.size() == 2,
                     "scheduler state: malformed per-core entry");
-        map[static_cast<CoreId>(entry.array[0].u64())] =
-            static_cast<V>(entry.array[1].i64());
+        map[static_cast<CoreId>(pair[0].u64())] =
+            static_cast<V>(pair[1].i64());
     }
 }
 

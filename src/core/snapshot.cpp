@@ -209,9 +209,9 @@ void write_running_stats(telemetry::JsonWriter& w, const RunningStats& s) {
 RunningStats read_running_stats(const telemetry::JsonValue& doc) {
     RunningStats s;
     s.restore(static_cast<std::size_t>(doc.at("n").u64()),
-              doc.at("mean").number, doc.at("m2").number,
-              doc.at("sum").number, doc.at("min").number,
-              doc.at("max").number);
+              doc.at("mean").number(), doc.at("m2").number(),
+              doc.at("sum").number(), doc.at("min").number(),
+              doc.at("max").number());
     return s;
 }
 
@@ -227,12 +227,10 @@ void write_u64_array(telemetry::JsonWriter& w, std::string_view key,
 
 void read_u64_array(const telemetry::JsonValue& doc, const std::string& key,
                     std::vector<std::uint64_t>& out) {
-    const auto& arr = doc.at(key).array;
-    MCS_REQUIRE(arr.size() == out.size(),
+    std::vector<std::uint64_t> values = doc.at(key).u64s();
+    MCS_REQUIRE(values.size() == out.size(),
                 "snapshot metrics: per-class/per-level array size mismatch");
-    for (std::size_t i = 0; i < arr.size(); ++i) {
-        out[i] = arr[i].u64();
-    }
+    out = std::move(values);
 }
 
 // Only the fields that *accumulate during the run* ride in the snapshot;
@@ -298,13 +296,13 @@ void read_metrics(const telemetry::JsonValue& doc, RunMetrics& m) {
                    m.deadlines_missed_by_class);
     read_u64_array(doc, "tests_per_vf_level", m.tests_per_vf_level);
     SampleSet samples;
-    for (const auto& v : doc.at("detection_latency_samples").array) {
-        samples.add(v.number);
+    for (double v : doc.at("detection_latency_samples").numbers()) {
+        samples.add(v);
     }
     m.detection_latency_samples = samples;
-    m.energy_busy_j = doc.at("energy_busy_j").number;
-    m.energy_test_j = doc.at("energy_test_j").number;
-    m.energy_idle_j = doc.at("energy_idle_j").number;
+    m.energy_busy_j = doc.at("energy_busy_j").number();
+    m.energy_test_j = doc.at("energy_test_j").number();
+    m.energy_idle_j = doc.at("energy_idle_j").number();
 }
 
 }  // namespace
@@ -336,11 +334,10 @@ void write_rng(telemetry::JsonWriter& w, std::string_view key,
 }
 
 Rng read_rng(const telemetry::JsonValue& doc, const std::string& key) {
-    const auto& words = doc.at(key).array;
+    const std::vector<std::uint64_t> words = doc.at(key).u64s();
     MCS_REQUIRE(words.size() == 4, "snapshot: RNG state must have 4 words");
     Rng rng;
-    rng.set_state({words[0].u64(), words[1].u64(), words[2].u64(),
-                   words[3].u64()});
+    rng.set_state({words[0], words[1], words[2], words[3]});
     return rng;
 }
 
@@ -363,7 +360,7 @@ std::vector<std::optional<std::size_t>> read_latent_slots(
     const telemetry::JsonValue& doc, const std::string& key,
     std::size_t history_size) {
     std::vector<std::optional<std::size_t>> latent;
-    for (const auto& v : doc.at(key).array) {
+    for (const auto& v : doc.at(key).array()) {
         const std::int64_t slot = v.i64();
         if (slot < 0) {
             latent.emplace_back(std::nullopt);
@@ -524,12 +521,12 @@ void ManycoreSystem::restore(const telemetry::JsonValue& doc,
     MCS_REQUIRE(!ran_, "restore must precede run()");
     MCS_REQUIRE(!restored_, "restore may only be called once");
     MCS_REQUIRE(
-        doc.at("structural_fingerprint").string ==
+        doc.at("structural_fingerprint").string() ==
             structural_fingerprint(cfg_),
         "snapshot structural fingerprint mismatch: chip geometry, workload "
         "model, suite, or enabled subsystems differ from the capture");
     if (!opts.relax_config) {
-        MCS_REQUIRE(doc.at("config_fingerprint").string ==
+        MCS_REQUIRE(doc.at("config_fingerprint").string() ==
                         config_fingerprint(cfg_),
                     "snapshot config fingerprint mismatch (use relax_config "
                     "to fork under different policy knobs)");
@@ -568,18 +565,17 @@ void ManycoreSystem::restore(const telemetry::JsonValue& doc,
     // 2. Substrate state.
     const telemetry::JsonValue& budget = doc.at("budget");
     ctx_->budget.load_state(
-        budget.at("last_power_w").number, budget.at("samples").u64(),
-        budget.at("violations").u64(), budget.at("worst_overshoot_w").number,
+        budget.at("last_power_w").number(), budget.at("samples").u64(),
+        budget.at("violations").u64(), budget.at("worst_overshoot_w").number(),
         read_running_stats(budget.at("stats")));
     ctx_->map_rng = snapshot::read_rng(doc, "map_rng");
 
-    const auto& cores = doc.at("cores").array;
+    const auto& cores = doc.at("cores").array();
     MCS_REQUIRE(cores.size() == ctx_->chip.core_count(),
                 "snapshot core count mismatch");
     for (std::size_t i = 0; i < cores.size(); ++i) {
-        const auto& f = cores[i].array;
-        MCS_REQUIRE(cores[i].is_array() && f.size() == 14,
-                    "snapshot: malformed core state record");
+        const auto& f = cores[i].array();
+        MCS_REQUIRE(f.size() == 14, "snapshot: malformed core state record");
         const std::uint64_t state = f[0].u64();
         MCS_REQUIRE(state <= 4, "snapshot: core state out of range");
         Core::PersistedState s;
@@ -589,7 +585,7 @@ void ManycoreSystem::restore(const telemetry::JsonValue& doc,
                         static_cast<std::size_t>(s.vf_level) <
                             ctx_->chip.vf_level_count(),
                     "snapshot: core DVFS level out of range");
-        s.reserved = f[2].boolean;
+        s.reserved = f[2].boolean();
         s.last_checkpoint = f[3].u64();
         s.busy_cycles_since_test = f[4].u64();
         s.total_busy_cycles = f[5].u64();
@@ -605,19 +601,13 @@ void ManycoreSystem::restore(const telemetry::JsonValue& doc,
     }
 
     const telemetry::JsonValue& noc = doc.at("noc");
-    std::vector<double> window_bytes;
-    for (const auto& v : noc.at("window_bytes").array) {
-        window_bytes.push_back(v.number);
-    }
-    std::vector<double> util;
-    for (const auto& v : noc.at("util").array) {
-        util.push_back(v.number);
-    }
+    std::vector<double> window_bytes = noc.at("window_bytes").numbers();
+    std::vector<double> util = noc.at("util").numbers();
     MCS_REQUIRE(window_bytes.size() == ctx_->noc.link_count() &&
                     util.size() == ctx_->noc.link_count(),
                 "snapshot NoC link count mismatch");
     ctx_->noc.load_state(std::move(window_bytes), std::move(util),
-                         noc.at("energy").number, noc.at("messages").u64(),
+                         noc.at("energy").number(), noc.at("messages").u64(),
                          noc.at("bytes").u64(), noc.at("hop_bytes").u64());
 
     read_metrics(doc.at("metrics"), ctx_->metrics);
@@ -645,11 +635,11 @@ void ManycoreSystem::restore(const telemetry::JsonValue& doc,
     // Older snapshots predate the cancellation counter; they restore as 0.
     ctx_->sim.restore_cancelled(
         doc.has("cancelled") ? doc.at("cancelled").u64() : 0);
-    const auto& events = doc.at("events").array;
+    const auto& events = doc.at("events").array();
     std::uint64_t prev_seq = 0;
     bool first = true;
     for (const auto& entry : events) {
-        const std::string& kind = entry.at("kind").string;
+        const std::string& kind = entry.at("kind").string();
         const SimTime when = entry.at("when").u64();
         const std::uint64_t seq = entry.at("seq").u64();
         MCS_REQUIRE(first || seq > prev_seq,

@@ -33,7 +33,7 @@ namespace mcs {
 
 namespace telemetry {
 class JsonWriter;
-struct JsonValue;
+class JsonValue;
 }  // namespace telemetry
 
 struct SystemConfig;

@@ -372,55 +372,66 @@ void TestEngine::save_state(telemetry::JsonWriter& w) const {
 void TestEngine::load_state(const telemetry::JsonValue& doc) {
     // Scheduler state only transfers between identical policies; a relaxed
     // restore under a different policy starts that policy fresh.
-    if (doc.at("scheduler").string == scheduler_->name()) {
+    if (doc.at("scheduler").string() == scheduler_->name()) {
         scheduler_->load_state(doc.at("scheduler_state"));
     }
-    const auto& exec = doc.at("exec").array;
+    const auto& exec = doc.at("exec").array();
     MCS_REQUIRE(exec.size() == test_exec_.size(),
                 "snapshot test engine: core count mismatch");
+    int active_sessions = 0;
     for (std::size_t c = 0; c < exec.size(); ++c) {
-        test_exec_[c].active = exec[c].at("active").boolean;
-        test_exec_[c].vf_level =
-            static_cast<int>(exec[c].at("vf").i64());
-        test_exec_[c].completion = EventId{};  // re-created from manifest
+        TestExec& ex = test_exec_[c];
+        ex.active = exec[c].at("active").boolean();
+        const std::int64_t vf = exec[c].at("vf").i64();
+        MCS_REQUIRE(vf >= 0 && static_cast<std::uint64_t>(vf) <
+                                   ctx_.chip.vf_level_count(),
+                    "snapshot test engine: session V/F level out of range");
+        ex.vf_level = static_cast<int>(vf);
+        ex.completion = EventId{};  // re-created from manifest
+        active_sessions += ex.active ? 1 : 0;
     }
-    const auto& progress = doc.at("progress").array;
+    const std::vector<std::uint64_t> progress = doc.at("progress").u64s();
     MCS_REQUIRE(progress.size() == test_progress_.size(),
                 "snapshot test engine: progress size mismatch");
     for (std::size_t c = 0; c < progress.size(); ++c) {
-        test_progress_[c] = static_cast<std::size_t>(progress[c].u64());
-        MCS_REQUIRE(test_progress_[c] < ctx_.suite.routine_count(),
+        MCS_REQUIRE(progress[c] < ctx_.suite.routine_count(),
                     "snapshot test engine: suite progress out of range");
+        test_progress_[c] = static_cast<std::size_t>(progress[c]);
     }
-    const auto& done = doc.at("last_done").array;
-    const auto& abort = doc.at("last_abort").array;
+    std::vector<SimTime> done = doc.at("last_done").u64s();
+    std::vector<SimTime> abort = doc.at("last_abort").u64s();
     MCS_REQUIRE(done.size() == last_test_done_.size() &&
                     abort.size() == last_test_abort_.size(),
                 "snapshot test engine: stamp size mismatch");
-    for (std::size_t c = 0; c < done.size(); ++c) {
-        last_test_done_[c] = done[c].u64();
-        last_test_abort_[c] = abort[c].u64();
-    }
-    tests_running_ = static_cast<int>(doc.at("tests_running").i64());
+    last_test_done_ = std::move(done);
+    last_test_abort_ = std::move(abort);
+    MCS_REQUIRE(doc.at("tests_running").i64() == active_sessions,
+                "snapshot test engine: tests_running does not match the "
+                "active sessions");
+    tests_running_ = active_sessions;
     if (link_tester_) {
         const telemetry::JsonValue& link = doc.at("link");
-        const auto& last = link.at("last_test").array;
-        const auto& active = link.at("active").array;
+        std::vector<SimTime> last = link.at("last_test").u64s();
+        const std::vector<bool> active = link.at("active").booleans();
         MCS_REQUIRE(last.size() == last_link_test_.size() &&
                         active.size() == link_test_active_.size(),
                     "snapshot test engine: link count mismatch");
-        for (std::size_t l = 0; l < last.size(); ++l) {
-            last_link_test_[l] = last[l].u64();
-            link_test_active_[l] = active[l].boolean ? 1 : 0;
+        last_link_test_ = std::move(last);
+        int active_links = 0;
+        for (std::size_t l = 0; l < active.size(); ++l) {
+            link_test_active_[l] = active[l] ? 1 : 0;
             link_test_events_[l] = EventId{};
+            active_links += active[l] ? 1 : 0;
         }
-        link_tests_running_ =
-            static_cast<int>(link.at("running").i64());
+        MCS_REQUIRE(link.at("running").i64() == active_links,
+                    "snapshot test engine: link running count does not "
+                    "match the active links");
+        link_tests_running_ = active_links;
         std::vector<LinkFault> history;
-        for (const auto& f : link.at("history").array) {
+        for (const auto& f : link.at("history").array()) {
             history.push_back(LinkFault{
                 static_cast<LinkId>(f.at("link").u64()),
-                f.at("injected").u64(), f.at("detected").boolean,
+                f.at("injected").u64(), f.at("detected").boolean(),
                 f.at("detected_at").u64()});
         }
         auto latent =

@@ -12,7 +12,7 @@ namespace mcs::telemetry {
 class Tracer;
 class MetricsRegistry;
 class JsonWriter;
-struct JsonValue;
+class JsonValue;
 }  // namespace mcs::telemetry
 
 namespace mcs {

@@ -459,54 +459,54 @@ void WorkloadEngine::save_state(telemetry::JsonWriter& w) const {
 }
 
 void WorkloadEngine::load_state(const telemetry::JsonValue& doc) {
-    const auto& apps = doc.at("apps").array;
+    const auto& apps = doc.at("apps").array();
     MCS_REQUIRE(apps.size() == apps_.size(),
                 "snapshot workload: application count mismatch");
     for (std::size_t i = 0; i < apps.size(); ++i) {
         const telemetry::JsonValue& a = apps[i];
         AppRun& app = apps_[i];
-        app.done = a.at("done").boolean;
-        app.corrupted = a.at("corrupted").boolean;
+        app.done = a.at("done").boolean();
+        app.corrupted = a.at("corrupted").boolean();
         app.tasks_done = static_cast<std::size_t>(a.at("tasks_done").u64());
-        app.task_core.clear();
-        for (const auto& c : a.at("task_core").array) {
-            app.task_core.push_back(static_cast<CoreId>(c.u64()));
-        }
+        const std::vector<std::uint64_t> task_core = a.at("task_core").u64s();
+        app.task_core.assign(task_core.begin(), task_core.end());
         MCS_REQUIRE(app.task_core.empty() ||
                         app.task_core.size() == app.spec.graph.size(),
                     "snapshot workload: mapping size mismatch");
-        app.waiting.clear();
-        for (const auto& n : a.at("waiting").array) {
-            app.waiting.push_back(static_cast<std::uint32_t>(n.u64()));
-        }
+        const std::vector<std::uint64_t> waiting = a.at("waiting").u64s();
+        app.waiting.assign(waiting.begin(), waiting.end());
         MCS_REQUIRE(app.waiting.size() == app.task_core.size(),
                     "snapshot workload: waiting size mismatch");
         MCS_REQUIRE(app.tasks_done <= app.spec.graph.size(),
                     "snapshot workload: tasks_done out of range");
     }
-    const auto& pending = doc.at("pending").array;
+    const auto& pending = doc.at("pending").array();
     MCS_REQUIRE(pending.size() == pending_.size(),
                 "snapshot workload: QoS class count mismatch");
+    std::size_t queued = 0;
     for (std::size_t cls = 0; cls < pending.size(); ++cls) {
         pending_[cls].clear();
-        for (const auto& index : pending[cls].array) {
-            const auto i = static_cast<std::size_t>(index.u64());
+        for (const std::uint64_t i : pending[cls].u64s()) {
             MCS_REQUIRE(i < apps_.size(),
                         "snapshot workload: queued app out of range");
-            pending_[cls].push_back(i);
+            pending_[cls].push_back(static_cast<std::size_t>(i));
         }
+        queued += pending_[cls].size();
     }
-    pending_total_ = static_cast<std::size_t>(doc.at("pending_total").u64());
-    const auto& exec = doc.at("core_exec").array;
+    MCS_REQUIRE(doc.at("pending_total").u64() == queued,
+                "snapshot workload: pending_total does not match the "
+                "queued applications");
+    pending_total_ = queued;
+    const auto& exec = doc.at("core_exec").array();
     MCS_REQUIRE(exec.size() == core_exec_.size(),
                 "snapshot workload: core count mismatch");
     for (std::size_t c = 0; c < exec.size(); ++c) {
         const telemetry::JsonValue& e = exec[c];
         CoreExec& ex = core_exec_[c];
-        ex.active = e.at("active").boolean;
+        ex.active = e.at("active").boolean();
         ex.app_index = static_cast<std::size_t>(e.at("app").u64());
         ex.task = static_cast<TaskIndex>(e.at("task").u64());
-        ex.remaining_cycles = e.at("remaining").number;
+        ex.remaining_cycles = e.at("remaining").number();
         ex.last_progress = e.at("last_progress").u64();
         ex.completion = EventId{};  // re-created from the event manifest
         MCS_REQUIRE(!ex.active || ex.app_index < apps_.size(),
@@ -515,20 +515,9 @@ void WorkloadEngine::load_state(const telemetry::JsonValue& doc) {
     mapping_rounds_ = doc.at("mapping_rounds").u64();
     mapping_attempts_ = doc.at("mapping_attempts").u64();
     const telemetry::JsonValue& idle = doc.at("idle");
-    std::vector<double> ewma;
-    for (const auto& v : idle.at("ewma").array) {
-        ewma.push_back(v.number);
-    }
-    std::vector<SimTime> period_start;
-    for (const auto& v : idle.at("period_start").array) {
-        period_start.push_back(v.u64());
-    }
-    std::vector<bool> in_period;
-    for (const auto& v : idle.at("in_period").array) {
-        in_period.push_back(v.boolean);
-    }
-    idle_predictor_.load_state(std::move(ewma), std::move(period_start),
-                               std::move(in_period),
+    idle_predictor_.load_state(idle.at("ewma").numbers(),
+                               idle.at("period_start").u64s(),
+                               idle.at("in_period").booleans(),
                                idle.at("completed").u64());
 }
 

@@ -207,7 +207,7 @@ void ScenarioPlayer::save_state(telemetry::JsonWriter& w) const {
 }
 
 void ScenarioPlayer::load_state(const telemetry::JsonValue& doc) {
-    MCS_REQUIRE(doc.at("fingerprint").string == fingerprint_,
+    MCS_REQUIRE(doc.at("fingerprint").string() == fingerprint_,
                 "snapshot scenario: spec fingerprint mismatch (the "
                 "attached scenario differs from the captured one)");
     const std::uint64_t next = doc.at("next").u64();

@@ -66,12 +66,11 @@ FaultKind parse_fault(const std::string& name) {
 }
 
 std::vector<CoreId> parse_cores(const JsonValue& v) {
-    MCS_REQUIRE(v.is_array() && !v.array.empty(),
-                "scenario: \"cores\" must be a non-empty array");
+    const std::vector<std::uint64_t> ids = v.u64s();
+    MCS_REQUIRE(!ids.empty(), "scenario: \"cores\" must be a non-empty array");
     std::vector<CoreId> cores;
-    cores.reserve(v.array.size());
-    for (const JsonValue& c : v.array) {
-        const std::uint64_t id = c.u64();
+    cores.reserve(ids.size());
+    for (const std::uint64_t id : ids) {
         MCS_REQUIRE(id < kInvalidCore, "scenario: core id out of range");
         MCS_REQUIRE(cores.empty() || cores.back() < id,
                     "scenario: core ids must be strictly increasing");
@@ -81,16 +80,17 @@ std::vector<CoreId> parse_cores(const JsonValue& v) {
 }
 
 double parse_positive(const JsonValue& v, const char* what) {
-    MCS_REQUIRE(v.is_number() && v.number > 0.0,
+    const double x = v.number();
+    MCS_REQUIRE(x > 0.0,
                 std::string("scenario: ") + what + " must be positive");
-    return v.number;
+    return x;
 }
 
 /// Every key of `obj` must appear in `allowed` (which includes the common
 /// keys); foreign fields are grammar errors, not silently ignored state.
 void require_keys(const JsonValue& obj,
                   std::initializer_list<std::string_view> allowed) {
-    for (const auto& [key, value] : obj.object) {
+    for (const auto& [key, value] : obj.object()) {
         bool ok = false;
         for (const std::string_view a : allowed) {
             if (key == a) {
@@ -103,7 +103,6 @@ void require_keys(const JsonValue& obj,
 }
 
 ScenarioDirective parse_directive(const JsonValue& obj) {
-    MCS_REQUIRE(obj.is_object(), "scenario: directive must be an object");
     MCS_REQUIRE(obj.has("at_us") && obj.has("kind"),
                 "scenario: directive needs \"at_us\" and \"kind\"");
     ScenarioDirective d;
@@ -112,7 +111,7 @@ ScenarioDirective parse_directive(const JsonValue& obj) {
     MCS_REQUIRE(at_us < static_cast<std::uint64_t>(-1) / kMicrosecond,
                 "scenario: at_us overflows the clock");
     d.at = at_us * kMicrosecond;
-    d.kind = parse_kind(obj.at("kind").string);
+    d.kind = parse_kind(obj.at("kind").string());
     switch (d.kind) {
         case DirectiveKind::ArrivalBurst:
             require_keys(obj, {"at_us", "kind", "apps", "tasks", "qos"});
@@ -126,7 +125,7 @@ ScenarioDirective parse_directive(const JsonValue& obj) {
                 d.tasks = static_cast<int>(tasks);
             }
             if (obj.has("qos")) {
-                d.qos = parse_qos(obj.at("qos").string);
+                d.qos = parse_qos(obj.at("qos").string());
             }
             break;
         case DirectiveKind::AbortTests:
@@ -144,8 +143,8 @@ ScenarioDirective parse_directive(const JsonValue& obj) {
             const std::uint64_t id = obj.at("core").u64();
             MCS_REQUIRE(id < kInvalidCore, "scenario: core id out of range");
             d.core = static_cast<CoreId>(id);
-            d.unit = parse_unit(obj.at("unit").string);
-            d.fault = parse_fault(obj.at("fault").string);
+            d.unit = parse_unit(obj.at("unit").string());
+            d.fault = parse_fault(obj.at("fault").string());
             break;
         }
         case DirectiveKind::InjectWear:
@@ -195,22 +194,21 @@ const char* to_string(DirectiveKind kind) {
 
 ScenarioSpec parse_scenario(const telemetry::JsonValue& doc) {
     telemetry::require_schema(doc, kSchemaFamily);
-    for (const auto& [key, value] : doc.object) {
+    for (const auto& [key, value] : doc.object()) {
         MCS_REQUIRE(key == "schema" || key == "name" || key == "directives",
                     "scenario: unknown top-level key: " + key);
     }
-    MCS_REQUIRE(doc.has("name") && doc.at("name").is_string() &&
-                    !doc.at("name").string.empty(),
-                "scenario: needs a non-empty \"name\"");
-    MCS_REQUIRE(doc.has("directives") && doc.at("directives").is_array() &&
-                    !doc.at("directives").array.empty(),
-                "scenario: needs a non-empty \"directives\" array");
-
+    MCS_REQUIRE(doc.has("name") && doc.has("directives"),
+                "scenario: needs \"name\" and \"directives\"");
     ScenarioSpec spec;
-    spec.name = doc.at("name").string;
-    spec.directives.reserve(doc.at("directives").array.size());
+    spec.name = doc.at("name").string();
+    MCS_REQUIRE(!spec.name.empty(), "scenario: needs a non-empty \"name\"");
+    const auto& directives = doc.at("directives").array();
+    MCS_REQUIRE(!directives.empty(),
+                "scenario: needs a non-empty \"directives\" array");
+    spec.directives.reserve(directives.size());
     SimTime prev = 0;
-    for (const JsonValue& obj : doc.at("directives").array) {
+    for (const JsonValue& obj : directives) {
         ScenarioDirective d = parse_directive(obj);
         MCS_REQUIRE(d.at > prev,
                     "scenario: directive times must be strictly increasing");

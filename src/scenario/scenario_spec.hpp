@@ -23,7 +23,7 @@
 #include "sim/time.hpp"
 
 namespace mcs::telemetry {
-struct JsonValue;
+class JsonValue;
 }  // namespace mcs::telemetry
 
 namespace mcs {

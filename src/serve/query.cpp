@@ -51,10 +51,10 @@ std::string trim_copy(const std::string& s) {
 std::string canonical_value(const std::string& key,
                             const telemetry::JsonValue& v) {
     using Kind = telemetry::JsonValue::Kind;
-    switch (v.kind) {
-        case Kind::Number: return telemetry::json_number(v.number);
-        case Kind::String: return trim_copy(v.string);
-        case Kind::Bool: return v.boolean ? "true" : "false";
+    switch (v.kind()) {
+        case Kind::Number: return telemetry::json_number(v.number());
+        case Kind::String: return trim_copy(v.string());
+        case Kind::Bool: return v.boolean() ? "true" : "false";
         default:
             MCS_REQUIRE(false, "override '" + key +
                                    "' must be a scalar (number, string, "
@@ -66,14 +66,11 @@ std::string canonical_value(const std::string& key,
 WhatIfQuery parse_query_doc(const telemetry::JsonValue& doc) {
     telemetry::require_schema(doc, "mcs.whatif_query");
     WhatIfQuery q;
-    MCS_REQUIRE(doc.has("snapshot") && doc.at("snapshot").is_string(),
-                "query needs a string 'snapshot' member");
-    q.snapshot = trim_copy(doc.at("snapshot").string);
+    MCS_REQUIRE(doc.has("snapshot"), "query needs a 'snapshot' member");
+    q.snapshot = trim_copy(doc.at("snapshot").string());
     MCS_REQUIRE(!q.snapshot.empty(), "query 'snapshot' must not be empty");
     if (doc.has("overrides")) {
-        const telemetry::JsonValue& ov = doc.at("overrides");
-        MCS_REQUIRE(ov.is_object(), "query 'overrides' must be an object");
-        for (const auto& [key, value] : ov.object) {
+        for (const auto& [key, value] : doc.at("overrides").object()) {
             MCS_REQUIRE(is_allowed_override(key),
                         "override '" + key +
                             "' is not an allowed policy knob");
@@ -81,13 +78,11 @@ WhatIfQuery parse_query_doc(const telemetry::JsonValue& doc) {
         }
     }
     if (doc.has("seconds")) {
-        MCS_REQUIRE(doc.at("seconds").is_number(),
-                    "query 'seconds' must be a number");
-        const double s = doc.at("seconds").number;
+        const double s = doc.at("seconds").number();
         MCS_REQUIRE(s > 0.0, "query 'seconds' must be positive");
         q.horizon = from_seconds(s);
     }
-    for (const auto& [key, value] : doc.object) {
+    for (const auto& [key, value] : doc.object()) {
         MCS_REQUIRE(key == "schema" || key == "snapshot" ||
                         key == "overrides" || key == "seconds",
                     "unknown query member '" + key + "'");
@@ -107,9 +102,7 @@ bool is_allowed_override(std::string_view key) {
 }
 
 WhatIfQuery parse_whatif_query(std::string_view body) {
-    const telemetry::JsonValue doc = telemetry::parse_json(body, kBodyLimits);
-    MCS_REQUIRE(doc.is_object(), "query body must be a JSON object");
-    return parse_query_doc(doc);
+    return parse_query_doc(telemetry::parse_json(body, kBodyLimits));
 }
 
 std::string cache_key(const SnapshotEntry& entry, const WhatIfQuery& query) {

@@ -100,13 +100,13 @@ std::size_t ResultCache::load(const std::string& path) {
             continue;
         }
         const telemetry::JsonValue doc = telemetry::parse_json(line);
-        MCS_REQUIRE(doc.is_object() && doc.has("key") &&
-                        doc.has("status") && doc.has("body"),
-                    "malformed cache file entry in " + path);
-        auto value = std::make_shared<const CachedResponse>(CachedResponse{
-            static_cast<int>(doc.at("status").number),
-            doc.at("body").string});
-        insert(doc.at("key").string, std::move(value));
+        // The cache holds what-if results (200) and rejections (400) only.
+        const std::int64_t status = doc.at("status").i64();
+        MCS_REQUIRE(status == 200 || status == 400,
+                    "cache file entry status must be 200 or 400 in " + path);
+        auto value = std::make_shared<const CachedResponse>(
+            CachedResponse{static_cast<int>(status), doc.at("body").string()});
+        insert(doc.at("key").string(), std::move(value));
         ++loaded;
     }
     return loaded;

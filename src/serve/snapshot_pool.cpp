@@ -33,8 +33,8 @@ SnapshotEntry SnapshotPool::make_entry(std::string name, std::string path,
     SnapshotEntry e;
     e.name = std::move(name);
     e.path = std::move(path);
-    e.config_fingerprint = doc.at("config_fingerprint").string;
-    e.structural_fingerprint = doc.at("structural_fingerprint").string;
+    e.config_fingerprint = doc.at("config_fingerprint").string();
+    e.structural_fingerprint = doc.at("structural_fingerprint").string();
     e.captured_now = doc.at("now").u64();
     e.captured_horizon = doc.at("horizon").u64();
     MCS_REQUIRE(e.captured_now > 0 && e.captured_now < e.captured_horizon,

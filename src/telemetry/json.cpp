@@ -128,44 +128,87 @@ void JsonWriter::null() {
 
 // ------------------------------------------------------------- JsonValue
 
+namespace {
+
+const char* kind_name(JsonValue::Kind k) {
+    switch (k) {
+        case JsonValue::Kind::Null: return "null";
+        case JsonValue::Kind::Bool: return "bool";
+        case JsonValue::Kind::Number: return "number";
+        case JsonValue::Kind::String: return "string";
+        case JsonValue::Kind::Array: return "array";
+        case JsonValue::Kind::Object: return "object";
+    }
+    return "?";
+}
+
+/// Exact integer value of a number token; `error` prefixes the token in
+/// the RequireError for negatives (when unsigned), fractions or overflow.
+template <typename Int>
+Int parse_integer(const std::string& raw, const char* error) {
+    Int v = 0;
+    const char* end = raw.data() + raw.size();
+    const auto res = std::from_chars(raw.data(), end, v);
+    MCS_REQUIRE(res.ec == std::errc{} && res.ptr == end, error + raw);
+    return v;
+}
+
+/// Copies an array of scalars, reading each element through `read`.
+template <typename T>
+std::vector<T> copy_scalars(const JsonValue::Array& items,
+                            T (JsonValue::*read)() const) {
+    std::vector<T> out;
+    out.reserve(items.size());
+    for (const JsonValue& v : items) {
+        out.push_back((v.*read)());
+    }
+    return out;
+}
+
+}  // namespace
+
+void JsonValue::kind_mismatch(Kind expected) const {
+    require_failed("kind() == expected", __FILE__, __LINE__,
+                   std::string("JSON: expected ") + kind_name(expected) +
+                       ", found " + kind_name(kind_));
+}
+
 const JsonValue& JsonValue::at(const std::string& name) const {
-    MCS_REQUIRE(kind == Kind::Object, "JsonValue::at on a non-object");
-    const auto it = object.find(name);
-    MCS_REQUIRE(it != object.end(), "missing JSON member: " + name);
+    const Object& members = object();
+    const auto it = members.find(name);
+    MCS_REQUIRE(it != members.end(), "missing JSON member: " + name);
     return it->second;
 }
 
 bool JsonValue::has(const std::string& name) const {
-    return kind == Kind::Object && object.find(name) != object.end();
+    return kind_ == Kind::Object && object_.find(name) != object_.end();
 }
 
 std::uint64_t JsonValue::u64() const {
-    MCS_REQUIRE(kind == Kind::Number, "JsonValue::u64 on a non-number");
-    MCS_REQUIRE(!raw.empty(), "JsonValue::u64 without a raw number token");
-    std::uint64_t v = 0;
-    const char* begin = raw.data();
-    const char* end = raw.data() + raw.size();
-    const auto res = std::from_chars(begin, end, v);
-    MCS_REQUIRE(res.ec == std::errc{} && res.ptr == end,
-                "JsonValue::u64: not an unsigned 64-bit integer: " + raw);
-    return v;
+    expect(Kind::Number);
+    return parse_integer<std::uint64_t>(
+        raw_, "JsonValue::u64: not an unsigned 64-bit integer: ");
 }
 
 std::int64_t JsonValue::i64() const {
-    MCS_REQUIRE(kind == Kind::Number, "JsonValue::i64 on a non-number");
-    MCS_REQUIRE(!raw.empty(), "JsonValue::i64 without a raw number token");
-    std::int64_t v = 0;
-    const char* begin = raw.data();
-    const char* end = raw.data() + raw.size();
-    const auto res = std::from_chars(begin, end, v);
-    MCS_REQUIRE(res.ec == std::errc{} && res.ptr == end,
-                "JsonValue::i64: not a signed 64-bit integer: " + raw);
-    return v;
+    expect(Kind::Number);
+    return parse_integer<std::int64_t>(
+        raw_, "JsonValue::i64: not a signed 64-bit integer: ");
 }
 
-namespace {
+std::vector<double> JsonValue::numbers() const {
+    return copy_scalars(array(), &JsonValue::number);
+}
 
-class Parser {
+std::vector<std::uint64_t> JsonValue::u64s() const {
+    return copy_scalars(array(), &JsonValue::u64);
+}
+
+std::vector<bool> JsonValue::booleans() const {
+    return copy_scalars(array(), &JsonValue::boolean);
+}
+
+class JsonValue::Parser {
 public:
     Parser(std::string_view text, const JsonLimits& limits)
         : text_(text), limits_(limits) {}
@@ -212,22 +255,21 @@ private:
             case '{': return parse_object();
             case '[': return parse_array();
             case '"':
-                v.kind = JsonValue::Kind::String;
-                v.string = parse_string();
+                v.kind_ = Kind::String;
+                v.string_ = parse_string();
                 return v;
             case 't':
                 MCS_REQUIRE(consume_literal("true"), "bad JSON literal");
-                v.kind = JsonValue::Kind::Bool;
-                v.boolean = true;
+                v.kind_ = Kind::Bool;
+                v.boolean_ = true;
                 return v;
             case 'f':
                 MCS_REQUIRE(consume_literal("false"), "bad JSON literal");
-                v.kind = JsonValue::Kind::Bool;
-                v.boolean = false;
+                v.kind_ = Kind::Bool;
+                v.boolean_ = false;
                 return v;
             case 'n':
                 MCS_REQUIRE(consume_literal("null"), "bad JSON literal");
-                v.kind = JsonValue::Kind::Null;
                 return v;
             default: return parse_number();
         }
@@ -254,7 +296,7 @@ private:
         const DepthGuard guard(*this);
         expect('{');
         JsonValue v;
-        v.kind = JsonValue::Kind::Object;
+        v.kind_ = Kind::Object;
         if (peek() == '}') {
             ++pos_;
             return v;
@@ -263,7 +305,7 @@ private:
             MCS_REQUIRE(peek() == '"', "JSON object key must be a string");
             std::string key = parse_string();
             expect(':');
-            v.object.emplace(std::move(key), parse_value());
+            v.object_.emplace(std::move(key), parse_value());
             const char c = peek();
             ++pos_;
             if (c == '}') {
@@ -277,13 +319,13 @@ private:
         const DepthGuard guard(*this);
         expect('[');
         JsonValue v;
-        v.kind = JsonValue::Kind::Array;
+        v.kind_ = Kind::Array;
         if (peek() == ']') {
             ++pos_;
             return v;
         }
         while (true) {
-            v.array.push_back(parse_value());
+            v.array_.push_back(parse_value());
             const char c = peek();
             ++pos_;
             if (c == ']') {
@@ -346,9 +388,9 @@ private:
         MCS_REQUIRE(res.ec == std::errc{}, "malformed JSON number");
         pos_ += static_cast<std::size_t>(res.ptr - begin);
         JsonValue v;
-        v.kind = JsonValue::Kind::Number;
-        v.number = d;
-        v.raw.assign(begin, res.ptr);
+        v.kind_ = Kind::Number;
+        v.number_ = d;
+        v.raw_.assign(begin, res.ptr);
         return v;
     }
 
@@ -358,14 +400,12 @@ private:
     std::size_t depth_ = 0;
 };
 
-}  // namespace
-
 JsonValue parse_json(std::string_view text, const JsonLimits& limits) {
     MCS_REQUIRE(limits.max_bytes == 0 || text.size() <= limits.max_bytes,
                 "JSON document exceeds max size (" +
                     std::to_string(text.size()) + " > " +
                     std::to_string(limits.max_bytes) + " bytes)");
-    return Parser(text, limits).parse_document();
+    return JsonValue::Parser(text, limits).parse_document();
 }
 
 }  // namespace mcs::telemetry

@@ -69,40 +69,6 @@ private:
     bool pending_key_ = false;
 };
 
-/// Parsed JSON value (round-trip tests and report tooling).
-struct JsonValue {
-    enum class Kind { Null, Bool, Number, String, Array, Object };
-
-    Kind kind = Kind::Null;
-    bool boolean = false;
-    double number = 0.0;
-    /// Raw token text for numbers. `number` is a double, which cannot
-    /// represent every 64-bit integer (precision ends at 2^53); u64()
-    /// reparses this token so checkpoint fields like RNG state words and
-    /// event sequence numbers round-trip exactly.
-    std::string raw;
-    std::string string;
-    std::vector<JsonValue> array;
-    std::map<std::string, JsonValue> object;
-
-    bool is_object() const { return kind == Kind::Object; }
-    bool is_array() const { return kind == Kind::Array; }
-    bool is_number() const { return kind == Kind::Number; }
-    bool is_string() const { return kind == Kind::String; }
-
-    /// Object member access; throws RequireError if absent or not an
-    /// object.
-    const JsonValue& at(const std::string& name) const;
-    bool has(const std::string& name) const;
-
-    /// Exact unsigned 64-bit value of a non-negative integer number token.
-    /// Throws RequireError for non-numbers, negatives, or fractions.
-    std::uint64_t u64() const;
-
-    /// Exact signed 64-bit value of an integer number token.
-    std::int64_t i64() const;
-};
-
 /// Resource limits for parse_json. The defaults accommodate every mcs.*
 /// artifact (snapshots included) while still bounding hostile input; the
 /// serve request path uses much tighter limits (serve/query.cpp).
@@ -114,8 +80,88 @@ struct JsonLimits {
     std::size_t max_depth = 96;
 };
 
+class JsonValue;
+
 /// Parses a complete JSON document. Throws RequireError on malformed
 /// input, trailing garbage, or a limit violation.
 JsonValue parse_json(std::string_view text, const JsonLimits& limits = {});
+
+/// Parsed JSON value. The parser is its only writer; readers go through
+/// the kind-checked accessors below, each of which throws RequireError
+/// naming the expected and the found kind ("JSON: expected bool, found
+/// number"), so a document with a mutated field type fails at the first
+/// read of that field instead of reading a default.
+class JsonValue {
+public:
+    enum class Kind { Null, Bool, Number, String, Array, Object };
+    using Array = std::vector<JsonValue>;
+    using Object = std::map<std::string, JsonValue>;
+
+    Kind kind() const { return kind_; }
+
+    bool boolean() const {
+        expect(Kind::Bool);
+        return boolean_;
+    }
+    double number() const {
+        expect(Kind::Number);
+        return number_;
+    }
+    const std::string& string() const {
+        expect(Kind::String);
+        return string_;
+    }
+    const Array& array() const {
+        expect(Kind::Array);
+        return array_;
+    }
+    const Object& object() const {
+        expect(Kind::Object);
+        return object_;
+    }
+
+    /// Object member access; throws RequireError if absent or not an
+    /// object.
+    const JsonValue& at(const std::string& name) const;
+    /// True iff this is an object with a member `name`.
+    bool has(const std::string& name) const;
+
+    /// Exact unsigned 64-bit value of a non-negative integer number token.
+    /// A double cannot represent every 64-bit integer (precision ends at
+    /// 2^53), so this reparses the number's token text: checkpoint fields
+    /// like RNG state words and event sequence numbers round-trip
+    /// exactly. Throws RequireError for non-numbers, negatives, or
+    /// fractions.
+    std::uint64_t u64() const;
+
+    /// Exact signed 64-bit value of an integer number token.
+    std::int64_t i64() const;
+
+    /// An array of scalars copied into a vector, each element read through
+    /// the matching accessor above.
+    std::vector<double> numbers() const;
+    std::vector<std::uint64_t> u64s() const;
+    std::vector<bool> booleans() const;
+
+private:
+    friend JsonValue parse_json(std::string_view, const JsonLimits&);
+    class Parser;
+
+    void expect(Kind k) const {
+        if (kind_ != k) {
+            kind_mismatch(k);
+        }
+    }
+    [[noreturn]] void kind_mismatch(Kind expected) const;
+
+    Kind kind_ = Kind::Null;
+    bool boolean_ = false;
+    double number_ = 0.0;
+    /// Token text of a number, reparsed by u64()/i64().
+    std::string raw_;
+    std::string string_;
+    Array array_;
+    Object object_;
+};
 
 }  // namespace mcs::telemetry

@@ -1,35 +1,8 @@
 #include "telemetry/metrics_registry.hpp"
 
-#include <algorithm>
-
 #include "util/require.hpp"
 
 namespace mcs::telemetry {
-
-void Gauge::merge(const Gauge& other) {
-    MCS_REQUIRE(merge_ == other.merge_,
-                "cannot merge gauges with different merge policies");
-    if (other.count_ == 0) {
-        return;
-    }
-    if (count_ == 0) {
-        *this = other;
-        return;
-    }
-    switch (merge_) {
-        case GaugeMerge::Sum:
-        case GaugeMerge::Mean:
-            value_ += other.value_;
-            break;
-        case GaugeMerge::Max:
-            value_ = std::max(value_, other.value_);
-            break;
-        case GaugeMerge::Min:
-            value_ = std::min(value_, other.value_);
-            break;
-    }
-    count_ += other.count_;
-}
 
 Counter& MetricsRegistry::counter(std::string_view name) {
     const auto it = counters_.find(name);
@@ -77,23 +50,6 @@ const Histogram* MetricsRegistry::find_histogram(
     std::string_view name) const {
     const auto it = histograms_.find(name);
     return it == histograms_.end() ? nullptr : &it->second;
-}
-
-void MetricsRegistry::merge(const MetricsRegistry& other) {
-    for (const auto& [name, c] : other.counters_) {
-        counter(name).inc(c.value());
-    }
-    for (const auto& [name, g] : other.gauges_) {
-        gauge(name, g.merge_policy()).merge(g);
-    }
-    for (const auto& [name, h] : other.histograms_) {
-        const auto it = histograms_.find(name);
-        if (it == histograms_.end()) {
-            histograms_.emplace(name, h);
-        } else {
-            it->second.merge(h);
-        }
-    }
 }
 
 void MetricsRegistry::write_json(JsonWriter& w) const {
@@ -205,26 +161,20 @@ void MetricsRegistry::save_state(JsonWriter& w) const {
 }
 
 void MetricsRegistry::load_state(const JsonValue& doc) {
-    MCS_REQUIRE(doc.is_object(), "registry state must be a JSON object");
-    for (const auto& [name, v] : doc.at("counters").object) {
+    for (const auto& [name, v] : doc.at("counters").object()) {
         counter(name).restore(v.u64());
     }
-    for (const auto& [name, v] : doc.at("gauges").object) {
-        const GaugeMerge policy = merge_from(v.at("merge").string);
-        gauge(name, policy).restore(v.at("value").number,
+    for (const auto& [name, v] : doc.at("gauges").object()) {
+        const GaugeMerge policy = merge_from(v.at("merge").string());
+        gauge(name, policy).restore(v.at("value").number(),
                                     v.at("count").u64());
     }
-    for (const auto& [name, v] : doc.at("histograms").object) {
-        const auto& counts_json = v.at("counts").array;
-        MCS_REQUIRE(!counts_json.empty(),
+    for (const auto& [name, v] : doc.at("histograms").object()) {
+        const std::vector<std::uint64_t> counts = v.at("counts").u64s();
+        MCS_REQUIRE(!counts.empty(),
                     "histogram state needs at least one bin: " + name);
-        Histogram& h = histogram(name, v.at("lo").number, v.at("hi").number,
-                                 counts_json.size());
-        std::vector<std::uint64_t> counts;
-        counts.reserve(counts_json.size());
-        for (const auto& c : counts_json) {
-            counts.push_back(c.u64());
-        }
+        Histogram& h = histogram(name, v.at("lo").number(),
+                                 v.at("hi").number(), counts.size());
         h.restore_counts(counts, v.at("underflow").u64(),
                          v.at("overflow").u64(), v.at("total").u64());
     }

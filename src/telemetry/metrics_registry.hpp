@@ -5,11 +5,8 @@
 // is stable for the registry's lifetime) and update it from hot paths with
 // a plain increment -- no name lookup, no locking, no allocation.
 //
-// Determinism contract: iteration and JSON export are sorted by name, and
-// merge() is associative and commutative (counters add, gauges combine
-// per their declared GaugeMerge policy, histograms add bin-wise), so
-// aggregating per-replica registries yields the same bytes regardless of
-// merge order or worker count.
+// Determinism contract: iteration and JSON export are sorted by name, so
+// equal contents always export as equal bytes.
 
 #include <cstdint>
 #include <map>
@@ -33,20 +30,19 @@ private:
     std::uint64_t value_ = 0;
 };
 
-/// How a gauge combines across registries (campaign aggregation). Every
-/// policy is associative and commutative, so the merged value is
-/// independent of merge order and worker count. Last-value gauges must
-/// declare Max/Min/Mean -- blindly summing a peak temperature or a mean
-/// power across replicas would be meaningless.
+/// What kind of quantity a gauge holds. The policy is fixed at the gauge's
+/// first registration (re-registering under another policy throws, so one
+/// name never means both a peak and a sum) and is recorded, by name, in
+/// the registry's checkpoint. Only Mean changes what value() reports.
 enum class GaugeMerge {
-    Sum,   ///< accumulations (energy, time shares): merge adds
-    Max,   ///< peaks (e.g. system.peak_temp_c): merge takes the max
-    Min,   ///< troughs: merge takes the min
-    Mean,  ///< per-run averages (e.g. system.mean_power_w): merge yields
-           ///< the observation-count-weighted mean
+    Sum,   ///< accumulations (energy, time shares)
+    Max,   ///< peaks (e.g. system.peak_temp_c)
+    Min,   ///< troughs
+    Mean,  ///< averages (e.g. system.mean_power_w): value() is the running
+           ///< sum over the observation count
 };
 
-/// Last-written scalar (plus an add() for accumulation) with a merge
+/// Last-written scalar (plus an add() for accumulation) with a GaugeMerge
 /// policy fixed at construction.
 class Gauge {
 public:
@@ -69,9 +65,6 @@ public:
         return value_;
     }
     GaugeMerge merge_policy() const noexcept { return merge_; }
-    /// Policy-directed merge; a never-written gauge is the identity
-    /// element for every policy.
-    void merge(const Gauge& other);
 
     /// Raw internals for exact checkpointing (value() folds Mean gauges,
     /// which would lose the running sum / observation count split).
@@ -115,12 +108,6 @@ public:
     std::size_t size() const noexcept {
         return counters_.size() + gauges_.size() + histograms_.size();
     }
-
-    /// Deterministic merge: counters add, gauges combine per their
-    /// declared policy (policies must match), histograms merge bin-wise
-    /// (layouts must match). Metrics present only in `other` are created
-    /// here.
-    void merge(const MetricsRegistry& other);
 
     /// Emits {"counters":{...},"gauges":{...},"histograms":{...}} sorted
     /// by name (byte-deterministic for equal contents).

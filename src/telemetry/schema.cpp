@@ -14,8 +14,7 @@ const std::map<std::string, std::uint64_t, std::less<>>& schema_versions() {
     static const auto* versions = [] {
         auto* m = new std::map<std::string, std::uint64_t, std::less<>>();
         const JsonValue doc = parse_json(kSchemasJson);
-        MCS_REQUIRE(doc.is_object(), "tools/schemas.json must be an object");
-        for (const auto& [family, version] : doc.object) {
+        for (const auto& [family, version] : doc.object()) {
             (*m)[family] = version.u64();
         }
         return m;
@@ -36,12 +35,12 @@ std::string schema_tag(std::string_view family) {
 
 void require_schema(const JsonValue& doc, std::string_view family) {
     const std::string expected = schema_tag(family);
-    MCS_REQUIRE(doc.is_object() && doc.has("schema"),
+    MCS_REQUIRE(doc.has("schema"),
                 "document has no schema tag; expected " + expected);
-    const JsonValue& tag = doc.at("schema");
-    MCS_REQUIRE(tag.is_string() && tag.string == expected,
-                "schema mismatch: document has \"" + tag.string +
-                    "\", this build expects \"" + expected + "\"");
+    const std::string& tag = doc.at("schema").string();
+    MCS_REQUIRE(tag == expected, "schema mismatch: document has \"" + tag +
+                                     "\", this build expects \"" +
+                                     expected + "\"");
 }
 
 }  // namespace mcs::telemetry

@@ -14,7 +14,7 @@
 
 namespace mcs::telemetry {
 
-struct JsonValue;
+class JsonValue;
 
 /// Versioned schema tag for a family, e.g. schema_tag("mcs.run_report")
 /// == "mcs.run_report.v1". Throws RequireError for families missing from

@@ -141,12 +141,12 @@ const char* Tracer::intern(const std::string& name) {
 }
 
 void Tracer::load_state(const JsonValue& doc) {
-    MCS_REQUIRE(doc.is_object(), "tracer state must be a JSON object");
-    MCS_REQUIRE(doc.at("capacity").u64() == buf_.size(),
+    const std::uint64_t capacity = doc.at("capacity").u64();
+    MCS_REQUIRE(capacity == buf_.size(),
                 "tracer state capacity mismatch: snapshot has " +
-                    doc.at("capacity").raw);
+                    std::to_string(capacity));
     clear();
-    const auto& events = doc.at("events").array;
+    const auto& events = doc.at("events").array();
     MCS_REQUIRE(events.size() <= buf_.size(),
                 "tracer state holds more events than its capacity");
     for (const auto& e : events) {
@@ -157,7 +157,7 @@ void Tracer::load_state(const JsonValue& doc) {
         MCS_REQUIRE(ph <= static_cast<std::uint64_t>(TracePhase::End),
                     "tracer state: unknown trace phase");
         store(TraceEvent{static_cast<SimTime>(e.at("t").u64()),
-                         intern(e.at("name").string), e.at("a").i64(),
+                         intern(e.at("name").string()), e.at("a").i64(),
                          e.at("b").i64(),
                          static_cast<std::uint32_t>(e.at("tid").u64()),
                          static_cast<TraceCategory>(cat),

@@ -24,7 +24,7 @@
 namespace mcs::telemetry {
 
 class JsonWriter;
-struct JsonValue;
+class JsonValue;
 
 enum class TraceCategory : std::uint8_t {
     Sim,       ///< simulator lifecycle (run begin/end)

@@ -27,26 +27,6 @@ double RunningStats::stddev() const noexcept {
     return std::sqrt(variance());
 }
 
-void RunningStats::merge(const RunningStats& other) noexcept {
-    if (other.n_ == 0) {
-        return;
-    }
-    if (n_ == 0) {
-        *this = other;
-        return;
-    }
-    const double delta = other.mean_ - mean_;
-    const auto na = static_cast<double>(n_);
-    const auto nb = static_cast<double>(other.n_);
-    const double nt = na + nb;
-    m2_ += other.m2_ + delta * delta * na * nb / nt;
-    mean_ = (na * mean_ + nb * other.mean_) / nt;
-    n_ += other.n_;
-    sum_ += other.sum_;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-}
-
 void RunningStats::restore(std::size_t n, double mean, double m2, double sum,
                            double min, double max) noexcept {
     n_ = n;
@@ -101,17 +81,6 @@ double Histogram::bin_hi(std::size_t i) const {
 bool Histogram::same_layout(const Histogram& other) const noexcept {
     return lo_ == other.lo_ && width_ == other.width_ &&
            counts_.size() == other.counts_.size();
-}
-
-void Histogram::merge(const Histogram& other) {
-    MCS_REQUIRE(same_layout(other),
-                "cannot merge histograms with different layouts");
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-        counts_[i] += other.counts_[i];
-    }
-    underflow_ += other.underflow_;
-    overflow_ += other.overflow_;
-    total_ += other.total_;
 }
 
 void Histogram::restore_counts(const std::vector<std::uint64_t>& counts,

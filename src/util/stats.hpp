@@ -24,9 +24,6 @@ public:
     double max() const noexcept { return n_ ? max_ : 0.0; }
     double sum() const noexcept { return sum_; }
 
-    /// Merges another accumulator into this one (parallel Welford).
-    void merge(const RunningStats& other) noexcept;
-
     /// Raw second central moment (Welford M2), for exact checkpointing.
     double m2() const noexcept { return m2_; }
 
@@ -62,12 +59,6 @@ public:
 
     /// Whether `other` has the identical bucket layout (lo, width, bins).
     bool same_layout(const Histogram& other) const noexcept;
-
-    /// Bin-wise merge of another histogram with the same layout
-    /// (associative and commutative; throws RequireError on a layout
-    /// mismatch). The deterministic aggregation primitive for per-replica
-    /// telemetry.
-    void merge(const Histogram& other);
 
     /// Overwrites the bin contents with a previously captured state. The
     /// bin count must match the constructed layout.

@@ -243,7 +243,7 @@ TEST(MetricCatalog, EveryNameReachesEverySerializer) {
     std::ostringstream report;
     telemetry::write_run_report(m, nullptr, report);
     const telemetry::JsonValue doc = telemetry::parse_json(report.str());
-    const auto& report_metrics = doc.at("metrics").object;
+    const auto& report_metrics = doc.at("metrics").object();
 
     for (const MetricDef& def : metric_catalog()) {
         EXPECT_TRUE(csv_rows.count(def.name)) << def.name << " not in out=";

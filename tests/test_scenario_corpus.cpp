@@ -134,13 +134,13 @@ TEST(ScenarioCorpus, ReplaysMatchGoldenDigests) {
 
     const telemetry::JsonValue goldens =
         telemetry::parse_json(testsupport::read_file(goldens_path()));
-    ASSERT_EQ(goldens.object.size(), std::size(kCorpus))
+    ASSERT_EQ(goldens.object().size(), std::size(kCorpus))
         << "goldens.json does not cover the corpus exactly";
     for (const auto& [name, d] : got) {
         ASSERT_TRUE(goldens.has(name)) << "no golden for " << name;
-        EXPECT_EQ(d.first, goldens.at(name).at("report").string)
+        EXPECT_EQ(d.first, goldens.at(name).at("report").string())
             << name << ": run-report digest drifted";
-        EXPECT_EQ(d.second, goldens.at(name).at("trace").string)
+        EXPECT_EQ(d.second, goldens.at(name).at("trace").string())
             << name << ": trace digest drifted";
     }
 }

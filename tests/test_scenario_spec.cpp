@@ -207,6 +207,9 @@ TEST(ScenarioSpec, RejectsBadDirectives) {
     expect_rejected(
         wrap("{\"at_us\":1,\"kind\":\"inject-wear\",\"damage\":-0.5}"),
         "negative damage");
+    expect_rejected(
+        wrap("{\"at_us\":1,\"kind\":\"inject-wear\",\"damage\":\"0.5\"}"),
+        "string damage");
     expect_rejected(wrap("{\"at_us\":1,\"kind\":\"set-budget\"}"),
                     "missing tdp_scale");
     expect_rejected(

@@ -281,6 +281,16 @@ TEST(WhatIfQuery, RejectsBadInput) {
             "{\"schema\":\"mcs.whatif_query.v1\",\"snapshot\":\"w\","
             "\"seconds\":-1}"),
         RequireError);
+    // Members of the wrong JSON kind.
+    EXPECT_THROW(
+        serve::parse_whatif_query(
+            "{\"schema\":\"mcs.whatif_query.v1\",\"snapshot\":\"w\","
+            "\"seconds\":\"5\"}"),
+        RequireError);
+    EXPECT_THROW(
+        serve::parse_whatif_query(
+            "{\"schema\":\"mcs.whatif_query.v1\",\"snapshot\":5}"),
+        RequireError);
     // Malformed JSON and a nesting bomb (network-input limits).
     EXPECT_THROW(serve::parse_whatif_query("{\"schema\":"), RequireError);
     EXPECT_THROW(serve::parse_whatif_query(std::string(64, '[')),
@@ -372,6 +382,20 @@ TEST(ResultCache, PersistenceRoundTripsEntries) {
     serve::ResultCache cold(8);
     EXPECT_EQ(cold.load(file.path() + ".does-not-exist"), 0u);
     EXPECT_EQ(cold.size(), 0u);
+}
+
+TEST(ResultCache, MalformedPersistedEntryFailsCleanly) {
+    // An out-of-int status, a status of the wrong kind and a non-string
+    // key each reject the file rather than load a defaulted entry.
+    for (const char* line :
+         {R"({"key":"k","status":1e300,"body":"b"})",
+          R"({"key":"k","status":"200","body":"b"})",
+          R"({"key":5,"status":200,"body":"b"})"}) {
+        TempFile file("serve_cache_bad");
+        testsupport::write_file(file.path(), std::string(line) + "\n");
+        serve::ResultCache cache(8);
+        EXPECT_THROW(cache.load(file.path()), RequireError) << line;
+    }
 }
 
 // ------------------------------------------------ snapshots + service --
@@ -525,9 +549,9 @@ TEST_F(ServeServiceTest, NegativeResultsAreCachedAndByteStable) {
     metrics.path = "/metrics";
     const telemetry::JsonValue doc =
         telemetry::parse_json(service_.handle(metrics).body);
-    EXPECT_EQ(doc.at("counters").at("serve.negative_cache_hits").number,
+    EXPECT_EQ(doc.at("counters").at("serve.negative_cache_hits").number(),
               1.0);
-    EXPECT_EQ(doc.at("counters").at("serve.cache_misses").number, 1.0);
+    EXPECT_EQ(doc.at("counters").at("serve.cache_misses").number(), 1.0);
 }
 
 TEST_F(ServeServiceTest, ReloadSwapsPoolAndPinnedGenerationSurvives) {
@@ -634,9 +658,9 @@ TEST_F(ServeServiceTest, MetricsCountHitsAndMisses) {
     const std::string m = service_.handle(metrics).body;
     const telemetry::JsonValue doc = telemetry::parse_json(m);
     const telemetry::JsonValue& counters = doc.at("counters");
-    EXPECT_EQ(counters.at("serve.cache_misses").number, 1.0);
-    EXPECT_EQ(counters.at("serve.cache_hits").number, 1.0);
-    EXPECT_EQ(counters.at("serve.whatif_requests").number, 2.0);
+    EXPECT_EQ(counters.at("serve.cache_misses").number(), 1.0);
+    EXPECT_EQ(counters.at("serve.cache_hits").number(), 1.0);
+    EXPECT_EQ(counters.at("serve.whatif_requests").number(), 2.0);
 }
 
 // ------------------------------------------------- the socket front end --
@@ -936,7 +960,7 @@ TEST_F(HttpServerTest, ReloadOverSocketKeepsAnswersByteIdentical) {
         const TestClient::Response m = poll.read_response();
         ASSERT_EQ(m.status, 200);
         const telemetry::JsonValue docm = telemetry::parse_json(m.body);
-        if (docm.at("counters").at("serve.pool_reloads").number >= 2.0) {
+        if (docm.at("counters").at("serve.pool_reloads").number() >= 2.0) {
             return;
         }
         std::this_thread::sleep_for(std::chrono::milliseconds(10));

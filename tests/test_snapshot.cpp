@@ -1,6 +1,8 @@
 #include "core/snapshot.hpp"
 
+#include <regex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -138,6 +140,23 @@ void replace_once(std::string& text, const std::string& from,
     text.replace(pos, from.size(), to);
 }
 
+/// `text` with the first match of the regex `pattern` at or after byte
+/// `from` replaced by `replacement` ($1 names the first group).
+std::string edit_first(const std::string& text, const std::string& pattern,
+                       const std::string& replacement,
+                       std::size_t from = 0) {
+    const std::regex re(pattern);
+    std::smatch m;
+    if (!std::regex_search(text.begin() + static_cast<std::ptrdiff_t>(from),
+                           text.end(), m, re)) {
+        ADD_FAILURE() << "pattern not found: " << pattern;
+        return text;
+    }
+    const std::size_t pos = from + static_cast<std::size_t>(m.position(0));
+    return text.substr(0, pos) + m.format(replacement) +
+           text.substr(pos + static_cast<std::size_t>(m.length(0)));
+}
+
 class SnapshotGuards : public ::testing::Test {
 protected:
     void SetUp() override {
@@ -151,6 +170,20 @@ protected:
                              RestoreOptions opts = {}) {
         ManycoreSystem sys(cfg);
         sys.restore(telemetry::parse_json(text), opts);
+    }
+
+    /// Restoring the edited snapshot `text` must throw a RequireError whose
+    /// message contains `what`.
+    void expect_rejected(const std::string& text,
+                         const std::string& what) const {
+        ASSERT_NE(text, snapshot_) << "the edit did not apply";
+        try {
+            restore_text(cfg_, text);
+            ADD_FAILURE() << "restored a snapshot that must fail: " << what;
+        } catch (const RequireError& e) {
+            EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+                << e.what();
+        }
     }
 
     SystemConfig cfg_;
@@ -184,43 +217,76 @@ TEST_F(SnapshotGuards, MalformedAppStateFailsCleanly) {
     // Per-app runtime state must fit the app's (regenerated) task graph;
     // the first mapped, unfinished app is the one a resumed run touches.
     const telemetry::JsonValue doc = telemetry::parse_json(snapshot_);
-    const auto& apps = doc.at("workload").at("apps").array;
+    const auto& apps = doc.at("workload").at("apps").array();
     std::size_t target = apps.size();
     for (std::size_t i = 0; i < apps.size() && target == apps.size(); ++i) {
-        if (!apps[i].at("done").boolean &&
-            !apps[i].at("task_core").array.empty()) {
+        if (!apps[i].at("done").boolean() &&
+            !apps[i].at("task_core").array().empty()) {
             target = i;
         }
     }
     ASSERT_LT(target, apps.size()) << "no mapped, unfinished app captured";
-    ASSERT_GT(apps[target].at("waiting").array.size(), 1u);
+    ASSERT_GT(apps[target].at("waiting").array().size(), 1u);
 
-    using Edit = void (*)(telemetry::JsonValue& app);
-    const Edit edits[] = {
-        [](telemetry::JsonValue& app) {
-            app.object.at("waiting").array.clear();
-        },
-        [](telemetry::JsonValue& app) {
-            app.object.at("waiting").array.resize(1);
-        },
-        [](telemetry::JsonValue& app) {
-            telemetry::JsonValue& done = app.object.at("tasks_done");
-            done.raw = "999";
-            done.number = 999.0;
-        },
+    // Application records are flat objects that each open with "done".
+    std::size_t record = snapshot_.find("\"apps\":[");
+    for (std::size_t i = 0; i <= target; ++i) {
+        record = snapshot_.find("{\"done\":", record + 1);
+        ASSERT_NE(record, std::string::npos);
+    }
+    const std::string edited[] = {
+        edit_first(snapshot_, R"("waiting":\[[^\]]*\])", R"("waiting":[])",
+                   record),
+        edit_first(snapshot_, R"("waiting":\[([^,\]]*)[^\]]*\])",
+                   R"("waiting":[$1])", record),
+        edit_first(snapshot_, R"("tasks_done":\d+)", R"("tasks_done":999)",
+                   record),
     };
-    for (const Edit edit : edits) {
-        telemetry::JsonValue bad = doc;
-        edit(bad.object.at("workload").object.at("apps").array[target]);
-        ManycoreSystem sys(cfg_);
-        try {
-            sys.restore(bad);
-            ADD_FAILURE() << "malformed app state restored";
-        } catch (const RequireError& e) {
-            EXPECT_NE(std::string(e.what()).find("snapshot workload:"),
-                      std::string::npos)
-                << e.what();
-        }
+    for (const std::string& text : edited) {
+        expect_rejected(text, "snapshot workload:");
+    }
+}
+
+TEST_F(SnapshotGuards, MalformedTestStateFailsCleanly) {
+    // Session V/F levels index per-level vectors and the running counts
+    // gate admission, so restore checks each against what it counts.
+    const telemetry::JsonValue doc = telemetry::parse_json(snapshot_);
+    const auto off_by_one = [&](const std::string& key, std::int64_t n) {
+        std::string text = snapshot_;
+        replace_once(text, "\"" + key + "\":" + std::to_string(n),
+                     "\"" + key + "\":" + std::to_string(n + 1));
+        return text;
+    };
+    const std::string off_running = off_by_one(
+        "tests_running", doc.at("test").at("tests_running").i64());
+    const std::string off_pending = off_by_one(
+        "pending_total", doc.at("workload").at("pending_total").i64());
+    const std::pair<std::string, const char*> cases[] = {
+        {edit_first(snapshot_, R"("exec":\[\{"active":(true|false),"vf":\d+)",
+                    R"("exec":[{"active":$1,"vf":99)"),
+         "snapshot test engine:"},
+        {off_running, "snapshot test engine:"},
+        {off_pending, "snapshot workload:"},
+    };
+    for (const auto& [text, prefix] : cases) {
+        expect_rejected(text, prefix);
+    }
+}
+
+TEST_F(SnapshotGuards, TypeMutatedFieldsFailCleanly) {
+    // A field whose JSON kind changed fails at its read, whichever loader
+    // reads it: core records, app records, the power ledger and the
+    // metrics registry.
+    const std::string edited[] = {
+        edit_first(snapshot_, R"("cores":\[\[(\d+),(\d+),(true|false),)",
+                   R"("cores":[[$1,$2,1,)"),
+        edit_first(snapshot_, R"(\{"done":(true|false),)", R"({"done":1,)"),
+        edit_first(snapshot_, R"("committed":([-+.e0-9]+))",
+                   R"("committed":"$1")"),
+        edit_first(snapshot_, R"("lo":([-+.e0-9]+))", R"("lo":"$1")"),
+    };
+    for (const std::string& text : edited) {
+        expect_rejected(text, "JSON: expected ");
     }
 }
 

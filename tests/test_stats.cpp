@@ -4,8 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "util/rng.hpp"
-
 namespace mcs {
 namespace {
 
@@ -47,35 +45,6 @@ TEST(RunningStats, NegativeValues) {
     EXPECT_DOUBLE_EQ(s.mean(), 0.0);
     EXPECT_DOUBLE_EQ(s.min(), -5.0);
     EXPECT_DOUBLE_EQ(s.max(), 5.0);
-}
-
-TEST(RunningStats, MergeMatchesSequential) {
-    Rng rng(5);
-    RunningStats all, a, b;
-    for (int i = 0; i < 1000; ++i) {
-        const double x = rng.normal(3.0, 2.0);
-        all.add(x);
-        (i % 3 == 0 ? a : b).add(x);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), all.count());
-    EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-    EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-    EXPECT_DOUBLE_EQ(a.min(), all.min());
-    EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStats, MergeWithEmpty) {
-    RunningStats a, b;
-    a.add(1.0);
-    a.add(2.0);
-    const double mean = a.mean();
-    a.merge(b);  // no-op
-    EXPECT_EQ(a.count(), 2u);
-    EXPECT_DOUBLE_EQ(a.mean(), mean);
-    b.merge(a);  // copy
-    EXPECT_EQ(b.count(), 2u);
-    EXPECT_DOUBLE_EQ(b.mean(), mean);
 }
 
 TEST(Histogram, BasicBinning) {

@@ -3,6 +3,8 @@
 #include <cstdlib>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -45,7 +47,7 @@ TEST(JsonNumber, IsLocaleIndependent) {
         GTEST_SKIP() << "de_DE.UTF-8 locale not installed";
     }
     const std::string text = json_number(0.5);
-    const double parsed = parse_json("1.25e2").number;
+    const double parsed = parse_json("1.25e2").number();
     std::setlocale(LC_NUMERIC, "C");
     EXPECT_EQ(text, "0.5");
     EXPECT_DOUBLE_EQ(parsed, 125.0);
@@ -58,7 +60,7 @@ TEST(JsonParser, EnforcesNestingDepthLimit) {
     limits.max_depth = 8;
     std::string ok(8, '[');
     ok += std::string(8, ']');
-    EXPECT_EQ(parse_json(ok, limits).array.size(), 1u);
+    EXPECT_EQ(parse_json(ok, limits).array().size(), 1u);
 
     std::string bomb(9, '[');
     bomb += std::string(9, ']');
@@ -108,6 +110,60 @@ TEST(JsonParser, MalformedInputYieldsCleanErrors) {
     }
 }
 
+TEST(JsonValue, AccessorsRejectOtherKinds) {
+    using Kind = JsonValue::Kind;
+    const std::pair<const char*, Kind> samples[] = {
+        {"null", Kind::Null},     {"true", Kind::Bool},
+        {"7", Kind::Number},      {"\"s\"", Kind::String},
+        {"[1]", Kind::Array},     {"{\"k\":1}", Kind::Object},
+    };
+    for (const auto& [text, kind] : samples) {
+        const JsonValue v = parse_json(text);
+        EXPECT_EQ(v.kind(), kind) << text;
+        const auto accepts = [&](Kind k, const auto& read) {
+            if (kind == k) {
+                EXPECT_NO_THROW(read()) << text;
+            } else {
+                EXPECT_THROW(read(), RequireError) << text;
+            }
+        };
+        accepts(Kind::Bool, [&] { return v.boolean(); });
+        accepts(Kind::Number, [&] { return v.number(); });
+        accepts(Kind::Number, [&] { return v.u64(); });
+        accepts(Kind::Number, [&] { return v.i64(); });
+        accepts(Kind::String, [&] { return v.string(); });
+        accepts(Kind::Array, [&] { return v.array(); });
+        accepts(Kind::Array, [&] { return v.numbers(); });
+        accepts(Kind::Array, [&] { return v.u64s(); });
+        if (kind != Kind::Array) {
+            EXPECT_THROW(v.booleans(), RequireError) << text;
+        }
+        accepts(Kind::Object, [&] { return v.object(); });
+        accepts(Kind::Object, [&] { return v.at("k"); });
+        EXPECT_EQ(v.has("k"), kind == Kind::Object) << text;
+    }
+    // The array copies check every element, not just the container.
+    EXPECT_THROW(parse_json("[1,\"2\"]").numbers(), RequireError);
+    EXPECT_THROW(parse_json("[1,-2]").u64s(), RequireError);
+    EXPECT_THROW(parse_json("[true,0]").booleans(), RequireError);
+    EXPECT_EQ(parse_json("[true,false]").booleans(),
+              (std::vector<bool>{true, false}));
+    try {
+        parse_json("1").boolean();
+        ADD_FAILURE() << "a number read as a bool";
+    } catch (const RequireError& e) {
+        EXPECT_NE(std::string(e.what()).find("JSON: expected bool, found "
+                                             "number"),
+                  std::string::npos)
+            << e.what();
+    }
+    // Containers and strings come back by reference, never copied.
+    const JsonValue doc = parse_json(R"({"s":"text","a":[1,2]})");
+    EXPECT_EQ(&doc.object(), &doc.object());
+    EXPECT_EQ(&doc.at("s").string(), &doc.at("s").string());
+    EXPECT_EQ(&doc.at("a").array(), &doc.at("a").array());
+}
+
 TEST(JsonWriter, EscapesAndNests) {
     std::ostringstream out;
     JsonWriter w(out);
@@ -122,8 +178,8 @@ TEST(JsonWriter, EscapesAndNests) {
     w.end_object();
     EXPECT_EQ(out.str(), R"({"s":"a\"b\\c\n","arr":[-3,true,null]})");
     const JsonValue v = parse_json(out.str());
-    EXPECT_EQ(v.at("s").string, "a\"b\\c\n");
-    EXPECT_EQ(v.at("arr").array.size(), 3u);
+    EXPECT_EQ(v.at("s").string(), "a\"b\\c\n");
+    EXPECT_EQ(v.at("arr").array().size(), 3u);
 }
 
 TEST(MetricsRegistry, CreateOnFirstUseWithStableReferences) {
@@ -161,83 +217,13 @@ TEST(MetricsRegistry, ExportIsSortedByName) {
     const std::string json = registry_json(r);
     EXPECT_LT(json.find("alpha"), json.find("zeta"));
     const JsonValue v = parse_json(json);
-    EXPECT_DOUBLE_EQ(v.at("counters").at("alpha").number, 2.0);
-}
-
-TEST(MetricsRegistry, MergeIsAssociative) {
-    auto fill = [](MetricsRegistry& r, std::uint64_t c, double g,
-                   double sample) {
-        r.counter("events").inc(c);
-        r.gauge("energy_j").add(g);
-        r.histogram("latency", 0.0, 10.0, 5).add(sample);
-    };
-    MetricsRegistry a, b, c;
-    fill(a, 1, 0.5, 1.0);
-    fill(b, 10, 1.25, 4.5);
-    fill(c, 100, 2.0, 9.9);
-    // Extra metric present only in one operand must survive the merge.
-    b.counter("only_in_b").inc(7);
-
-    MetricsRegistry left_first, right_first;
-    fill(left_first, 1, 0.5, 1.0);   // == a
-    fill(right_first, 10, 1.25, 4.5);  // == b
-    right_first.counter("only_in_b").inc(7);
-    left_first.merge(b);
-    left_first.merge(c);
-    right_first.merge(c);
-    MetricsRegistry a2;
-    fill(a2, 1, 0.5, 1.0);
-    a2.merge(right_first);
-
-    EXPECT_EQ(registry_json(left_first), registry_json(a2));
-    EXPECT_EQ(left_first.counter("events").value(), 111u);
-    EXPECT_EQ(left_first.counter("only_in_b").value(), 7u);
-    EXPECT_DOUBLE_EQ(left_first.gauge("energy_j").value(), 3.75);
-    EXPECT_EQ(left_first.histogram("latency", 0.0, 10.0, 5).total(), 3u);
-}
-
-TEST(Gauge, MergeFollowsDeclaredPolicy) {
-    Gauge max_a(GaugeMerge::Max), max_b(GaugeMerge::Max);
-    max_a.set(71.5);
-    max_b.set(68.0);
-    max_a.merge(max_b);
-    EXPECT_DOUBLE_EQ(max_a.value(), 71.5);
-
-    Gauge mean_a(GaugeMerge::Mean), mean_b(GaugeMerge::Mean);
-    Gauge mean_c(GaugeMerge::Mean);
-    mean_a.set(10.0);
-    mean_b.set(20.0);
-    mean_c.set(60.0);
-    mean_b.merge(mean_c);  // mean(20, 60), weight 2
-    mean_a.merge(mean_b);  // mean(10, 20, 60)
-    EXPECT_DOUBLE_EQ(mean_a.value(), 30.0);
-
-    Gauge min_a(GaugeMerge::Min), unset(GaugeMerge::Min);
-    min_a.set(-3.0);
-    min_a.merge(unset);  // a never-written gauge is the identity
-    EXPECT_DOUBLE_EQ(min_a.value(), -3.0);
-    unset.merge(min_a);
-    EXPECT_DOUBLE_EQ(unset.value(), -3.0);
-
-    Gauge sum(GaugeMerge::Sum);
-    EXPECT_THROW(sum.merge(min_a), RequireError);
+    EXPECT_DOUBLE_EQ(v.at("counters").at("alpha").number(), 2.0);
 }
 
 TEST(MetricsRegistry, GaugePolicyIsFixedAtFirstRegistration) {
     MetricsRegistry r;
     r.gauge("system.peak_temp_c", GaugeMerge::Max).set(70.0);
     EXPECT_THROW(r.gauge("system.peak_temp_c"), RequireError);  // Sum != Max
-
-    // Replica aggregation: peaks max, per-run means average.
-    MetricsRegistry other;
-    other.gauge("system.peak_temp_c", GaugeMerge::Max).set(75.0);
-    other.gauge("system.mean_power_w", GaugeMerge::Mean).set(40.0);
-    r.gauge("system.mean_power_w", GaugeMerge::Mean).set(60.0);
-    r.merge(other);
-    EXPECT_DOUBLE_EQ(r.gauge("system.peak_temp_c", GaugeMerge::Max).value(),
-                     75.0);
-    EXPECT_DOUBLE_EQ(r.gauge("system.mean_power_w", GaugeMerge::Mean).value(),
-                     50.0);
 }
 
 TEST(Tracer, RingBufferWrapsAndCountsDrops) {
@@ -285,6 +271,23 @@ TEST(Tracer, ScopeEmitsBeginEndWithClock) {
     EXPECT_EQ(events[1].time, 250u);
 }
 
+TEST(Tracer, LoadStateRejectsTypeMutations) {
+    Tracer t(8);
+    t.record(5, TraceCategory::Sim, TracePhase::Instant, "tick", 1, 2);
+    std::ostringstream out;
+    JsonWriter w(out);
+    t.save_state(w);
+    std::string state = out.str();
+    Tracer restored(8);
+    ASSERT_NO_THROW(restored.load_state(parse_json(state)));
+
+    const std::string name = "\"name\":\"tick\"";
+    const std::size_t pos = state.find(name);
+    ASSERT_NE(pos, std::string::npos) << state;
+    state.replace(pos, name.size(), "\"name\":7");
+    EXPECT_THROW(restored.load_state(parse_json(state)), RequireError);
+}
+
 TEST(Tracer, ChromeJsonIsByteDeterministicAndParses) {
     auto feed = [](Tracer& t) {
         t.record(1'000, TraceCategory::Session, TracePhase::Begin,
@@ -301,12 +304,12 @@ TEST(Tracer, ChromeJsonIsByteDeterministicAndParses) {
     EXPECT_EQ(json, chrome_json(t2));
 
     const JsonValue v = parse_json(json);
-    const auto& events = v.at("traceEvents").array;
+    const auto& events = v.at("traceEvents").array();
     ASSERT_EQ(events.size(), 3u);
-    EXPECT_EQ(events[0].at("ph").string, "B");
-    EXPECT_EQ(events[0].at("cat").string, "session");
-    EXPECT_DOUBLE_EQ(events[0].at("ts").number, 1.0);  // ns -> us
-    EXPECT_EQ(events[1].at("ph").string, "i");
+    EXPECT_EQ(events[0].at("ph").string(), "B");
+    EXPECT_EQ(events[0].at("cat").string(), "session");
+    EXPECT_DOUBLE_EQ(events[0].at("ts").number(), 1.0);  // ns -> us
+    EXPECT_EQ(events[1].at("ph").string(), "i");
 
     std::ostringstream jsonl;
     t1.write_jsonl(jsonl);
@@ -314,7 +317,7 @@ TEST(Tracer, ChromeJsonIsByteDeterministicAndParses) {
     std::string line;
     std::size_t n = 0;
     while (std::getline(lines, line)) {
-        EXPECT_TRUE(parse_json(line).is_object()) << line;
+        EXPECT_EQ(parse_json(line).kind(), JsonValue::Kind::Object) << line;
         ++n;
     }
     EXPECT_EQ(n, 3u);
@@ -336,11 +339,11 @@ TEST(RunReport, RoundTripsThroughParserDeterministically) {
     EXPECT_EQ(out1.str(), out2.str());
 
     const JsonValue v = parse_json(out1.str());
-    EXPECT_EQ(v.at("schema").string, "mcs.run_report.v1");
-    EXPECT_DOUBLE_EQ(v.at("metrics").at("tests_completed").number, 42.0);
-    EXPECT_DOUBLE_EQ(v.at("metrics").at("mean_power_w").number, 65.0 / 3.0);
+    EXPECT_EQ(v.at("schema").string(), "mcs.run_report.v1");
+    EXPECT_DOUBLE_EQ(v.at("metrics").at("tests_completed").number(), 42.0);
+    EXPECT_DOUBLE_EQ(v.at("metrics").at("mean_power_w").number(), 65.0 / 3.0);
     EXPECT_DOUBLE_EQ(
-        v.at("registry").at("counters").at("system.tests_completed").number,
+        v.at("registry").at("counters").at("system.tests_completed").number(),
         42.0);
     // Reports must stay wall-clock-free to be byte-reproducible.
     EXPECT_FALSE(v.has("wall_s"));
