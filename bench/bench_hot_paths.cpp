@@ -1,20 +1,18 @@
-// H1 -- hot-path gate: event-queue pop order, SoA core lanes,
-// patch-on-commit test candidacy.
+// H1 -- hot-path gate: event-queue pop order and patch-on-commit test
+// candidacy.
 //
 // Two halves, matching the perf-gate split in tools/check_bench.py:
 //
 //   * "metrics" (blocking, byte-deterministic): work counters from a fixed
-//     full-system run plus a seeded event-queue mix. These pin the refactor
+//     full-system run plus a seeded event-queue mix. These pin the
 //     semantics -- the candidacy view must run on journal patches (exactly
 //     one rescan per run), cancelled events must be counted, and the
 //     queue's pop order must stay the strict (when, seq) FIFO order (hashed
 //     so any reorder trips the 1e-6 gate).
 //
 //   * "wall" (aux, advisory): wall-clock of the epoch-quantized queue mix
-//     on EventQueue, and of the per-core power fill on SoA lanes vs the
-//     pre-refactor fat-struct layout. These are timings, not wins: the two
-//     fill layouts measure the same (docs/hot_paths.md). They land in
-//     bench/trend.jsonl without ever entering the determinism comparison.
+//     on EventQueue. It lands in bench/trend.jsonl without ever entering
+//     the determinism comparison.
 
 #include <chrono>
 #include <cstdio>
@@ -22,7 +20,6 @@
 #include <utility>
 #include <vector>
 
-#include "arch/core_lanes.hpp"
 #include "bench_common.hpp"
 #include "core/test_engine.hpp"
 #include "core/workload_engine.hpp"
@@ -90,9 +87,9 @@ struct PopHash {
 
 int main(int argc, char** argv) {
     const BenchOptions opt = parse_options(argc, argv);
-    print_header("H1 (gate): hot-path state refactor",
-                 "event-queue order, SoA lanes and patched candidacy keep "
-                 "the run's behaviour");
+    print_header("H1 (gate): hot-path state",
+                 "event-queue order and patched candidacy keep the run's "
+                 "behaviour");
     BenchReport report("hot_paths", opt);
     const int kRounds = opt.quick ? 2'000 : 20'000;
 
@@ -194,72 +191,6 @@ int main(int argc, char** argv) {
         // stream exactly.
         report.metric("eq.ref_pop_hash", hash.folded());
         report.metric("eq.ref_popped", static_cast<double>(popped));
-    }
-
-    // --- 3. Per-core power fill: SoA lanes vs fat-struct layout ---------
-    {
-        struct FatCore {
-            CoreState state = CoreState::Idle;
-            int vf_level = 0;
-            std::uint8_t reserved = 0;
-            std::uint64_t busy_cycles_since_test = 0;
-            std::uint64_t total_busy_cycles = 0;
-            SimDuration total_busy_time = 0;
-            SimDuration total_test_time = 0;
-            SimTime last_checkpoint = 0;
-            SimTime last_state_change = 0;
-            SimTime last_test_end = 0;
-            std::uint64_t tests_completed = 0;
-            std::uint64_t tests_aborted = 0;
-            std::uint64_t tasks_executed = 0;
-            double temp_c = 55.0;
-            double damage = 0.0;
-        };
-        const std::size_t n = 4096;
-        const int reps = opt.quick ? 400 : 4'000;
-        Chip chip(1, 1, TechNode::nm16);
-        PowerModel model(chip.tech(), chip.vf_table());
-        std::vector<FatCore> aos(n);
-        CoreLanes lanes;
-        lanes.reset(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            const CoreState s = i % 3 == 0   ? CoreState::Busy
-                                : i % 3 == 1 ? CoreState::Dark
-                                             : CoreState::Idle;
-            aos[i].state = s;
-            aos[i].vf_level = static_cast<int>(i % 3);
-            lanes.state[i] = s;
-            lanes.vf_level[i] = static_cast<int>(i % 3);
-            lanes.temp_c[i] = 55.0;
-        }
-        // Both variants do exactly the pre-/post-refactor fill: read
-        // (state, vf, temp), write a power buffer. Only the input layout
-        // differs.
-        std::vector<double> out(n, 0.0);
-        double sink = 0.0;
-        auto t0 = std::chrono::steady_clock::now();
-        for (int r = 0; r < reps; ++r) {
-            for (std::size_t i = 0; i < n; ++i) {
-                out[i] = model.core_power_w(aos[i].state, aos[i].vf_level,
-                                            aos[i].temp_c);
-            }
-            sink += out[n - 1];
-        }
-        report.aux("wall", "fill_aos_s", seconds_since(t0));
-        t0 = std::chrono::steady_clock::now();
-        double sink2 = 0.0;
-        for (int r = 0; r < reps; ++r) {
-            for (std::size_t i = 0; i < n; ++i) {
-                lanes.power_w[i] = model.core_power_w(
-                    lanes.state[i], lanes.vf_level[i], lanes.temp_c[i]);
-            }
-            sink2 += lanes.power_w[n - 1];
-        }
-        report.aux("wall", "fill_soa_s", seconds_since(t0));
-        // Identical arithmetic on identical inputs: gate the sums so a
-        // layout bug cannot hide behind the advisory wall numbers.
-        report.metric("fill.aos_last_sum_w", sink);
-        report.metric("fill.soa_last_sum_w", sink2);
     }
 
     report.write();

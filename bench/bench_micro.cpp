@@ -6,7 +6,6 @@
 #include <benchmark/benchmark.h>
 
 #include "arch/chip.hpp"
-#include "arch/core_lanes.hpp"
 #include "mapping/contiguous_mapper.hpp"
 #include "noc/network.hpp"
 #include "power/power_model.hpp"
@@ -92,78 +91,34 @@ void BM_EventQueueEpochMix(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueEpochMix);
 
-/// The pre-refactor per-core layout: every field of one core adjacent,
-/// successive cores a full struct apart, so a lane-style sweep that reads
-/// three fields per core drags the whole struct through cache.
-struct FatCoreState {
-    CoreState state = CoreState::Idle;
-    int vf_level = 0;
-    bool reserved = false;
-    std::uint64_t busy_cycles_since_test = 0;
-    std::uint64_t total_busy_cycles = 0;
-    SimDuration total_busy_time = 0;
-    SimDuration total_test_time = 0;
-    SimTime last_checkpoint = 0;
-    SimTime last_state_change = 0;
-    SimTime last_test_end = 0;
-    std::uint64_t tests_completed = 0;
-    std::uint64_t tests_aborted = 0;
-    std::uint64_t tasks_executed = 0;
-    double temp_c = 55.0;
-    double damage = 0.0;
-};
-
-void BM_EpochPowerFillAoS(benchmark::State& state) {
-    const auto n = static_cast<std::size_t>(state.range(0));
-    Chip chip(1, 1, TechNode::nm16);
+void BM_EpochPowerFill(benchmark::State& state) {
+    // PlatformEngine's per-epoch power fill: each core's draw from its
+    // state, V/F level and node temperature, in core order.
+    const int side = static_cast<int>(state.range(0));
+    Chip chip(side, side, TechNode::nm16);
     PowerModel model(chip.tech(), chip.vf_table());
-    std::vector<FatCoreState> cores(n);
-    std::vector<double> out(n, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-        cores[i].state = i % 3 == 0   ? CoreState::Busy
-                         : i % 3 == 1 ? CoreState::Dark
-                                      : CoreState::Idle;
-        cores[i].vf_level = static_cast<int>(i % 3);
+    const std::vector<double> temps(chip.core_count(), 55.0);
+    std::vector<double> out(chip.core_count(), 0.0);
+    for (Core& c : chip.cores()) {
+        c.set_vf_level(0, static_cast<int>(c.id() % 3));
+        if (c.id() % 3 == 0) {
+            c.start_task(0);
+        } else if (c.id() % 3 == 1) {
+            c.power_gate(0);
+        }
     }
     for (auto _ : state) {
-        for (std::size_t i = 0; i < n; ++i) {
-            out[i] = model.core_power_w(cores[i].state, cores[i].vf_level,
-                                        cores[i].temp_c);
+        for (const Core& c : chip.cores()) {
+            out[c.id()] =
+                model.core_power_w(c.state(), c.vf_level(), temps[c.id()]);
         }
         benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(n));
+                            static_cast<std::int64_t>(chip.core_count()));
 }
-BENCHMARK(BM_EpochPowerFillAoS)->Arg(256)->Arg(4096);
-
-void BM_EpochPowerFillLanesSoA(benchmark::State& state) {
-    // Same fill over CoreLanes: the three inputs and the output are four
-    // flat arrays, so each iteration touches only the bytes it uses --
-    // the layout PlatformEngine::fill_power_lane runs on.
-    const auto n = static_cast<std::size_t>(state.range(0));
-    Chip chip(1, 1, TechNode::nm16);
-    PowerModel model(chip.tech(), chip.vf_table());
-    CoreLanes lanes;
-    lanes.reset(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        lanes.state[i] = i % 3 == 0   ? CoreState::Busy
-                         : i % 3 == 1 ? CoreState::Dark
-                                      : CoreState::Idle;
-        lanes.vf_level[i] = static_cast<int>(i % 3);
-        lanes.temp_c[i] = 55.0;
-    }
-    for (auto _ : state) {
-        for (std::size_t i = 0; i < n; ++i) {
-            lanes.power_w[i] = model.core_power_w(
-                lanes.state[i], lanes.vf_level[i], lanes.temp_c[i]);
-        }
-        benchmark::DoNotOptimize(lanes.power_w.data());
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_EpochPowerFillLanesSoA)->Arg(256)->Arg(4096);
+BENCHMARK(BM_EpochPowerFill)->Arg(16)->Arg(64);
 
 void BM_NocXyRoute(benchmark::State& state) {
     const int side = static_cast<int>(state.range(0));

@@ -7,15 +7,14 @@
 
 namespace mcs {
 
-AgingTracker::AgingTracker(std::size_t core_count, AgingParams params,
-                           std::vector<double>* storage)
-    : params_(params), damage_(storage != nullptr ? storage : &own_) {
+AgingTracker::AgingTracker(std::size_t core_count, AgingParams params)
+    : params_(params) {
     MCS_REQUIRE(core_count > 0, "aging tracker needs at least one core");
     MCS_REQUIRE(params_.nominal_lifetime_s > 0.0,
                 "nominal lifetime must be positive");
     MCS_REQUIRE(params_.temp_accel_slope_c > 0.0,
                 "temperature slope must be positive");
-    damage_->assign(core_count, 0.0);
+    damage_.assign(core_count, 0.0);
 }
 
 double AgingTracker::damage_rate_per_s(CoreState state, double temp_c) const {
@@ -34,7 +33,7 @@ double AgingTracker::damage_rate_per_s(CoreState state, double temp_c) const {
 
 void AgingTracker::update(SimTime now, const Chip& chip,
                           std::span<const double> temps_c) {
-    MCS_REQUIRE(chip.core_count() == damage_->size(),
+    MCS_REQUIRE(chip.core_count() == damage_.size(),
                 "chip size does not match aging tracker");
     if (!started_) {
         started_ = true;
@@ -47,41 +46,38 @@ void AgingTracker::update(SimTime now, const Chip& chip,
     if (dt_s <= 0.0) {
         return;
     }
-    // Lanes-native integration: read the chip's flat state lane instead of
-    // going through per-core views (same arithmetic, contiguous access).
-    const std::vector<CoreState>& state = chip.lanes().state;
-    std::vector<double>& damage = *damage_;
-    for (std::size_t i = 0; i < damage.size(); ++i) {
-        const double temp = temps_c.empty() ? params_.ref_temp_c : temps_c[i];
-        damage[i] += damage_rate_per_s(state[i], temp) * dt_s;
+    for (const Core& c : chip.cores()) {
+        const double temp =
+            temps_c.empty() ? params_.ref_temp_c : temps_c[c.id()];
+        damage_[c.id()] += damage_rate_per_s(c.state(), temp) * dt_s;
     }
 }
 
 double AgingTracker::damage(CoreId id) const {
-    MCS_REQUIRE(id < damage_->size(), "core id out of range");
-    return (*damage_)[id];
+    MCS_REQUIRE(id < damage_.size(), "core id out of range");
+    return damage_[id];
 }
 
 double AgingTracker::max_damage() const {
-    return *std::max_element(damage_->begin(), damage_->end());
+    return *std::max_element(damage_.begin(), damage_.end());
 }
 
 double AgingTracker::min_damage() const {
-    return *std::min_element(damage_->begin(), damage_->end());
+    return *std::min_element(damage_.begin(), damage_.end());
 }
 
 double AgingTracker::mean_damage() const {
     double sum = 0.0;
-    for (double d : *damage_) {
+    for (double d : damage_) {
         sum += d;
     }
-    return sum / static_cast<double>(damage_->size());
+    return sum / static_cast<double>(damage_.size());
 }
 
 void AgingTracker::add_damage(CoreId id, double amount) {
-    MCS_REQUIRE(id < damage_->size(), "core id out of range");
+    MCS_REQUIRE(id < damage_.size(), "core id out of range");
     MCS_REQUIRE(amount >= 0.0, "wear increment must be non-negative");
-    (*damage_)[id] += amount;
+    damage_[id] += amount;
 }
 
 double AgingTracker::fault_acceleration(CoreId id) const {
@@ -95,9 +91,9 @@ double AgingTracker::fault_acceleration(CoreId id) const {
 
 void AgingTracker::load_state(std::span<const double> damage,
                               SimTime last_update, bool started) {
-    MCS_REQUIRE(damage.size() == damage_->size(),
+    MCS_REQUIRE(damage.size() == damage_.size(),
                 "aging state: core count mismatch");
-    damage_->assign(damage.begin(), damage.end());
+    damage_.assign(damage.begin(), damage.end());
     last_update_ = last_update;
     started_ = started;
 }

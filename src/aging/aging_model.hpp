@@ -28,20 +28,15 @@ struct AgingParams {
 /// approximated by the state seen at the epoch boundary.
 class AgingTracker {
 public:
-    /// With `storage`, the tracker binds the caller-owned vector as its
-    /// damage accumulator (resized and zeroed): the platform passes the
-    /// chip's CoreLanes damage lane so criticality and fault acceleration
-    /// read wear in place. `storage` must outlive the tracker. With
-    /// nullptr the tracker owns its buffer (standalone/unit-test use).
-    AgingTracker(std::size_t core_count, AgingParams params = {},
-                 std::vector<double>* storage = nullptr);
+    /// Every core starts pristine (zero damage).
+    explicit AgingTracker(std::size_t core_count, AgingParams params = {});
 
     /// Integrates damage over [last update, now].
     void update(SimTime now, const Chip& chip,
                 std::span<const double> temps_c);
 
     double damage(CoreId id) const;
-    std::span<const double> damage_all() const noexcept { return *damage_; }
+    std::span<const double> damage_all() const noexcept { return damage_; }
     double max_damage() const;
     double min_damage() const;
     double mean_damage() const;
@@ -69,8 +64,7 @@ public:
 
 private:
     AgingParams params_;
-    std::vector<double> own_;      ///< backing store when none is bound
-    std::vector<double>* damage_;  ///< accumulated wear (own_ or external)
+    std::vector<double> damage_;  ///< accumulated wear, by core id
     SimTime last_update_ = 0;
     bool started_ = false;
 };

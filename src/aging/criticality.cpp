@@ -51,13 +51,13 @@ CriticalityEvaluator::CriticalityEvaluator(CriticalityParams params)
                 "at least one criticality weight must be positive");
 }
 
-double CriticalityEvaluator::evaluate_raw(std::uint64_t busy_cycles_since_test,
-                                          SimTime last_test_end, SimTime now,
-                                          double damage_norm) const {
+double CriticalityEvaluator::evaluate(const Core& core, SimTime now,
+                                      double damage_norm) const {
     const double util_term =
-        std::min(static_cast<double>(busy_cycles_since_test) /
+        std::min(static_cast<double>(core.busy_cycles_since_test()) /
                      params_.util_ref_cycles,
                  params_.saturation);
+    const SimTime last_test_end = core.last_test_end();
     const SimTime since = now >= last_test_end ? now - last_test_end : 0;
     const double time_term =
         std::min(static_cast<double>(since) /
@@ -66,12 +66,6 @@ double CriticalityEvaluator::evaluate_raw(std::uint64_t busy_cycles_since_test,
     const double aging_term = std::clamp(damage_norm, 0.0, 1.0);
     return params_.w_util * util_term + params_.w_time * time_term +
            params_.w_aging * aging_term;
-}
-
-double CriticalityEvaluator::evaluate(const Core& core, SimTime now,
-                                      double damage_norm) const {
-    return evaluate_raw(core.busy_cycles_since_test(), core.last_test_end(),
-                        now, damage_norm);
 }
 
 std::vector<double> CriticalityEvaluator::evaluate_chip(
@@ -89,16 +83,12 @@ void CriticalityEvaluator::evaluate_chip_into(const Chip& chip, SimTime now,
         max_damage = std::max(max_damage, d);
     }
     out.resize(chip.core_count());
-    // Lanes-native fill: read the stress lanes directly instead of going
-    // through per-core views (same arithmetic via evaluate_raw).
-    const CoreLanes& lanes = chip.lanes();
-    for (std::size_t i = 0; i < out.size(); ++i) {
+    for (const Core& c : chip.cores()) {
         double norm = 0.0;
         if (!damage.empty() && max_damage > 0.0) {
-            norm = damage[i] / max_damage;
+            norm = damage[c.id()] / max_damage;
         }
-        out[i] = evaluate_raw(lanes.busy_cycles_since_test[i],
-                              lanes.last_test_end[i], now, norm);
+        out[c.id()] = evaluate(c, now, norm);
     }
 }
 

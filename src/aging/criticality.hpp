@@ -68,13 +68,6 @@ public:
     const CriticalityParams& params() const noexcept { return params_; }
 
 private:
-    /// The metric on raw lane values; evaluate(const Core&) and the
-    /// lanes-native chip fill both delegate here, so they are identical by
-    /// construction.
-    double evaluate_raw(std::uint64_t busy_cycles_since_test,
-                        SimTime last_test_end, SimTime now,
-                        double damage_norm) const;
-
     CriticalityParams params_;
 };
 

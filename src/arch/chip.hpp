@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "arch/core.hpp"
-#include "arch/core_lanes.hpp"
 #include "arch/technology.hpp"
 
 namespace mcs {
@@ -56,18 +55,16 @@ public:
     std::vector<Core>& cores() noexcept { return cores_; }
     const std::vector<Core>& cores() const noexcept { return cores_; }
 
-    /// Struct-of-arrays backing store for all mutable core state (slot =
-    /// core id). The epoch hot loops iterate these lanes directly; the
-    /// `Core` objects above are thin checked views over the same storage.
-    CoreLanes& lanes() noexcept { return lanes_; }
-    const CoreLanes& lanes() const noexcept { return lanes_; }
+    /// Cores whose state or reservation changed since the journal was
+    /// last cleared (see MembershipJournal).
+    MembershipJournal& journal() noexcept { return journal_; }
 
 private:
     int width_;
     int height_;
     TechnologyParams tech_;
     std::vector<VfLevel> vf_table_;
-    CoreLanes lanes_;
+    MembershipJournal journal_;
     std::vector<Core> cores_;
 };
 

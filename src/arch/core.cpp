@@ -18,14 +18,14 @@ const char* to_string(CoreState state) {
 }
 
 Core::Core(CoreId id, int x, int y, const std::vector<VfLevel>* vf_table,
-           CoreLanes* lanes)
-    : id_(id), x_(x), y_(y), vf_table_(vf_table), lanes_(lanes) {
+           MembershipJournal* journal)
+    : id_(id), x_(x), y_(y), vf_table_(vf_table), journal_(journal) {
     MCS_REQUIRE(vf_table_ != nullptr && !vf_table_->empty(),
                 "core needs a non-empty VF table");
-    MCS_REQUIRE(lanes_ != nullptr && id_ < lanes_->size(),
-                "core needs a lanes slot");
+    MCS_REQUIRE(journal_ != nullptr && id_ < journal_->size(),
+                "core needs a journal slot");
     // Boot at max V/F.
-    lanes_->vf_level[id_] = static_cast<int>(vf_table_->size()) - 1;
+    s_.vf_level = static_cast<int>(vf_table_->size()) - 1;
 }
 
 double Core::freq_hz() const {
@@ -37,28 +37,28 @@ double Core::voltage_v() const {
 }
 
 void Core::checkpoint(SimTime now) {
-    MCS_REQUIRE(now >= lanes_->last_checkpoint[id_],
+    MCS_REQUIRE(now >= s_.last_checkpoint,
                 "core checkpoint going backwards");
-    const SimDuration span = now - lanes_->last_checkpoint[id_];
-    lanes_->last_checkpoint[id_] = now;
+    const SimDuration span = now - s_.last_checkpoint;
+    s_.last_checkpoint = now;
     if (span == 0) {
         return;
     }
     if (state() == CoreState::Busy) {
         const auto cycles = cycles_in(span, freq_hz());
-        lanes_->busy_cycles_since_test[id_] += cycles;
-        lanes_->total_busy_cycles[id_] += cycles;
-        lanes_->total_busy_time[id_] += span;
+        s_.busy_cycles_since_test += cycles;
+        s_.total_busy_cycles += cycles;
+        s_.total_busy_time += span;
     } else if (state() == CoreState::Testing) {
-        lanes_->total_test_time[id_] += span;
+        s_.total_test_time += span;
     }
 }
 
 void Core::transition(SimTime now, CoreState to) {
     checkpoint(now);
-    lanes_->state[id_] = to;
-    lanes_->last_state_change[id_] = now;
-    lanes_->note_membership_change(id_);
+    s_.state = to;
+    s_.last_state_change = now;
+    journal_->note(id_);
 }
 
 void Core::start_task(SimTime now) {
@@ -71,7 +71,7 @@ void Core::finish_task(SimTime now) {
     MCS_REQUIRE(state() == CoreState::Busy,
                 std::string("finish_task from state ") + to_string(state()));
     transition(now, CoreState::Idle);
-    ++lanes_->tasks_executed[id_];
+    ++s_.tasks_executed;
 }
 
 void Core::start_test(SimTime now) {
@@ -85,18 +85,18 @@ void Core::finish_test(SimTime now, bool completed) {
                 std::string("finish_test from state ") + to_string(state()));
     transition(now, CoreState::Idle);
     if (completed) {
-        ++lanes_->tests_completed[id_];
-        lanes_->last_test_end[id_] = now;
-        lanes_->busy_cycles_since_test[id_] = 0;
+        ++s_.tests_completed;
+        s_.last_test_end = now;
+        s_.busy_cycles_since_test = 0;
     } else {
-        ++lanes_->tests_aborted[id_];
+        ++s_.tests_aborted;
     }
 }
 
 void Core::mark_faulty(SimTime now) {
     MCS_REQUIRE(state() != CoreState::Faulty, "core is already faulty");
     transition(now, CoreState::Faulty);
-    lanes_->reserved[id_] = 0;
+    s_.reserved = false;
 }
 
 void Core::power_gate(SimTime now) {
@@ -117,46 +117,33 @@ void Core::set_vf_level(SimTime now, int level) {
                     level < static_cast<int>(vf_table_->size()),
                 "VF level out of range");
     checkpoint(now);  // integrate at the old frequency first
-    lanes_->vf_level[id_] = level;
+    s_.vf_level = level;
 }
 
 void Core::set_reserved(bool reserved) {
-    if ((lanes_->reserved[id_] != 0) == reserved) {
+    if (s_.reserved == reserved) {
         return;
     }
-    lanes_->reserved[id_] = reserved ? 1 : 0;
-    lanes_->note_membership_change(id_);
+    s_.reserved = reserved;
+    journal_->note(id_);
 }
 
 double Core::busy_fraction(SimTime now) const {
-    if (now <= lanes_->birth[id_]) {
+    if (now <= s_.birth) {
         return 0.0;
     }
     // Include the in-flight interval since the last checkpoint.
-    SimDuration busy = lanes_->total_busy_time[id_];
-    if (state() == CoreState::Busy && now > lanes_->last_checkpoint[id_]) {
-        busy += now - lanes_->last_checkpoint[id_];
+    SimDuration busy = s_.total_busy_time;
+    if (state() == CoreState::Busy && now > s_.last_checkpoint) {
+        busy += now - s_.last_checkpoint;
     }
     return static_cast<double>(busy) /
-           static_cast<double>(now - lanes_->birth[id_]);
+           static_cast<double>(now - s_.birth);
 }
 
 void Core::load_state(const PersistedState& s) {
-    lanes_->state[id_] = s.state;
-    lanes_->vf_level[id_] = s.vf_level;
-    lanes_->reserved[id_] = s.reserved ? 1 : 0;
-    lanes_->last_checkpoint[id_] = s.last_checkpoint;
-    lanes_->busy_cycles_since_test[id_] = s.busy_cycles_since_test;
-    lanes_->total_busy_cycles[id_] = s.total_busy_cycles;
-    lanes_->total_busy_time[id_] = s.total_busy_time;
-    lanes_->total_test_time[id_] = s.total_test_time;
-    lanes_->birth[id_] = s.birth;
-    lanes_->last_state_change[id_] = s.last_state_change;
-    lanes_->last_test_end[id_] = s.last_test_end;
-    lanes_->tests_completed[id_] = s.tests_completed;
-    lanes_->tests_aborted[id_] = s.tests_aborted;
-    lanes_->tasks_executed[id_] = s.tasks_executed;
-    lanes_->note_membership_change(id_);
+    s_ = s;
+    journal_->note(id_);
 }
 
 }  // namespace mcs

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "arch/core_lanes.hpp"
 #include "arch/technology.hpp"
 #include "sim/time.hpp"
 
@@ -23,30 +22,59 @@ enum class CoreState { Idle, Busy, Testing, Dark, Faulty };
 
 const char* to_string(CoreState state);
 
+/// Membership journal: the cores whose state or reservation changed since
+/// the last clear(), each listed once, in the order they were first noted.
+/// Owned by Chip; every Core notes itself here from transition(),
+/// set_reserved() and load_state(). Its one consumer is the test
+/// candidacy view (core/test_candidacy.hpp), which drains it each test
+/// epoch. All writers run in serial event context, so it needs no
+/// synchronization.
+class MembershipJournal {
+public:
+    explicit MembershipJournal(std::size_t cores = 0) : flag_(cores, 0) {
+        noted_.reserve(cores);
+    }
+
+    std::size_t size() const noexcept { return flag_.size(); }
+
+    void note(CoreId core) {
+        if (!flag_[core]) {
+            flag_[core] = 1;
+            noted_.push_back(core);
+        }
+    }
+    const std::vector<CoreId>& noted() const noexcept { return noted_; }
+    void clear() noexcept {
+        for (CoreId core : noted_) {
+            flag_[core] = 0;
+        }
+        noted_.clear();
+    }
+
+private:
+    std::vector<std::uint8_t> flag_;
+    std::vector<CoreId> noted_;
+};
+
 /// One processing core: a checked state machine plus time/cycle accounting.
 ///
 /// The core integrates busy cycles at every state or DVFS transition
 /// ("checkpointing"), so `busy_cycles_since_test()` is exact even when the
 /// frequency changes mid-task. Higher layers (aging, test criticality) are
-/// built on these counters.
-///
-/// Storage note: Core is a thin indexed view -- all mutable fields live in
-/// the chip-owned CoreLanes struct-of-arrays (slot = core id), so the
-/// per-epoch loops iterate flat lanes while this class keeps the checked
-/// public API. Every state or reservation change funnels through
-/// transition()/set_reserved(), which record the core in the lanes'
+/// built on these counters. Every state or reservation change funnels
+/// through transition()/set_reserved(), which note the core in the chip's
 /// membership journal for the patch-on-commit test-candidacy view.
 class Core {
 public:
-    /// `vf_table` and `lanes` must outlive the core (both owned by Chip).
+    /// `vf_table` and `journal` must outlive the core (both owned by Chip).
     Core(CoreId id, int x, int y, const std::vector<VfLevel>* vf_table,
-         CoreLanes* lanes);
+         MembershipJournal* journal);
 
     CoreId id() const noexcept { return id_; }
     int x() const noexcept { return x_; }
     int y() const noexcept { return y_; }
 
-    CoreState state() const noexcept { return lanes_->state[id_]; }
+    CoreState state() const noexcept { return s_.state; }
     bool is_idle() const noexcept { return state() == CoreState::Idle; }
     bool is_busy() const noexcept { return state() == CoreState::Busy; }
     bool is_testing() const noexcept {
@@ -56,7 +84,7 @@ public:
         return state() != CoreState::Faulty && state() != CoreState::Dark;
     }
 
-    int vf_level() const noexcept { return lanes_->vf_level[id_]; }
+    int vf_level() const noexcept { return s_.vf_level; }
     std::size_t vf_level_count() const noexcept { return vf_table_->size(); }
     double freq_hz() const;
     double voltage_v() const;
@@ -76,34 +104,30 @@ public:
     /// Reservation by the runtime mapper: a reserved core belongs to a
     /// mapped application (it may still be Idle between its tasks).
     /// Orthogonal to the execution state.
-    bool reserved() const noexcept { return lanes_->reserved[id_] != 0; }
+    bool reserved() const noexcept { return s_.reserved; }
     void set_reserved(bool reserved);
 
     /// --- stress / test accounting ---
     std::uint64_t busy_cycles_since_test() const noexcept {
-        return lanes_->busy_cycles_since_test[id_];
+        return s_.busy_cycles_since_test;
     }
-    SimTime last_test_end() const noexcept {
-        return lanes_->last_test_end[id_];
-    }
+    SimTime last_test_end() const noexcept { return s_.last_test_end; }
     std::uint64_t tests_completed() const noexcept {
-        return lanes_->tests_completed[id_];
+        return s_.tests_completed;
     }
-    std::uint64_t tests_aborted() const noexcept {
-        return lanes_->tests_aborted[id_];
-    }
+    std::uint64_t tests_aborted() const noexcept { return s_.tests_aborted; }
     std::uint64_t tasks_executed() const noexcept {
-        return lanes_->tasks_executed[id_];
+        return s_.tasks_executed;
     }
 
     std::uint64_t total_busy_cycles() const noexcept {
-        return lanes_->total_busy_cycles[id_];
+        return s_.total_busy_cycles;
     }
     SimDuration total_busy_time() const noexcept {
-        return lanes_->total_busy_time[id_];
+        return s_.total_busy_time;
     }
     SimDuration total_test_time() const noexcept {
-        return lanes_->total_test_time[id_];
+        return s_.total_test_time;
     }
 
     /// Lifetime busy fraction in [0,1] up to `now`.
@@ -112,15 +136,15 @@ public:
     /// Time of the most recent state transition (how long the core has been
     /// in its current state).
     SimTime last_state_change() const noexcept {
-        return lanes_->last_state_change[id_];
+        return s_.last_state_change;
     }
 
     /// Integrates counters up to `now` without changing state. Exposed so
     /// periodic observers (aging, metrics) see up-to-date counters.
     void checkpoint(SimTime now);
 
-    /// Complete mutable state for checkpoint/restore (identity and the
-    /// VF table stay with the constructed core).
+    /// Complete mutable state, also the checkpoint/restore record
+    /// (identity and the VF table stay with the constructed core).
     struct PersistedState {
         CoreState state = CoreState::Idle;
         int vf_level = 0;
@@ -137,22 +161,7 @@ public:
         std::uint64_t tests_aborted = 0;
         std::uint64_t tasks_executed = 0;
     };
-    PersistedState save_state() const noexcept {
-        return {state(),
-                vf_level(),
-                reserved(),
-                lanes_->last_checkpoint[id_],
-                busy_cycles_since_test(),
-                total_busy_cycles(),
-                total_busy_time(),
-                total_test_time(),
-                lanes_->birth[id_],
-                last_state_change(),
-                last_test_end(),
-                tests_completed(),
-                tests_aborted(),
-                tasks_executed()};
-    }
+    PersistedState save_state() const noexcept { return s_; }
     void load_state(const PersistedState& s);
 
 private:
@@ -162,7 +171,8 @@ private:
     int x_;
     int y_;
     const std::vector<VfLevel>* vf_table_;
-    CoreLanes* lanes_;
+    MembershipJournal* journal_;
+    PersistedState s_;
 };
 
 }  // namespace mcs

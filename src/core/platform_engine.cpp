@@ -26,10 +26,11 @@ PlatformEngine::PlatformEngine(SystemContext& ctx)
       power_model_(ctx.chip.tech(), ctx.chip.vf_table(),
                    activity_with_suite(ctx.cfg.activity, ctx.suite)),
       power_mgr_(ctx.chip, power_model_, ctx.budget, ctx.cfg.power),
-      thermal_(ctx.cfg.width, ctx.cfg.height, ctx.cfg.thermal,
-               &ctx.chip.lanes().temp_c),
-      aging_(ctx.chip.core_count(), ctx.cfg.aging, &ctx.chip.lanes().damage),
-      crit_eval_(ctx.cfg.criticality) {
+      thermal_(ctx.cfg.width, ctx.cfg.height, ctx.cfg.thermal),
+      aging_(ctx.chip.core_count(), ctx.cfg.aging),
+      crit_eval_(ctx.cfg.criticality),
+      criticality_(ctx.chip.core_count(), 0.0),
+      power_w_(ctx.chip.core_count(), 0.0) {
     if (ctx_.cfg.enable_fault_injection) {
         faults_.emplace(ctx_.chip.core_count(), ctx_.cfg.faults,
                         ctx_.cfg.seed ^ 0x94d049bb133111ebULL);
@@ -38,21 +39,14 @@ PlatformEngine::PlatformEngine(SystemContext& ctx)
     ctx_.power_model = &power_model_;
     ctx_.power_mgr = &power_mgr_;
     ctx_.thermal = &thermal_;
-    ctx_.aging = &aging_;
-    ctx_.crit_eval = &crit_eval_;
     ctx_.faults = faults_ ? &*faults_ : nullptr;
     ctx_.platform = this;
 }
 
 const std::vector<double>& PlatformEngine::refresh_criticality(SimTime now) {
-    std::vector<double>& crit = ctx_.chip.lanes().criticality;
-    crit_eval_.evaluate_chip_into(ctx_.chip, now, aging_.damage_all(), crit);
-    return crit;
-}
-
-double PlatformEngine::core_power_now(const Core& core) const {
-    return power_model_.core_power_w(core.state(), core.vf_level(),
-                                     thermal_.temp_c(core.id()));
+    crit_eval_.evaluate_chip_into(ctx_.chip, now, aging_.damage_all(),
+                                  criticality_);
+    return criticality_;
 }
 
 double PlatformEngine::noc_power_w() const {
@@ -63,9 +57,9 @@ double PlatformEngine::noc_power_w() const {
 
 void PlatformEngine::accumulate_energy(SimTime now) {
     MCS_REQUIRE(now >= energy_clock_, "energy clock going backwards");
-    // Refreshed even for an empty interval: power_epoch reads the lane as
-    // the chip-power measurement right after this call.
-    fill_power_lane();
+    // Refreshed even for an empty interval: power_epoch reads the buffer
+    // as the chip-power measurement right after this call.
+    fill_power();
     const double dt_s = to_seconds(now - energy_clock_);
     energy_clock_ = now;
     if (dt_s <= 0.0) {
@@ -74,10 +68,9 @@ void PlatformEngine::accumulate_energy(SimTime now) {
     link_test_energy_j_ +=
         static_cast<double>(ctx_.test->link_tests_running()) *
         ctx_.cfg.noc_test.test_power_w * dt_s;
-    const CoreLanes& lanes = ctx_.chip.lanes();
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-        const double p = lanes.power_w[i];
-        switch (lanes.state[i]) {
+    for (const Core& c : ctx_.chip.cores()) {
+        const double p = power_w_[c.id()];
+        switch (c.state()) {
             case CoreState::Busy:
                 ctx_.metrics.energy_busy_j += p * dt_s;
                 break;
@@ -91,23 +84,21 @@ void PlatformEngine::accumulate_energy(SimTime now) {
     }
 }
 
-void PlatformEngine::fill_power_lane() {
-    // Lanes-native: reads the state/vf/temperature lanes, writes only the
-    // power lane (the temperature lane is the thermal model's live buffer).
-    CoreLanes& lanes = ctx_.chip.lanes();
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-        lanes.power_w[i] = power_model_.core_power_w(
-            lanes.state[i], lanes.vf_level[i], lanes.temp_c[i]);
+void PlatformEngine::fill_power() {
+    const std::span<const double> temps = thermal_.temps_c();
+    for (const Core& c : ctx_.chip.cores()) {
+        power_w_[c.id()] = power_model_.core_power_w(c.state(), c.vf_level(),
+                                                     temps[c.id()]);
     }
 }
 
 void PlatformEngine::power_epoch() {
     accumulate_energy(ctx_.sim.now());
     ctx_.noc.roll_window();
-    // Chip power for the capping loop: the lane accumulate_energy just
+    // Chip power for the capping loop: the buffer accumulate_energy just
     // filled, summed in core order, plus the NoC term.
     double chip_w = 0.0;
-    for (const double p : ctx_.chip.lanes().power_w) {
+    for (const double p : power_w_) {
         chip_w += p;
     }
     chip_w += noc_power_w();
@@ -115,21 +106,19 @@ void PlatformEngine::power_epoch() {
 }
 
 void PlatformEngine::thermal_epoch() {
-    fill_power_lane();
-    thermal_.step(ctx_.chip.lanes().power_w,
-                  to_seconds(ctx_.cfg.thermal_epoch));
+    fill_power();
+    thermal_.step(power_w_, to_seconds(ctx_.cfg.thermal_epoch));
     peak_temp_c_ = std::max(peak_temp_c_, thermal_.max_temp_c());
 }
 
 void PlatformEngine::wear_epoch() {
     const SimTime now = ctx_.sim.now();
     ctx_.chip.checkpoint_all(now);
-    const CoreLanes& lanes = ctx_.chip.lanes();
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
+    for (const Core& c : ctx_.chip.cores()) {
         ++state_samples_;
-        dark_samples_ += lanes.state[i] == CoreState::Dark ? 1 : 0;
-        testing_samples_ += lanes.state[i] == CoreState::Testing ? 1 : 0;
-        reserved_samples_ += lanes.reserved[i] != 0 ? 1 : 0;
+        dark_samples_ += c.state() == CoreState::Dark ? 1 : 0;
+        testing_samples_ += c.is_testing() ? 1 : 0;
+        reserved_samples_ += c.reserved() ? 1 : 0;
     }
     aging_.update(now, ctx_.chip, thermal_.temps_c());
     if (faults_) {
@@ -176,12 +165,11 @@ void PlatformEngine::trace_epoch() {
     TraceSample s;
     s.time = ctx_.sim.now();
     s.tdp_w = ctx_.budget.tdp_w();
-    fill_power_lane();
-    const CoreLanes& lanes = ctx_.chip.lanes();
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-        const double p = lanes.power_w[i];
+    fill_power();
+    for (const Core& c : ctx_.chip.cores()) {
+        const double p = power_w_[c.id()];
         s.total_power_w += p;
-        switch (lanes.state[i]) {
+        switch (c.state()) {
             case CoreState::Busy:
                 s.workload_power_w += p;
                 ++s.cores_busy;

@@ -26,7 +26,7 @@ namespace mcs {
 class PlatformEngine {
 public:
     /// Builds the substrate components from `ctx.cfg` and registers them
-    /// (power model/manager, thermal, aging, criticality, faults) in `ctx`.
+    /// (power model/manager, thermal, faults) in `ctx`.
     explicit PlatformEngine(SystemContext& ctx);
     PlatformEngine(const PlatformEngine&) = delete;
     PlatformEngine& operator=(const PlatformEngine&) = delete;
@@ -39,18 +39,13 @@ public:
     void trace_epoch();
 
     // --- substrate services for the sibling engines ---
-    /// Re-evaluates per-core test criticality at `now` into the chip's
-    /// criticality lane and returns it (valid until the next refresh).
+    /// Re-evaluates per-core test criticality at `now` and returns it by
+    /// core id (valid until the next refresh).
     const std::vector<double>& refresh_criticality(SimTime now);
-    const std::vector<double>& criticality() const noexcept {
-        return ctx_.chip.lanes().criticality;
-    }
-    /// Current power draw of one core through the power model.
-    double core_power_now(const Core& core) const;
     /// NoC static power plus in-flight link-test power.
     double noc_power_w() const;
-    /// Refreshes the chip's power lane and integrates the per-state energy
-    /// split up to `now`.
+    /// Refreshes the per-core power buffer and integrates the per-state
+    /// energy split up to `now`.
     void accumulate_energy(SimTime now);
 
     PowerManager& power_manager() noexcept { return power_mgr_; }
@@ -86,23 +81,22 @@ public:
     void load_state(const telemetry::JsonValue& doc);
 
 private:
-    /// Fills the chip's power lane: power_w[i] = current draw of core i
-    /// from the state/vf/temperature lanes.
-    void fill_power_lane();
+    /// Fills power_w_: the current draw of each core from its state, V/F
+    /// level and temperature.
+    void fill_power();
 
     SystemContext& ctx_;
     PowerModel power_model_;
     PowerManager power_mgr_;
-    // Thermal and aging bind the chip's temp_c / damage lanes as their
-    // backing storage (declared after ctx_, whose chip owns the lanes), so
-    // the epoch fills below and the sibling engines read them in place.
     ThermalModel thermal_;
     AgingTracker aging_;
     CriticalityEvaluator crit_eval_;
     std::optional<FaultInjector> faults_;
 
-    // scratch buffer (reused across wear epochs)
-    std::vector<double> accel_buf_;
+    // per-core epoch buffers, by core id (reused across epochs)
+    std::vector<double> criticality_;  ///< last refresh_criticality()
+    std::vector<double> power_w_;      ///< last fill_power()
+    std::vector<double> accel_buf_;    ///< fault acceleration (wear epoch)
 
     // accumulators
     std::uint64_t state_samples_ = 0;

@@ -668,8 +668,7 @@ void ManycoreSystem::restore(const telemetry::JsonValue& doc,
             workload_->schedule_restored_completion(static_cast<CoreId>(a),
                                                     when);
         } else if (kind == "edge") {
-            workload_->schedule_restored_edge(static_cast<std::size_t>(a),
-                                              static_cast<TaskIndex>(b),
+            workload_->schedule_restored_edge(static_cast<std::size_t>(a), b,
                                               when);
         } else if (kind == "test_session_complete") {
             test_->schedule_restored_session(static_cast<CoreId>(a), when);

@@ -4,7 +4,7 @@
 // It owns what every engine needs to see (chip, NoC, clock/simulator,
 // power budget, SBST suite, RNG streams, metrics accumulators, observer
 // hub) and carries non-owning registration slots for the components each
-// engine contributes (power manager, thermal, aging, scheduler state, ...)
+// engine contributes (power manager, thermal, scheduler state, ...)
 // so engines can reach one another without the façade brokering every
 // call. Ownership rule: values here are owned by the context (and live as
 // long as the ManycoreSystem façade); pointers are registered by the
@@ -27,8 +27,6 @@ struct SystemConfig;
 class PowerModel;
 class PowerManager;
 class ThermalModel;
-class AgingTracker;
-class CriticalityEvaluator;
 class FaultInjector;
 class LinkTester;
 class IdlePredictor;
@@ -71,8 +69,6 @@ struct SystemContext {
     PowerModel* power_model = nullptr;
     PowerManager* power_mgr = nullptr;
     ThermalModel* thermal = nullptr;
-    AgingTracker* aging = nullptr;
-    CriticalityEvaluator* crit_eval = nullptr;
     FaultInjector* faults = nullptr;  ///< null unless fault injection is on
 
     // --- components registered by WorkloadEngine ---

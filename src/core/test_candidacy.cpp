@@ -6,34 +6,34 @@
 
 namespace mcs {
 
-void TestCandidacyView::bind(CoreLanes* lanes) {
-    MCS_REQUIRE(lanes != nullptr, "candidacy view needs lanes");
-    lanes_ = lanes;
+void TestCandidacyView::bind(Chip& chip) {
+    chip_ = &chip;
     members_.clear();
     valid_ = false;
 }
 
 bool TestCandidacyView::member(CoreId id) const {
-    const CoreState s = lanes_->state[id];
-    return lanes_->reserved[id] == 0 &&
-           (s == CoreState::Idle || s == CoreState::Dark);
+    const Core& c = chip_->cores()[id];
+    return !c.reserved() &&
+           (c.state() == CoreState::Idle || c.state() == CoreState::Dark);
 }
 
 const std::vector<CoreId>& TestCandidacyView::members() {
-    MCS_REQUIRE(lanes_ != nullptr, "candidacy view used before bind");
+    MCS_REQUIRE(chip_ != nullptr, "candidacy view used before bind");
+    MembershipJournal& journal = chip_->journal();
     if (!valid_) {
         ++rescans_;
         members_.clear();
-        for (CoreId id = 0; id < lanes_->size(); ++id) {
-            if (member(id)) {
-                members_.push_back(id);
+        for (const Core& c : chip_->cores()) {
+            if (member(c.id())) {
+                members_.push_back(c.id());
             }
         }
         valid_ = true;
     } else {
         // Drain the membership journal: re-apply the predicate to exactly
         // the cores whose state or reservation changed since the last call.
-        for (CoreId id : lanes_->dirty()) {
+        for (CoreId id : journal.noted()) {
             ++patches_;
             const auto it =
                 std::lower_bound(members_.begin(), members_.end(), id);
@@ -47,7 +47,7 @@ const std::vector<CoreId>& TestCandidacyView::members() {
             }
         }
     }
-    lanes_->clear_dirty();
+    journal.clear();
     return members_;
 }
 

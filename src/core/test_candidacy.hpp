@@ -3,8 +3,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "arch/core.hpp"
-#include "arch/core_lanes.hpp"
+#include "arch/chip.hpp"
 
 namespace mcs {
 
@@ -19,7 +18,7 @@ namespace mcs {
 ///
 /// Equivalence argument: reserved[i] and state[i] are written only by Core
 /// methods (transition, set_reserved, mark_faulty, load_state), each of
-/// which records the core in the CoreLanes membership journal.
+/// which notes the core in the chip's membership journal.
 /// Re-applying the predicate to exactly the journaled cores therefore
 /// keeps the member set equal to a full rescan. A full rescan runs only
 /// after invalidate() (construction and snapshot restore); the
@@ -29,9 +28,9 @@ namespace mcs {
 /// Members are kept sorted by core id, the order a full rescan produces.
 class TestCandidacyView {
 public:
-    /// Binds the view to the chip's lanes (the journal's single consumer).
-    /// The lanes must outlive the view.
-    void bind(CoreLanes* lanes);
+    /// Binds the view to `chip` (the single consumer of its membership
+    /// journal). The chip must outlive the view.
+    void bind(Chip& chip);
 
     /// Forces a full rescan at the next members() call (snapshot restore,
     /// anything that mutates state without the journal).
@@ -46,7 +45,7 @@ public:
 private:
     bool member(CoreId id) const;
 
-    CoreLanes* lanes_ = nullptr;
+    Chip* chip_ = nullptr;
     bool valid_ = false;
     std::vector<CoreId> members_;  ///< sorted by id
 

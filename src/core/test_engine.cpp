@@ -59,7 +59,7 @@ TestEngine::TestEngine(SystemContext& ctx)
     test_progress_.assign(ctx_.chip.core_count(), 0);
     last_test_done_.assign(ctx_.chip.core_count(), 0);
     last_test_abort_.assign(ctx_.chip.core_count(), 0);
-    candidacy_.bind(&ctx_.chip.lanes());
+    candidacy_.bind(ctx_.chip);
     ctx_.link_tester = link_tester_ ? &*link_tester_ : nullptr;
     ctx_.test = this;
 }
@@ -79,7 +79,7 @@ void TestEngine::test_epoch() {
     // (= core) order, minus cores still inside the retry backoff of their
     // last abort (t == 0 means never aborted).
     const std::vector<CoreId>& members = candidacy_.members();
-    const CoreLanes& lanes = ctx_.chip.lanes();
+    const std::span<const double> temps = ctx_.thermal->temps_c();
     const SimDuration backoff = ctx_.cfg.test_retry_backoff;
     sctx.candidates.reserve(members.size());
     for (const CoreId id : members) {
@@ -87,18 +87,14 @@ void TestEngine::test_epoch() {
         if (abort != 0 && now - abort < backoff) {
             continue;
         }
+        const Core& c = ctx_.chip.cores()[id];
         sctx.candidates.push_back(TestCandidate{
-            id, crit[id], lanes.state[id] == CoreState::Dark,
-            now - lanes.last_state_change[id], lanes.temp_c[id],
+            id, crit[id], c.state() == CoreState::Dark,
+            now - c.last_state_change(), temps[id],
             ctx_.idle_predictor->predict_remaining(id, now)});
     }
     sctx.test_power_w = [this](CoreId core, int level) {
-        const Core& c = ctx_.chip.core(core);
-        const double temp = ctx_.thermal->temp_c(core);
-        const double now_w =
-            ctx_.power_model->core_power_w(c.state(), c.vf_level(), temp);
-        return std::max(
-            0.0, ctx_.power_model->test_power_w(level, temp) - now_w);
+        return test_power_increment_w(ctx_.chip.core(core), level);
     };
     sctx.test_duration = [this](int level) {
         return duration_for_cycles(
@@ -113,6 +109,13 @@ void TestEngine::test_epoch() {
     if (link_tester_) {
         schedule_link_tests(now);
     }
+}
+
+double TestEngine::test_power_increment_w(const Core& c, int level) const {
+    const double temp = ctx_.thermal->temp_c(c.id());
+    const double now_w =
+        ctx_.power_model->core_power_w(c.state(), c.vf_level(), temp);
+    return std::max(0.0, ctx_.power_model->test_power_w(level, temp) - now_w);
 }
 
 void TestEngine::schedule_link_tests(SimTime now) {
@@ -182,14 +185,12 @@ void TestEngine::start_test_session(CoreId core, int vf_level) {
     }
     MCS_REQUIRE(c.is_idle(), "test target must be idle");
     // Charge the test's power increment (over the idle power the core was
-    // already burning) to the power ledger.
-    const double temp = ctx_.thermal->temp_c(core);
-    const double idle_before =
-        ctx_.power_model->core_power_w(c.state(), c.vf_level(), temp);
+    // already burning) to the power ledger: the amount the scheduler was
+    // offered when it admitted the session.
+    const double increment_w = test_power_increment_w(c, vf_level);
     c.set_vf_level(now, vf_level);
     c.start_test(now);
-    ctx_.power_mgr->reserve_power(std::max(
-        0.0, ctx_.power_model->test_power_w(vf_level, temp) - idle_before));
+    ctx_.power_mgr->reserve_power(increment_w);
     ctx_.power_mgr->touch(now, core);
     TestExec& ex = test_exec_[core];
     MCS_REQUIRE(!ex.active, "test already running on core");
@@ -444,7 +445,7 @@ void TestEngine::load_state(const telemetry::JsonValue& doc) {
                                  link.at("escaped").u64(),
                                  link.at("corrupted").u64());
     }
-    // Core::load_state rewrote every state lane wholesale; rebuild the
+    // Core::load_state rewrote every core's state wholesale; rebuild the
     // candidate view from scratch.
     candidacy_.invalidate();
 }

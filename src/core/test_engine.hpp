@@ -31,7 +31,7 @@ public:
 
     /// One test epoch: refresh criticality, assemble the SchedulerContext
     /// from the candidacy view (unreserved idle/dark cores, patched from
-    /// the lanes membership journal with no per-epoch chip rescan) minus
+    /// the chip's membership journal with no per-epoch chip rescan) minus
     /// cores inside the abort backoff, run the policy, then schedule link
     /// tests on overdue idle links.
     void test_epoch();
@@ -107,6 +107,10 @@ private:
         EventId completion{};
     };
 
+    /// Power a test at `level` adds to `c` over its current draw (never
+    /// negative). The scheduler admits on it and start_test_session
+    /// charges it, so the ledger holds what was admitted.
+    double test_power_increment_w(const Core& c, int level) const;
     void schedule_link_tests(SimTime now);
     void on_link_test_complete(LinkId link);
     void on_routine_complete(CoreId core);
@@ -130,8 +134,8 @@ private:
     int tests_running_ = 0;
 
     /// Unreserved idle/dark cores (sorted by core id); the per-epoch work
-    /// is draining the lanes membership journal instead of rescanning the
-    /// chip. Mutable through members() only.
+    /// is draining the chip's membership journal instead of rescanning
+    /// the chip. Mutable through members() only.
     TestCandidacyView candidacy_;
 };
 

@@ -469,6 +469,10 @@ void WorkloadEngine::load_state(const telemetry::JsonValue& doc) {
         app.corrupted = a.at("corrupted").boolean();
         app.tasks_done = static_cast<std::size_t>(a.at("tasks_done").u64());
         const std::vector<std::uint64_t> task_core = a.at("task_core").u64s();
+        for (const std::uint64_t id : task_core) {
+            MCS_REQUIRE(id < ctx_.chip.core_count(),
+                        "snapshot workload: mapped core out of range");
+        }
         app.task_core.assign(task_core.begin(), task_core.end());
         MCS_REQUIRE(app.task_core.empty() ||
                         app.task_core.size() == app.spec.graph.size(),
@@ -505,12 +509,19 @@ void WorkloadEngine::load_state(const telemetry::JsonValue& doc) {
         CoreExec& ex = core_exec_[c];
         ex.active = e.at("active").boolean();
         ex.app_index = static_cast<std::size_t>(e.at("app").u64());
-        ex.task = static_cast<TaskIndex>(e.at("task").u64());
+        const std::uint64_t task = e.at("task").u64();
+        ex.task = static_cast<TaskIndex>(task);
         ex.remaining_cycles = e.at("remaining").number();
         ex.last_progress = e.at("last_progress").u64();
         ex.completion = EventId{};  // re-created from the event manifest
-        MCS_REQUIRE(!ex.active || ex.app_index < apps_.size(),
-                    "snapshot workload: executing app out of range");
+        if (!ex.active) {
+            continue;
+        }
+        const AppRun& app = running_app(ex.app_index, task,
+                                        "snapshot workload: executing");
+        MCS_REQUIRE(app.task_core[ex.task] == c,
+                    "snapshot workload: executing task is not on the core "
+                    "its app mapped it to");
     }
     mapping_rounds_ = doc.at("mapping_rounds").u64();
     mapping_attempts_ = doc.at("mapping_attempts").u64();
@@ -584,15 +595,28 @@ void WorkloadEngine::schedule_restored_completion(CoreId core, SimTime when) {
 }
 
 void WorkloadEngine::schedule_restored_edge(std::size_t app_index,
-                                            TaskIndex dst, SimTime when) {
-    MCS_REQUIRE(app_index < apps_.size(),
-                "snapshot manifest: edge app out of range");
+                                            std::uint64_t task,
+                                            SimTime when) {
+    running_app(app_index, task, "snapshot manifest: edge");
+    const auto dst = static_cast<TaskIndex>(task);
     const std::uint64_t seq = ctx_.sim.next_event_seq();
     ctx_.sim.schedule_at(when, [this, app_index, dst, seq] {
         inflight_edges_.erase(seq);
         deliver_edge(app_index, dst);
     });
     inflight_edges_.emplace(seq, std::pair{app_index, dst});
+}
+
+const WorkloadEngine::AppRun& WorkloadEngine::running_app(
+    std::size_t app_index, std::uint64_t task, const char* what) const {
+    MCS_REQUIRE(app_index < apps_.size(),
+                std::string(what) + " app out of range");
+    const AppRun& app = apps_[app_index];
+    MCS_REQUIRE(!app.task_core.empty() && !app.done,
+                std::string(what) + " app is not mapped and running");
+    MCS_REQUIRE(task < app.spec.graph.size(),
+                std::string(what) + " task out of range");
+    return app;
 }
 
 void WorkloadEngine::finalize_into(RunMetrics& m, SimTime end) {

@@ -93,7 +93,9 @@ public:
     void restore_workload(SimDuration horizon, std::uint64_t root_seed);
     void schedule_restored_arrival(std::size_t app_index, SimTime when);
     void schedule_restored_completion(CoreId core, SimTime when);
-    void schedule_restored_edge(std::size_t app_index, TaskIndex dst,
+    /// `task` is the manifest's 64-bit value; it is checked against the
+    /// app's graph before it narrows to a TaskIndex.
+    void schedule_restored_edge(std::size_t app_index, std::uint64_t task,
                                 SimTime when);
 
 private:
@@ -125,6 +127,10 @@ private:
     void on_task_complete(CoreId core);
     void deliver_edge(std::size_t app_index, TaskIndex dst);
     void release_app(std::size_t app_index);
+    /// Restore check: the app at `app_index` is mapped and unfinished and
+    /// `task` lies inside its graph; else a RequireError led by `what`.
+    const AppRun& running_app(std::size_t app_index, std::uint64_t task,
+                              const char* what) const;
 
     SystemContext& ctx_;
     std::unique_ptr<Mapper> mapper_;

@@ -7,10 +7,8 @@
 
 namespace mcs {
 
-ThermalModel::ThermalModel(int width, int height, ThermalParams params,
-                           std::vector<double>* storage)
-    : width_(width), height_(height), params_(params),
-      temps_(storage != nullptr ? storage : &own_) {
+ThermalModel::ThermalModel(int width, int height, ThermalParams params)
+    : width_(width), height_(height), params_(params) {
     MCS_REQUIRE(width_ > 0 && height_ > 0,
                 "thermal grid dimensions must be positive");
     MCS_REQUIRE(params_.heat_capacity_j_per_k > 0.0,
@@ -27,12 +25,12 @@ ThermalModel::ThermalModel(int width, int height, ThermalParams params,
                 "max_dt_s violates explicit-Euler stability bound");
     const std::size_t n = static_cast<std::size_t>(width_) *
                           static_cast<std::size_t>(height_);
-    temps_->assign(n, params_.ambient_c);
+    temps_.assign(n, params_.ambient_c);
     scratch_.assign(n, 0.0);
 }
 
 void ThermalModel::step(std::span<const double> power_w, double dt_s) {
-    MCS_REQUIRE(power_w.size() == temps_->size(),
+    MCS_REQUIRE(power_w.size() == temps_.size(),
                 "power vector size mismatch");
     MCS_REQUIRE(dt_s >= 0.0, "negative thermal step");
     while (dt_s > 0.0) {
@@ -44,7 +42,7 @@ void ThermalModel::step(std::span<const double> power_w, double dt_s) {
 
 double ThermalModel::node_update(std::span<const double> power_w,
                                  double dt_s, std::size_t i) const {
-    const std::vector<double>& t = *temps_;
+    const std::vector<double>& t = temps_;
     const double gv = params_.g_vertical_w_per_k;
     const double gl = params_.g_lateral_w_per_k;
     const double inv_c = 1.0 / params_.heat_capacity_j_per_k;
@@ -63,31 +61,29 @@ double ThermalModel::node_update(std::span<const double> power_w,
 void ThermalModel::euler_substep(std::span<const double> power_w,
                                  double dt_s) {
     // Double-buffered: every node reads temps_ and writes only scratch_[i];
-    // the swap is the commit. swap keeps the bound vector object's
-    // identity, so an external binding (the chip's temp_c lane) always
-    // holds the live values.
-    const std::size_t n = temps_->size();
+    // the swap is the commit.
+    const std::size_t n = temps_.size();
     for (std::size_t i = 0; i < n; ++i) {
         scratch_[i] = node_update(power_w, dt_s, i);
     }
-    temps_->swap(scratch_);
+    temps_.swap(scratch_);
 }
 
 double ThermalModel::temp_c(std::size_t core) const {
-    MCS_REQUIRE(core < temps_->size(), "core index out of range");
-    return (*temps_)[core];
+    MCS_REQUIRE(core < temps_.size(), "core index out of range");
+    return temps_[core];
 }
 
 double ThermalModel::max_temp_c() const {
-    return *std::max_element(temps_->begin(), temps_->end());
+    return *std::max_element(temps_.begin(), temps_.end());
 }
 
 double ThermalModel::mean_temp_c() const {
     double sum = 0.0;
-    for (double t : *temps_) {
+    for (double t : temps_) {
         sum += t;
     }
-    return sum / static_cast<double>(temps_->size());
+    return sum / static_cast<double>(temps_.size());
 }
 
 double ThermalModel::isolated_steady_state_c(double power_w) const {
@@ -96,9 +92,9 @@ double ThermalModel::isolated_steady_state_c(double power_w) const {
 
 
 void ThermalModel::load_temps(std::span<const double> temps_c) {
-    MCS_REQUIRE(temps_c.size() == temps_->size(),
+    MCS_REQUIRE(temps_c.size() == temps_.size(),
                 "thermal state: node count mismatch");
-    temps_->assign(temps_c.begin(), temps_c.end());
+    temps_.assign(temps_c.begin(), temps_c.end());
 }
 
 }  // namespace mcs

@@ -23,19 +23,14 @@ struct ThermalParams {
 /// explicit Euler. Feeds leakage (power model) and aging.
 class ThermalModel {
 public:
-    /// With `storage`, the model binds the caller-owned vector as its live
-    /// temperature buffer (resized to the grid and reset to ambient): the
-    /// platform passes the chip's CoreLanes temp_c lane so epoch consumers
-    /// read temperatures in place. `storage` must outlive the model. With
-    /// nullptr the model owns its buffer (standalone/unit-test use).
-    ThermalModel(int width, int height, ThermalParams params = {},
-                 std::vector<double>* storage = nullptr);
+    /// Every node starts at ambient.
+    ThermalModel(int width, int height, ThermalParams params = {});
 
     /// Advances temperatures by `dt_s` given per-core power (indexed by
     /// row-major core id, same layout as Chip).
     void step(std::span<const double> power_w, double dt_s);
 
-    std::span<const double> temps_c() const noexcept { return *temps_; }
+    std::span<const double> temps_c() const noexcept { return temps_; }
     double temp_c(std::size_t core) const;
     double max_temp_c() const;
     double mean_temp_c() const;
@@ -60,8 +55,7 @@ private:
     int width_;
     int height_;
     ThermalParams params_;
-    std::vector<double> own_;      ///< backing store when none is bound
-    std::vector<double>* temps_;   ///< live temperatures (own_ or external)
+    std::vector<double> temps_;  ///< live temperatures, row-major
     /// Next temperatures of an Euler substep: explicit Euler must read
     /// every neighbour's old value, so the new ones go here first.
     std::vector<double> scratch_;

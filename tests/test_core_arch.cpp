@@ -7,20 +7,14 @@
 namespace mcs {
 namespace {
 
-CoreLanes make_lanes(std::size_t n) {
-    CoreLanes lanes;
-    lanes.reset(n);
-    return lanes;
-}
-
 class CoreTest : public ::testing::Test {
 protected:
     CoreTest() : table_(build_vf_table(technology(TechNode::nm16))),
-                 lanes_(make_lanes(8)),
-                 core_(7, 3, 1, &table_, &lanes_) {}
+                 journal_(8),
+                 core_(7, 3, 1, &table_, &journal_) {}
 
     std::vector<VfLevel> table_;
-    CoreLanes lanes_;
+    MembershipJournal journal_;
     Core core_;
 };
 
@@ -152,18 +146,53 @@ TEST_F(CoreTest, StateNames) {
     EXPECT_STREQ(to_string(CoreState::Faulty), "Faulty");
 }
 
-TEST(CoreCtor, RejectsMissingTable) {
-    CoreLanes lanes = make_lanes(1);
-    EXPECT_THROW(Core(0, 0, 0, nullptr, &lanes), RequireError);
-    std::vector<VfLevel> empty;
-    EXPECT_THROW(Core(0, 0, 0, &empty, &lanes), RequireError);
+TEST_F(CoreTest, JournalNotesEachMembershipChangeOnce) {
+    // The test-candidacy view patches exactly the journaled cores, so
+    // every state or reservation change must note the core, and nothing
+    // else may.
+    const std::vector<CoreId> once{7};
+    SimTime t = 0;
+    const auto notes_once = [&](const char* what, auto&& change) {
+        journal_.clear();
+        change();
+        EXPECT_EQ(journal_.noted(), once) << what;
+    };
+    notes_once("start_task", [&] { core_.start_task(++t); });
+    notes_once("finish_task", [&] { core_.finish_task(++t); });
+    notes_once("start_test", [&] { core_.start_test(++t); });
+    notes_once("finish_test", [&] { core_.finish_test(++t, true); });
+    notes_once("power_gate", [&] { core_.power_gate(++t); });
+    notes_once("wake", [&] { core_.wake(++t); });
+    notes_once("set_reserved(true)", [&] { core_.set_reserved(true); });
+    notes_once("set_reserved(false)", [&] { core_.set_reserved(false); });
+    notes_once("load_state", [&] { core_.load_state(core_.save_state()); });
+    notes_once("repeated changes", [&] {
+        core_.start_task(++t);
+        core_.finish_task(++t);
+        core_.set_reserved(true);
+    });
+
+    journal_.clear();
+    core_.set_vf_level(++t, 0);
+    core_.checkpoint(++t);
+    core_.set_reserved(true);  // already reserved: no change
+    EXPECT_TRUE(journal_.noted().empty());
+
+    notes_once("mark_faulty", [&] { core_.mark_faulty(++t); });
 }
 
-TEST(CoreCtor, RejectsMissingLanesSlot) {
+TEST(CoreCtor, RejectsMissingTable) {
+    MembershipJournal journal(1);
+    EXPECT_THROW(Core(0, 0, 0, nullptr, &journal), RequireError);
+    std::vector<VfLevel> empty;
+    EXPECT_THROW(Core(0, 0, 0, &empty, &journal), RequireError);
+}
+
+TEST(CoreCtor, RejectsMissingJournalSlot) {
     std::vector<VfLevel> table = build_vf_table(technology(TechNode::nm16));
     EXPECT_THROW(Core(0, 0, 0, &table, nullptr), RequireError);
-    CoreLanes lanes = make_lanes(2);
-    EXPECT_THROW(Core(2, 0, 0, &table, &lanes), RequireError);
+    MembershipJournal journal(2);
+    EXPECT_THROW(Core(2, 0, 0, &table, &journal), RequireError);
 }
 
 }  // namespace

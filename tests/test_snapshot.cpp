@@ -273,6 +273,100 @@ TEST_F(SnapshotGuards, MalformedTestStateFailsCleanly) {
     }
 }
 
+TEST_F(SnapshotGuards, MalformedWorkloadIdsFailCleanly) {
+    // A resumed run indexes the chip, the app table and each task graph
+    // with the ids a snapshot carries, so restore checks every one: the
+    // mapped cores, the app, task and core of each running task, and the
+    // app and destination task of each in-flight edge.
+
+    // Messages of 100-400 KB (tens of microseconds per hop) keep edges in
+    // flight often enough that this capture holds one beside running tasks.
+    cfg_.workload.graphs.min_edge_bytes = 100'000;
+    cfg_.workload.graphs.max_edge_bytes = 400'000;
+    snapshot_ = make_snapshot(cfg_, 300 * kMillisecond, 100 * kMillisecond,
+                              file_);
+    const telemetry::JsonValue doc = telemetry::parse_json(snapshot_);
+    const telemetry::JsonValue* edge = nullptr;
+    for (const auto& e : doc.at("events").array()) {
+        if (edge == nullptr && e.at("kind").string() == "edge") {
+            edge = &e;
+        }
+    }
+    ASSERT_NE(edge, nullptr) << "no in-flight edge captured";
+    const auto& apps = doc.at("workload").at("apps").array();
+    std::size_t unmapped = apps.size();
+    for (std::size_t i = 0; i < apps.size() && unmapped == apps.size();
+         ++i) {
+        if (apps[i].at("task_core").array().empty()) {
+            unmapped = i;
+        }
+    }
+    ASSERT_LT(unmapped, apps.size()) << "every app is mapped";
+    const auto& exec = doc.at("workload").at("core_exec").array();
+    std::size_t core = exec.size();
+    for (std::size_t c = 0; c < exec.size() && core == exec.size(); ++c) {
+        if (exec[c].at("active").boolean()) {
+            core = c;
+        }
+    }
+    ASSERT_LT(core, exec.size()) << "no running task captured";
+    const std::uint64_t run_app = exec[core].at("app").u64();
+    const std::uint64_t run_task = exec[core].at("task").u64();
+    const auto& run_cores = apps[run_app].at("task_core").array();
+    ASSERT_GT(run_cores.size(), 1u);
+    // Any other task of the running app sits on another core.
+    const std::uint64_t other_task = (run_task + 1) % run_cores.size();
+    ASSERT_NE(run_cores[other_task].u64(), core);
+
+    const auto num = [](std::uint64_t v) { return std::to_string(v); };
+    // `snapshot_` with the first `from` at or after byte `start` replaced.
+    const auto edited = [&](const std::string& from, const std::string& to,
+                            std::size_t start = 0) {
+        std::string text = snapshot_;
+        const std::size_t pos = text.find(from, start);
+        if (pos != std::string::npos) {
+            text.replace(pos, from.size(), to);
+        }
+        return text;
+    };
+    const std::uint64_t app = edge->at("a").u64();
+    const std::string seq = "\"seq\":" + num(edge->at("seq").u64());
+    const std::string edge_ids =
+        seq + ",\"a\":" + num(app) + ",\"b\":" + num(edge->at("b").u64());
+    const std::string running = ",\"task\":" + num(run_task) + ",";
+    const std::string exec_app = "{\"active\":true,\"app\":";
+    // The edge app's mapping, ending in its last task's core. Application
+    // records are flat objects that each open with "done".
+    std::size_t record = snapshot_.find("\"apps\":[");
+    for (std::uint64_t i = 0; i <= app; ++i) {
+        record = snapshot_.find("{\"done\":", record + 1);
+        ASSERT_NE(record, std::string::npos);
+    }
+    const auto& mapped = apps[app].at("task_core").array();
+    ASSERT_GT(mapped.size(), 1u);
+    const std::string last_core =
+        "," + num(mapped.back().u64()) + "],\"waiting\":";
+    const std::pair<std::string, const char*> cases[] = {
+        {edited(edge_ids, seq + ",\"a\":" + num(app) + ",\"b\":999"),
+         "snapshot manifest:"},
+        {edited(edge_ids, seq + ",\"a\":" + num(unmapped) + ",\"b\":" +
+                              num(edge->at("b").u64())),
+         "snapshot manifest:"},
+        {edited(exec_app + num(run_app) + running,
+                exec_app + num(unmapped) + running),
+         "snapshot workload:"},
+        {edited(last_core, ",99999],\"waiting\":", record),
+         "snapshot workload:"},
+        {edited(exec_app + num(run_app) + running,
+                exec_app + num(run_app) + ",\"task\":" + num(other_task) +
+                    ","),
+         "snapshot workload:"},
+    };
+    for (const auto& [text, prefix] : cases) {
+        expect_rejected(text, prefix);
+    }
+}
+
 TEST_F(SnapshotGuards, TypeMutatedFieldsFailCleanly) {
     // A field whose JSON kind changed fails at its read, whichever loader
     // reads it: core records, app records, the power ledger and the

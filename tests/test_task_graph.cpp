@@ -9,9 +9,9 @@ namespace {
 
 TaskGraph diamond() {
     //   0
-    //  / \
+    //  / \   0 feeds 1 and 2,
     // 1   2
-    //  \ /
+    //  \ /   which both feed 3.
     //   3
     std::vector<Task> tasks(4);
     tasks[0].cycles = 100;
