@@ -5,13 +5,13 @@
 // the concrete player (spec parsing, directive dispatch) lives one layer
 // up so core/ never depends on the scenario grammar. A driver attached via
 // ManycoreSystem::attach_scenario participates in the run like any other
-// engine: run() calls begin() once, the snapshot writer asks it for its
-// pending-event manifest slice and its state object, and restore replays
-// its pending directive event and re-applies its side effects in the
-// documented order (see snapshot.cpp).
+// engine: run() calls begin() once, its directive events carry the record
+// the snapshot writer lists (kind "scenario", a = the directive the event
+// will apply), the writer asks it for its state object, and restore
+// replays its pending directive event and re-applies its side effects in
+// the documented order (see snapshot.cpp).
 
 #include <cstdint>
-#include <vector>
 
 #include "core/snapshot.hpp"
 #include "sim/time.hpp"
@@ -32,12 +32,6 @@ public:
     /// against `horizon` and schedule the first directive event.
     virtual void begin(SimDuration horizon) = 0;
 
-    /// Appends one manifest entry per pending scenario event (drivers
-    /// chain directives, so at most one is pending: kind "scenario",
-    /// a = directive index).
-    virtual void append_event_manifest(
-        std::vector<SnapshotEvent>& out) const = 0;
-
     /// Complete driver state as one JSON object (identity fingerprint plus
     /// replay position); loaded back only into a driver with a matching
     /// fingerprint.
@@ -57,7 +51,7 @@ public:
     virtual void reapply_restored() = 0;
 
     /// Restore step C (manifest replay): re-schedule the pending directive
-    /// event exactly where the captured queue had it.
+    /// event exactly where the captured queue had it, with its record.
     virtual void schedule_restored_directive(std::uint64_t index,
                                              SimTime when) = 0;
 };

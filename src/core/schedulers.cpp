@@ -1,6 +1,7 @@
 #include "core/schedulers.hpp"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "telemetry/json.hpp"
@@ -30,6 +31,8 @@ void write_core_map(telemetry::JsonWriter& w, std::string_view key,
     w.end_array();
 }
 
+// Every map holds a per-core count or time, so each value must be
+// non-negative and fit V, and each key must name one core once.
 template <typename V>
 void read_core_map(const telemetry::JsonValue& doc, const std::string& key,
                    std::unordered_map<CoreId, V>& map) {
@@ -38,8 +41,16 @@ void read_core_map(const telemetry::JsonValue& doc, const std::string& key,
         const auto& pair = entry.array();
         MCS_REQUIRE(pair.size() == 2,
                     "scheduler state: malformed per-core entry");
-        map[static_cast<CoreId>(pair[0].u64())] =
-            static_cast<V>(pair[1].i64());
+        const std::uint64_t core = pair[0].u64();
+        const std::int64_t value = pair[1].i64();
+        MCS_REQUIRE(std::in_range<CoreId>(core),
+                    "scheduler state: core id out of range");
+        MCS_REQUIRE(value >= 0 && std::in_range<V>(value),
+                    "scheduler state: per-core value out of range");
+        MCS_REQUIRE(map.emplace(static_cast<CoreId>(core),
+                                static_cast<V>(value))
+                        .second,
+                    "scheduler state: repeated core id");
     }
 }
 

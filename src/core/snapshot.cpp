@@ -1,8 +1,8 @@
 #include "core/snapshot.hpp"
 
 #include <algorithm>
-#include <array>
 #include <ostream>
+#include <set>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -22,13 +22,6 @@
 namespace mcs {
 
 namespace {
-
-// Manifest kinds of the five periodic epochs, indexed by the facade's
-// canonical registration slot (the order is part of the behavioral
-// contract -- see ManycoreSystem::run).
-constexpr std::array<std::string_view, 5> kEpochKinds = {
-    "power_epoch", "thermal_epoch", "test_epoch", "wear_epoch",
-    "trace_epoch"};
 
 // ------------------------------------------------------- fingerprinting
 
@@ -382,34 +375,16 @@ void ManycoreSystem::write_snapshot(std::ostream& out,
     Simulator& sim = ctx_->sim;
     const SimTime now = sim.now();
 
-    // Assemble the typed event manifest first: its invariants double as
-    // capture-time checks that no pending event escaped serialization.
-    std::vector<SnapshotEvent> events;
-    for (std::size_t slot = 0; slot < epoch_ids_.size(); ++slot) {
-        MCS_REQUIRE(epoch_ids_[slot] != 0,
-                    "snapshot capture requires registered epochs");
-        const EventId id =
-            sim.periodic_event(Simulator::PeriodicHandle{epoch_ids_[slot]});
-        events.push_back({std::string(kEpochKinds[slot]), sim.event_time(id),
-                          id.seq, 0, 0});
-    }
-    workload_->append_event_manifest(events);
-    test_->append_event_manifest(events);
-    if (scenario_ != nullptr) {
-        scenario_->append_event_manifest(events);
-    }
-    MCS_REQUIRE(events.size() == sim.pending_events(),
-                "snapshot manifest does not cover every pending event");
-    for (const SnapshotEvent& e : events) {
+    // The typed event manifest is the queue's pending records, in ascending
+    // original sequence = the captured scheduling order; restore replays in
+    // this order so ties at equal timestamps stay identical.
+    const std::vector<PendingRecord> events = sim.pending_records();
+    for (const PendingRecord& e : events) {
+        MCS_REQUIRE(e.record.kind != nullptr,
+                    "snapshot capture: a pending event has no record");
         MCS_REQUIRE(e.when > now,
                     "pending event at or before the capture point");
     }
-    // Ascending original sequence = the captured scheduling order; restore
-    // replays in this order so ties at equal timestamps stay identical.
-    std::sort(events.begin(), events.end(),
-              [](const SnapshotEvent& a, const SnapshotEvent& b) {
-                  return a.seq < b.seq;
-              });
 
     telemetry::JsonWriter w(out);
     w.begin_object();
@@ -500,13 +475,13 @@ void ManycoreSystem::write_snapshot(std::ostream& out,
 
     w.key("events");
     w.begin_array();
-    for (const SnapshotEvent& e : events) {
+    for (const PendingRecord& e : events) {
         w.begin_object();
-        w.field("kind", std::string_view(e.kind));
+        w.field("kind", std::string_view(e.record.kind));
         w.field("when", e.when);
         w.field("seq", e.seq);
-        w.field("a", e.a);
-        w.field("b", e.b);
+        w.field("a", e.record.a);
+        w.field("b", e.record.b);
         w.end_object();
     }
     w.end_array();
@@ -629,8 +604,9 @@ void ManycoreSystem::restore(const telemetry::JsonValue& doc,
     }
 
     // 3. Clock, then the event manifest in ascending captured sequence.
-    //    Each dispatch schedules exactly one event, so the rebuilt queue
-    //    breaks timestamp ties exactly as the captured one did.
+    //    Each dispatch schedules exactly one event, with the record it was
+    //    captured from, so the rebuilt queue breaks timestamp ties exactly
+    //    as the captured one did and can be captured again.
     ctx_->sim.restore_clock(now, executed);
     // Older snapshots predate the cancellation counter; they restore as 0.
     ctx_->sim.restore_cancelled(
@@ -643,25 +619,21 @@ void ManycoreSystem::restore(const telemetry::JsonValue& doc,
         const SimTime when = entry.at("when").u64();
         const std::uint64_t seq = entry.at("seq").u64();
         MCS_REQUIRE(first || seq > prev_seq,
-                    "snapshot events must be strictly ordered by sequence");
+                    "snapshot manifest: events must be strictly ordered by "
+                    "sequence");
         first = false;
         prev_seq = seq;
         MCS_REQUIRE(when > now,
-                    "snapshot event at or before the capture point");
+                    "snapshot manifest: event at or before the capture "
+                    "point");
         const std::uint64_t a = entry.at("a").u64();
         const std::uint64_t b = entry.at("b").u64();
-        bool matched = false;
-        for (std::size_t slot = 0; slot < kEpochKinds.size(); ++slot) {
-            if (kind == kEpochKinds[slot]) {
-                register_epoch(slot, when);
-                matched = true;
-                break;
-            }
-        }
-        if (matched) {
-            continue;
-        }
-        if (kind == "arrival") {
+        const auto epoch =
+            std::find(kEpochKinds.begin(), kEpochKinds.end(), kind);
+        if (epoch != kEpochKinds.end()) {
+            register_epoch(
+                static_cast<std::size_t>(epoch - kEpochKinds.begin()), when);
+        } else if (kind == "arrival") {
             workload_->schedule_restored_arrival(
                 static_cast<std::size_t>(a), when);
         } else if (kind == "task_complete") {
@@ -680,15 +652,29 @@ void ManycoreSystem::restore(const telemetry::JsonValue& doc,
                         "scenario is attached");
             scenario_->schedule_restored_directive(a, when);
         } else {
-            MCS_REQUIRE(false, "unknown snapshot event kind");
+            MCS_REQUIRE(false, "snapshot manifest: unknown event kind");
         }
     }
-    for (std::size_t slot = 0; slot < epoch_ids_.size(); ++slot) {
-        MCS_REQUIRE(epoch_ids_[slot] != 0,
-                    "snapshot is missing a periodic epoch event");
-    }
-    MCS_REQUIRE(ctx_->sim.pending_events() == events.size(),
+    MCS_REQUIRE(std::all_of(epoch_registered_.begin(),
+                            epoch_registered_.end(),
+                            [](bool registered) { return registered; }),
+                "snapshot manifest: a periodic epoch event is missing");
+    const std::vector<PendingRecord> pending = ctx_->sim.pending_records();
+    MCS_REQUIRE(pending.size() == events.size(),
                 "restored pending events do not match the manifest");
+    // One event per (kind, a) as the engines recorded it: each names
+    // something its owner holds at most once. In-flight edges are the
+    // exception (several messages may travel to one task).
+    std::set<std::pair<std::string_view, std::uint64_t>> seen;
+    for (const PendingRecord& p : pending) {
+        MCS_REQUIRE(p.record.kind != nullptr,
+                    "restore scheduled an event without a record");
+        MCS_REQUIRE(p.record.is("edge") ||
+                        seen.emplace(p.record.kind, p.record.a).second,
+                    "snapshot manifest: duplicate event");
+    }
+    workload_->check_restored_events(pending);
+    test_->check_restored_events(pending);
     restored_ = true;
 }
 

@@ -14,19 +14,20 @@
 //   events        -- typed manifest of every pending simulator event
 //
 // The std::function callbacks inside the event queue cannot be serialized;
-// instead each engine contributes typed manifest entries (kind + time +
-// original sequence number + small args) and restore re-schedules them in
-// ascending original-sequence order. Scheduling order determines sequence
-// numbers, so ties at equal timestamps replay in the captured order and the
-// continuation is event-for-event identical. See docs/checkpoint.md.
+// instead every event is scheduled with an EventRecord (kind + small args)
+// that the queue keeps beside it, and capture writes the queue's pending
+// records (kind + time + original sequence number + args). Restore
+// re-schedules them through the owning engines in ascending
+// original-sequence order, then checks the manifest against the restored
+// state. Scheduling order determines sequence numbers, so ties at equal
+// timestamps replay in the captured order and the continuation is
+// event-for-event identical. See docs/checkpoint.md.
 
-#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "sim/time.hpp"
 #include "util/rng.hpp"
 
 namespace mcs {
@@ -46,18 +47,6 @@ struct RestoreOptions {
     /// fork-from-checkpoint campaign workflow varies policy knobs across
     /// replicas, but component state vectors must keep their meaning.
     bool relax_config = false;
-};
-
-/// One pending simulator event in the snapshot manifest. `kind` selects the
-/// restore dispatcher; `a`/`b` are kind-specific small arguments (core id,
-/// application index, task index, link id). `seq` is the event's sequence
-/// number in the captured run and defines the replay order.
-struct SnapshotEvent {
-    std::string kind;
-    SimTime when = 0;
-    std::uint64_t seq = 0;
-    std::uint64_t a = 0;
-    std::uint64_t b = 0;
 };
 
 /// FNV-1a hash (16 lowercase hex digits) over the structure-defining

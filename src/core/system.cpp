@@ -123,8 +123,9 @@ SimDuration epoch_period(const SystemConfig& cfg, std::size_t slot) {
 }  // namespace
 
 void ManycoreSystem::register_epoch(std::size_t slot, SimTime first_at) {
-    MCS_REQUIRE(slot < epoch_ids_.size(), "epoch slot out of range");
-    MCS_REQUIRE(epoch_ids_[slot] == 0, "epoch already registered");
+    MCS_REQUIRE(slot < epoch_registered_.size(), "epoch slot out of range");
+    MCS_REQUIRE(!epoch_registered_[slot], "epoch already registered");
+    epoch_registered_[slot] = true;
     std::function<void(SimTime)> cb;
     switch (slot) {
         case 0: cb = [this](SimTime) { platform_->power_epoch(); }; break;
@@ -133,8 +134,8 @@ void ManycoreSystem::register_epoch(std::size_t slot, SimTime first_at) {
         case 3: cb = [this](SimTime) { platform_->wear_epoch(); }; break;
         case 4: cb = [this](SimTime) { platform_->trace_epoch(); }; break;
     }
-    epoch_ids_[slot] = ctx_->sim.every(epoch_period(cfg_, slot), first_at,
-                                       std::move(cb)).id;
+    ctx_->sim.every(epoch_period(cfg_, slot), first_at, std::move(cb),
+                    EventRecord{kEpochKinds[slot]});
 }
 
 RunMetrics ManycoreSystem::run(SimDuration horizon) {
@@ -156,7 +157,7 @@ RunMetrics ManycoreSystem::run(SimDuration horizon) {
         workload_->admit_workload(horizon);
         // Epoch registration order is part of the behavioral contract: at a
         // shared timestamp the event queue breaks ties by insertion order.
-        for (std::size_t slot = 0; slot < epoch_ids_.size(); ++slot) {
+        for (std::size_t slot = 0; slot < kEpochKinds.size(); ++slot) {
             register_epoch(slot,
                            ctx_->sim.now() + epoch_period(cfg_, slot));
         }

@@ -229,8 +229,13 @@ private:
     /// Serializes the complete system state (implemented in snapshot.cpp).
     void write_snapshot(std::ostream& out, SimDuration horizon) const;
     /// Registers epoch slot `slot` (0 = power .. 4 = trace) with its first
-    /// firing at `first_at`; stores the periodic id in epoch_ids_.
+    /// firing at `first_at`, its events recorded as kEpochKinds[slot].
     void register_epoch(std::size_t slot, SimTime first_at);
+    /// Snapshot kind names of the five epochs, indexed by slot (the slot
+    /// order is part of the behavioral contract -- see run()).
+    static constexpr std::array<const char*, 5> kEpochKinds = {
+        "power_epoch", "thermal_epoch", "test_epoch", "wear_epoch",
+        "trace_epoch"};
 
     struct Checkpoint {
         SimTime at = 0;
@@ -245,9 +250,8 @@ private:
     std::unique_ptr<telemetry::TelemetryObserver> telemetry_obs_;
     std::unique_ptr<ScenarioDriver> scenario_;
     std::vector<Checkpoint> checkpoints_;
-    /// Periodic ids of the five registered epochs, in the canonical
-    /// registration order (0 = none; Simulator ids start at 1).
-    std::array<std::uint64_t, 5> epoch_ids_{};
+    /// Which of the five epochs are registered, by slot.
+    std::array<bool, kEpochKinds.size()> epoch_registered_{};
     bool ran_ = false;
     bool restored_ = false;
     SimDuration restored_horizon_ = 0;

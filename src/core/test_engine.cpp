@@ -53,7 +53,6 @@ TestEngine::TestEngine(SystemContext& ctx)
                              ctx_.cfg.seed ^ 0xd1b54a32d192ed03ULL);
         last_link_test_.assign(ctx_.noc.link_count(), 0);
         link_test_active_.assign(ctx_.noc.link_count(), 0);
-        link_test_events_.assign(ctx_.noc.link_count(), EventId{});
     }
     test_exec_.resize(ctx_.chip.core_count());
     test_progress_.assign(ctx_.chip.core_count(), 0);
@@ -159,8 +158,9 @@ void TestEngine::schedule_link_tests(SimTime now) {
         const SimDuration dur = std::max<SimDuration>(
             1, ctx_.noc.link_transfer_time(p.test_bytes));
         const LinkId id = link;
-        link_test_events_[link] = ctx_.sim.schedule_in(
-            dur, [this, id] { on_link_test_complete(id); });
+        ctx_.sim.schedule_in(
+            dur, [this, id] { on_link_test_complete(id); },
+            EventRecord{"link_test_complete", id});
     }
 }
 
@@ -198,20 +198,29 @@ void TestEngine::start_test_session(CoreId core, int vf_level) {
     ex.vf_level = vf_level;
     ++tests_running_;
     ctx_.observers.test_session_begin(now, core, vf_level);
-    if (ctx_.cfg.segmented_tests) {
-        const auto& routine = ctx_.suite.routines()[test_progress_[core]];
-        const SimDuration dur = std::max<SimDuration>(
-            1, duration_for_cycles(routine.cycles, c.freq_hz()));
-        ex.completion = ctx_.sim.schedule_in(dur, [this, core] {
-            on_routine_complete(core);
-        });
-    } else {
-        const SimDuration dur = std::max<SimDuration>(
-            1, duration_for_cycles(ctx_.suite.total_cycles(), c.freq_hz()));
-        ex.completion = ctx_.sim.schedule_in(dur, [this, core] {
-            on_test_complete(core);
-        });
-    }
+    const std::uint64_t cycles =
+        ctx_.cfg.segmented_tests
+            ? ctx_.suite.routines()[test_progress_[core]].cycles
+            : ctx_.suite.total_cycles();
+    const SimDuration dur =
+        std::max<SimDuration>(1, duration_for_cycles(cycles, c.freq_hz()));
+    schedule_session_step(core, now + dur);
+}
+
+void TestEngine::schedule_session_step(CoreId core, SimTime when) {
+    // Segmentation is structural (cfg.segmented_tests is part of the
+    // structural fingerprint), so a captured step and its restored copy
+    // complete through the same path.
+    test_exec_[core].completion = ctx_.sim.schedule_at(
+        when,
+        [this, core] {
+            if (ctx_.cfg.segmented_tests) {
+                on_routine_complete(core);
+            } else {
+                on_test_complete(core);
+            }
+        },
+        EventRecord{"test_session_complete", core});
 }
 
 void TestEngine::on_routine_complete(CoreId core) {
@@ -226,9 +235,7 @@ void TestEngine::on_routine_complete(CoreId core) {
     const SimDuration dur = std::max<SimDuration>(
         1, duration_for_cycles(routine.cycles,
                                ctx_.chip.core(core).freq_hz()));
-    ex.completion = ctx_.sim.schedule_in(dur, [this, core] {
-        on_routine_complete(core);
-    });
+    schedule_session_step(core, ctx_.sim.now() + dur);
 }
 
 void TestEngine::on_test_complete(CoreId core) {
@@ -421,7 +428,6 @@ void TestEngine::load_state(const telemetry::JsonValue& doc) {
         int active_links = 0;
         for (std::size_t l = 0; l < active.size(); ++l) {
             link_test_active_[l] = active[l] ? 1 : 0;
-            link_test_events_[l] = EventId{};
             active_links += active[l] ? 1 : 0;
         }
         MCS_REQUIRE(link.at("running").i64() == active_links,
@@ -450,31 +456,6 @@ void TestEngine::load_state(const telemetry::JsonValue& doc) {
     candidacy_.invalidate();
 }
 
-void TestEngine::append_event_manifest(
-    std::vector<SnapshotEvent>& out) const {
-    for (std::size_t c = 0; c < test_exec_.size(); ++c) {
-        const TestExec& ex = test_exec_[c];
-        if (!ex.active) {
-            continue;
-        }
-        MCS_REQUIRE(ctx_.sim.is_pending(ex.completion),
-                    "active test without a pending completion event");
-        out.push_back({"test_session_complete",
-                       ctx_.sim.event_time(ex.completion), ex.completion.seq,
-                       static_cast<std::uint64_t>(c), 0});
-    }
-    for (std::size_t l = 0; l < link_test_active_.size(); ++l) {
-        if (!link_test_active_[l]) {
-            continue;
-        }
-        const EventId id = link_test_events_[l];
-        MCS_REQUIRE(id.valid() && ctx_.sim.is_pending(id),
-                    "active link test without a pending completion event");
-        out.push_back({"link_test_complete", ctx_.sim.event_time(id), id.seq,
-                       static_cast<std::uint64_t>(l), 0});
-    }
-}
-
 void TestEngine::schedule_restored_session(CoreId core, SimTime when) {
     MCS_REQUIRE(core < test_exec_.size(),
                 "snapshot manifest: test core out of range");
@@ -482,16 +463,7 @@ void TestEngine::schedule_restored_session(CoreId core, SimTime when) {
     MCS_REQUIRE(ex.active, "snapshot manifest: session on inactive core");
     MCS_REQUIRE(!ex.completion.valid(),
                 "snapshot manifest: duplicate session for core");
-    // Segmentation is structural (cfg.segmented_tests is part of the
-    // structural fingerprint), so the captured pending event and the
-    // restored one dispatch through the same completion path.
-    if (ctx_.cfg.segmented_tests) {
-        ex.completion = ctx_.sim.schedule_at(
-            when, [this, core] { on_routine_complete(core); });
-    } else {
-        ex.completion = ctx_.sim.schedule_at(
-            when, [this, core] { on_test_complete(core); });
-    }
+    schedule_session_step(core, when);
 }
 
 void TestEngine::schedule_restored_link_test(LinkId link, SimTime when) {
@@ -499,10 +471,26 @@ void TestEngine::schedule_restored_link_test(LinkId link, SimTime when) {
                 "snapshot manifest: link out of range");
     MCS_REQUIRE(link_test_active_[link] != 0,
                 "snapshot manifest: link test on inactive link");
-    MCS_REQUIRE(!link_test_events_[link].valid(),
-                "snapshot manifest: duplicate link test");
-    link_test_events_[link] = ctx_.sim.schedule_at(
-        when, [this, link] { on_link_test_complete(link); });
+    ctx_.sim.schedule_at(
+        when, [this, link] { on_link_test_complete(link); },
+        EventRecord{"link_test_complete", link});
+}
+
+void TestEngine::check_restored_events(
+    std::span<const PendingRecord> pending) const {
+    for (const TestExec& ex : test_exec_) {
+        MCS_REQUIRE(!ex.active || ex.completion.valid(),
+                    "snapshot manifest: a running test session has no "
+                    "completion");
+    }
+    // Each link test entry is unique and on an active link, so equal counts
+    // mean every active link has its completion.
+    const auto link_tests = std::count_if(
+        pending.begin(), pending.end(), [](const PendingRecord& p) {
+            return p.record.is("link_test_complete");
+        });
+    MCS_REQUIRE(link_tests == link_tests_running_,
+                "snapshot manifest: a running link test has no completion");
 }
 
 void TestEngine::finalize_into(RunMetrics& m, SimTime end) {

@@ -90,12 +90,15 @@ public:
     /// a matching policy).
     void save_state(telemetry::JsonWriter& w) const;
     void load_state(const telemetry::JsonValue& doc);
-    /// Appends one manifest entry per pending test event:
-    /// "test_session_complete" (a = core) and "link_test_complete"
-    /// (a = link).
-    void append_event_manifest(std::vector<SnapshotEvent>& out) const;
+    /// Manifest replay, with the records the live paths schedule with:
+    /// "test_session_complete" (a = core; the routine or the full suite)
+    /// and "link_test_complete" (a = link).
     void schedule_restored_session(CoreId core, SimTime when);
     void schedule_restored_link_test(LinkId link, SimTime when);
+    /// After the replay, checks that every active session and link test
+    /// has its completion among the `pending` records; else a
+    /// `snapshot manifest:` RequireError.
+    void check_restored_events(std::span<const PendingRecord> pending) const;
 
 private:
     /// State of a test session running on a core. In segmented mode the
@@ -112,6 +115,11 @@ private:
     /// charges it, so the ledger holds what was admitted.
     double test_power_increment_w(const Core& c, int level) const;
     void schedule_link_tests(SimTime now);
+    /// Schedules the end of the current step of the session on `core` at
+    /// `when` (the next routine when segmented, else the whole suite), with
+    /// its snapshot record. The start, each routine and the manifest replay
+    /// share it.
+    void schedule_session_step(CoreId core, SimTime when);
     void on_link_test_complete(LinkId link);
     void on_routine_complete(CoreId core);
     void on_test_complete(CoreId core);
@@ -121,9 +129,6 @@ private:
     std::optional<LinkTester> link_tester_;
     std::vector<SimTime> last_link_test_;
     std::vector<std::uint8_t> link_test_active_;
-    /// Completion event of the in-flight test on each link (snapshot
-    /// bookkeeping; meaningful only while link_test_active_[l]).
-    std::vector<EventId> link_test_events_;
     int link_tests_running_ = 0;
 
     std::vector<TestExec> test_exec_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 
 #include "core/platform_engine.hpp"
 #include "core/system.hpp"
@@ -82,8 +83,9 @@ void WorkloadEngine::admit_workload(SimDuration horizon) {
         const std::size_t index = apps_.size();
         const SimTime arrival = spec.arrival;
         apps_.emplace_back(std::move(spec));
-        arrival_events_.push_back(ctx_.sim.schedule_at(
-            arrival, [this, index] { on_arrival(index); }));
+        ctx_.sim.schedule_at(
+            arrival, [this, index] { on_arrival(index); },
+            EventRecord{"arrival", index});
     }
     ctx_.metrics.apps_arrived = apps_.size();
 }
@@ -91,7 +93,6 @@ void WorkloadEngine::admit_workload(SimDuration horizon) {
 std::size_t WorkloadEngine::inject(ApplicationSpec spec) {
     const std::size_t index = apps_.size();
     apps_.emplace_back(std::move(spec));
-    arrival_events_.push_back(EventId{});
     ctx_.metrics.apps_arrived = apps_.size();
     return index;
 }
@@ -272,9 +273,9 @@ void WorkloadEngine::start_task(std::size_t app_index, TaskIndex task) {
     ex.last_progress = now;
     const SimDuration dur = std::max<SimDuration>(
         1, duration_for_cycles(app.spec.graph.task(task).cycles, c.freq_hz()));
-    ex.completion = ctx_.sim.schedule_in(dur, [this, id] {
-        on_task_complete(id);
-    });
+    ex.completion = ctx_.sim.schedule_in(
+        dur, [this, id] { on_task_complete(id); },
+        EventRecord{"task_complete", id});
 }
 
 void WorkloadEngine::on_task_complete(CoreId core) {
@@ -304,13 +305,10 @@ void WorkloadEngine::on_task_complete(CoreId core) {
             }
         }
         const TaskIndex dst = e.dst;
-        const std::uint64_t seq = ctx_.sim.next_event_seq();
-        ctx_.sim.schedule_in(std::max<SimDuration>(1, t.latency),
-                             [this, app_index, dst, seq] {
-                                 inflight_edges_.erase(seq);
-                                 deliver_edge(app_index, dst);
-                             });
-        inflight_edges_.emplace(seq, std::pair{app_index, dst});
+        ctx_.sim.schedule_in(
+            std::max<SimDuration>(1, t.latency),
+            [this, app_index, dst] { deliver_edge(app_index, dst); },
+            EventRecord{"edge", app_index, dst});
     }
     ++app.tasks_done;
     if (app.tasks_done == app.spec.graph.size()) {
@@ -377,9 +375,9 @@ void WorkloadEngine::on_vf_change(CoreId core, int old_level, int new_level) {
         std::ceil(ex.remaining_cycles));
     const SimDuration dur =
         std::max<SimDuration>(1, duration_for_cycles(cycles, new_freq));
-    ex.completion = ctx_.sim.schedule_in(dur, [this, core] {
-        on_task_complete(core);
-    });
+    ex.completion = ctx_.sim.schedule_in(
+        dur, [this, core] { on_task_complete(core); },
+        EventRecord{"task_complete", core});
 }
 
 // ------------------------------------------------------ snapshot support
@@ -532,35 +530,6 @@ void WorkloadEngine::load_state(const telemetry::JsonValue& doc) {
                                idle.at("completed").u64());
 }
 
-void WorkloadEngine::append_event_manifest(
-    std::vector<SnapshotEvent>& out) const {
-    for (std::size_t i = 0; i < arrival_events_.size(); ++i) {
-        const EventId id = arrival_events_[i];
-        if (id.valid() && ctx_.sim.is_pending(id)) {
-            out.push_back({"arrival", ctx_.sim.event_time(id), id.seq,
-                           static_cast<std::uint64_t>(i), 0});
-        }
-    }
-    for (std::size_t c = 0; c < core_exec_.size(); ++c) {
-        const CoreExec& ex = core_exec_[c];
-        if (!ex.active) {
-            continue;
-        }
-        MCS_REQUIRE(ctx_.sim.is_pending(ex.completion),
-                    "active task without a pending completion event");
-        out.push_back({"task_complete", ctx_.sim.event_time(ex.completion),
-                       ex.completion.seq, static_cast<std::uint64_t>(c), 0});
-    }
-    for (const auto& [seq, edge] : inflight_edges_) {
-        const EventId id{seq};
-        MCS_REQUIRE(ctx_.sim.is_pending(id),
-                    "stale in-flight edge in snapshot bookkeeping");
-        out.push_back({"edge", ctx_.sim.event_time(id), seq,
-                       static_cast<std::uint64_t>(edge.first),
-                       static_cast<std::uint64_t>(edge.second)});
-    }
-}
-
 void WorkloadEngine::restore_workload(SimDuration horizon,
                                       std::uint64_t root_seed) {
     MCS_REQUIRE(apps_.empty(), "restore_workload on a used engine");
@@ -571,7 +540,6 @@ void WorkloadEngine::restore_workload(SimDuration horizon,
     for (auto& spec : specs) {
         apps_.emplace_back(std::move(spec));
     }
-    arrival_events_.assign(apps_.size(), EventId{});
     ctx_.metrics.apps_arrived = apps_.size();
 }
 
@@ -579,8 +547,11 @@ void WorkloadEngine::schedule_restored_arrival(std::size_t app_index,
                                                SimTime when) {
     MCS_REQUIRE(app_index < apps_.size(),
                 "snapshot manifest: arrival app out of range");
-    arrival_events_[app_index] = ctx_.sim.schedule_at(
-        when, [this, app_index] { on_arrival(app_index); });
+    MCS_REQUIRE(when == apps_[app_index].spec.arrival,
+                "snapshot manifest: arrival time is not the app's arrival");
+    ctx_.sim.schedule_at(
+        when, [this, app_index] { on_arrival(app_index); },
+        EventRecord{"arrival", app_index});
 }
 
 void WorkloadEngine::schedule_restored_completion(CoreId core, SimTime when) {
@@ -591,7 +562,8 @@ void WorkloadEngine::schedule_restored_completion(CoreId core, SimTime when) {
     MCS_REQUIRE(!ex.completion.valid(),
                 "snapshot manifest: duplicate completion for core");
     ex.completion = ctx_.sim.schedule_at(
-        when, [this, core] { on_task_complete(core); });
+        when, [this, core] { on_task_complete(core); },
+        EventRecord{"task_complete", core});
 }
 
 void WorkloadEngine::schedule_restored_edge(std::size_t app_index,
@@ -599,12 +571,75 @@ void WorkloadEngine::schedule_restored_edge(std::size_t app_index,
                                             SimTime when) {
     running_app(app_index, task, "snapshot manifest: edge");
     const auto dst = static_cast<TaskIndex>(task);
-    const std::uint64_t seq = ctx_.sim.next_event_seq();
-    ctx_.sim.schedule_at(when, [this, app_index, dst, seq] {
-        inflight_edges_.erase(seq);
-        deliver_edge(app_index, dst);
-    });
-    inflight_edges_.emplace(seq, std::pair{app_index, dst});
+    ctx_.sim.schedule_at(
+        when, [this, app_index, dst] { deliver_edge(app_index, dst); },
+        EventRecord{"edge", app_index, dst});
+}
+
+void WorkloadEngine::check_restored_events(
+    std::span<const PendingRecord> pending) const {
+    std::size_t arrivals = 0;
+    // In-flight edges per (app, destination task).
+    std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint32_t> inflight;
+    for (const PendingRecord& p : pending) {
+        if (p.record.is("arrival")) {
+            ++arrivals;
+        } else if (p.record.is("edge")) {
+            ++inflight[{p.record.a, p.record.b}];
+        }
+    }
+    // Each arrival entry is unique and at its app's arrival time, which lies
+    // after the capture point, so equal counts mean the same apps.
+    const SimTime now = ctx_.sim.now();
+    const auto due = std::count_if(
+        apps_.begin(), apps_.end(),
+        [now](const AppRun& app) { return app.spec.arrival > now; });
+    MCS_REQUIRE(arrivals == static_cast<std::size_t>(due),
+                "snapshot manifest: the arrivals are not the applications "
+                "still to arrive");
+    for (const CoreExec& ex : core_exec_) {
+        MCS_REQUIRE(!ex.active || ex.completion.valid(),
+                    "snapshot manifest: a running task has no completion");
+    }
+    for (std::size_t i = 0; i < apps_.size(); ++i) {
+        const AppRun& app = apps_[i];
+        if (app.task_core.empty() || app.done) {
+            continue;
+        }
+        const TaskGraph& graph = app.spec.graph;
+        const auto n = static_cast<TaskIndex>(graph.size());
+        std::vector<std::uint32_t> expect(n, 0);
+        std::size_t finished = 0;
+        for (TaskIndex t = 0; t < n; ++t) {
+            const CoreExec& ex = core_exec_[app.task_core[t]];
+            const bool running =
+                ex.active && ex.app_index == i && ex.task == t;
+            MCS_REQUIRE(!running || app.waiting[t] == 0,
+                        "snapshot manifest: a running task still waits for "
+                        "input");
+            // A task starts the moment its last input lands, so it has
+            // finished iff it waits for nothing and is not running.
+            if (app.waiting[t] == 0 && !running) {
+                ++finished;
+                continue;
+            }
+            for (const TaskEdge& e : graph.task(t).successors) {
+                ++expect[e.dst];
+            }
+        }
+        MCS_REQUIRE(finished == app.tasks_done,
+                    "snapshot manifest: finished tasks do not match "
+                    "tasks_done");
+        for (TaskIndex t = 0; t < n; ++t) {
+            const auto it = inflight.find({i, t});
+            if (it != inflight.end()) {
+                expect[t] += it->second;
+            }
+            MCS_REQUIRE(app.waiting[t] == expect[t],
+                        "snapshot manifest: waiting inputs do not match the "
+                        "in-flight edges and unfinished predecessors");
+        }
+    }
 }
 
 const WorkloadEngine::AppRun& WorkloadEngine::running_app(

@@ -9,8 +9,8 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -82,21 +82,28 @@ public:
     /// the snapshot.
     void save_state(telemetry::JsonWriter& w) const;
     void load_state(const telemetry::JsonValue& doc);
-    /// Appends one manifest entry per pending workload event: "arrival"
-    /// (a = app index), "task_complete" (a = core) and "edge" (a = app
-    /// index, b = destination task).
-    void append_event_manifest(std::vector<SnapshotEvent>& out) const;
     /// Restore-path replacement for admit_workload(): regenerates the
     /// arrival trace for the snapshot's horizon and root seed WITHOUT
     /// scheduling arrival events -- the event manifest re-creates the ones
     /// still pending at capture. Must run on a fresh engine.
     void restore_workload(SimDuration horizon, std::uint64_t root_seed);
+    /// Manifest replay. Each event carries the record it was captured
+    /// from: "arrival" (a = app index), "task_complete" (a = core) and
+    /// "edge" (a = app index, b = destination task), the same records the
+    /// live paths schedule with.
     void schedule_restored_arrival(std::size_t app_index, SimTime when);
     void schedule_restored_completion(CoreId core, SimTime when);
     /// `task` is the manifest's 64-bit value; it is checked against the
     /// app's graph before it narrows to a TaskIndex.
     void schedule_restored_edge(std::size_t app_index, std::uint64_t task,
                                 SimTime when);
+    /// After the replay, checks the restored state against the `pending`
+    /// records: the arrivals are exactly the apps still to arrive, every
+    /// running task has its completion, and in each mapped, unfinished app
+    /// `waiting[t]` counts the in-flight edges into t plus one per graph
+    /// edge from an unfinished task. Else a `snapshot manifest:`
+    /// RequireError.
+    void check_restored_events(std::span<const PendingRecord> pending) const;
 
 private:
     // --- lifecycle of one application ---
@@ -154,13 +161,6 @@ private:
     bool mapping_in_progress_ = false;
     std::uint64_t mapping_rounds_ = 0;
     std::uint64_t mapping_attempts_ = 0;
-    /// Arrival event per app, parallel to apps_ (invalid once fired, and
-    /// for injected apps, which never had one). Snapshot bookkeeping only.
-    std::vector<EventId> arrival_events_;
-    /// In-flight NoC edge deliveries keyed by their event sequence number
-    /// (erased as each delivery fires). Snapshot bookkeeping only.
-    std::map<std::uint64_t, std::pair<std::size_t, TaskIndex>>
-        inflight_edges_;
 };
 
 }  // namespace mcs

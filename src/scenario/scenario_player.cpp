@@ -64,14 +64,16 @@ void ScenarioPlayer::begin(SimDuration horizon) {
 }
 
 void ScenarioPlayer::schedule_next(SimTime when) {
-    pending_ = sys_->simulator().schedule_at(when, [this] {
-        pending_ = EventId{};
-        apply(next_);
-        ++next_;
-        if (next_ < spec_.directives.size()) {
-            schedule_next(spec_.directives[next_].at);
-        }
-    });
+    sys_->simulator().schedule_at(
+        when,
+        [this] {
+            apply(next_);
+            ++next_;
+            if (next_ < spec_.directives.size()) {
+                schedule_next(spec_.directives[next_].at);
+            }
+        },
+        EventRecord{"scenario", next_});
 }
 
 std::vector<CoreId> ScenarioPlayer::targets_of(
@@ -183,19 +185,6 @@ void ScenarioPlayer::apply(std::size_t index) {
             break;
         }
     }
-}
-
-void ScenarioPlayer::append_event_manifest(
-    std::vector<SnapshotEvent>& out) const {
-    if (!pending_.valid() || !sys_->simulator().is_pending(pending_)) {
-        return;
-    }
-    SnapshotEvent e;
-    e.kind = "scenario";
-    e.when = sys_->simulator().event_time(pending_);
-    e.seq = pending_.seq;
-    e.a = next_;
-    out.push_back(std::move(e));
 }
 
 void ScenarioPlayer::save_state(telemetry::JsonWriter& w) const {

@@ -19,7 +19,6 @@
 
 #include "core/scenario_hook.hpp"
 #include "scenario/scenario_spec.hpp"
-#include "sim/event_queue.hpp"
 
 namespace mcs {
 
@@ -30,8 +29,6 @@ public:
     // --- ScenarioDriver ---
     void bind(ManycoreSystem& sys) override;
     void begin(SimDuration horizon) override;
-    void append_event_manifest(
-        std::vector<SnapshotEvent>& out) const override;
     void save_state(telemetry::JsonWriter& w) const override;
     void load_state(const telemetry::JsonValue& doc) override;
     void reinject_restored() override;
@@ -62,7 +59,6 @@ private:
     ManycoreSystem* sys_ = nullptr;
     double orig_tdp_w_ = 0.0;
     std::size_t next_ = 0;  ///< next unapplied directive
-    EventId pending_{};
 };
 
 /// Convenience: parse `path` and wrap the spec in a player.

@@ -6,10 +6,10 @@
 
 namespace mcs {
 
-EventId EventQueue::schedule(SimTime when, Callback cb) {
+EventId EventQueue::schedule(SimTime when, Callback cb, EventRecord record) {
     MCS_REQUIRE(static_cast<bool>(cb), "event callback must be callable");
     const std::uint64_t seq = next_seq_++;
-    pending_.emplace(seq, Pending{when, std::move(cb)});
+    pending_.emplace(seq, Pending{when, std::move(cb), record});
     heap_.push_back(Key{when, seq});
     std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
     return EventId{seq};
@@ -37,6 +37,19 @@ SimTime EventQueue::time_of(EventId id) const {
     const auto it = id.valid() ? pending_.find(id.seq) : pending_.end();
     MCS_REQUIRE(it != pending_.end(), "time_of on a non-pending event");
     return it->second.when;
+}
+
+std::vector<PendingRecord> EventQueue::pending_records() const {
+    std::vector<PendingRecord> out;
+    out.reserve(pending_.size());
+    for (const auto& [seq, p] : pending_) {
+        out.push_back({seq, p.when, p.record});
+    }
+    std::sort(out.begin(), out.end(),
+              [](const PendingRecord& x, const PendingRecord& y) {
+                  return x.seq < y.seq;
+              });
+    return out;
 }
 
 std::pair<SimTime, EventQueue::Callback> EventQueue::pop() {

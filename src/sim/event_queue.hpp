@@ -3,6 +3,7 @@
 #include <compare>
 #include <cstdint>
 #include <functional>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -17,13 +18,33 @@ struct EventId {
     bool valid() const noexcept { return seq != 0; }
 };
 
+/// What a pending event is, in terms its scheduler can re-create it from:
+/// a kind name (a string literal; null when the event has no record) and
+/// two small kind-specific arguments. Opaque to the queue, which only
+/// stores it beside the callback and lists it back.
+struct EventRecord {
+    const char* kind = nullptr;
+    std::uint64_t a = 0;
+    std::uint64_t b = 0;
+
+    bool is(std::string_view name) const noexcept {
+        return kind != nullptr && name == kind;
+    }
+};
+
+/// One entry of EventQueue::pending_records().
+struct PendingRecord {
+    std::uint64_t seq = 0;
+    SimTime when = 0;
+    EventRecord record;
+};
+
 /// Time-ordered event queue: a binary min-heap of (when, seq) keys plus a
-/// seq -> {when, callback} map. Pop order is strict ascending (when, seq),
-/// so ties break in scheduling order (FIFO at equal timestamps), which keeps
-/// simulations deterministic. `next_seq()` exposes the sequence number the
-/// next schedule() call will assign so callers can register bookkeeping for
-/// an event before creating it (the snapshot manifest keys in-flight work by
-/// event sequence).
+/// seq -> {when, callback, record} map. Pop order is strict ascending
+/// (when, seq), so ties break in scheduling order (FIFO at equal
+/// timestamps), which keeps simulations deterministic. Each entry carries
+/// the EventRecord it was scheduled with, so the queue itself is the list
+/// of what is pending (the snapshot manifest is read from it).
 ///
 /// cancel() erases the map entry, which destroys the callback at once; the
 /// cancelled key stays in the heap until it reaches the top, where pop() and
@@ -34,8 +55,9 @@ class EventQueue {
 public:
     using Callback = std::function<void()>;
 
-    /// Schedules `cb` at absolute time `when`. Returns a cancellation handle.
-    EventId schedule(SimTime when, Callback cb);
+    /// Schedules `cb` at absolute time `when`, carrying `record`. Returns a
+    /// cancellation handle.
+    EventId schedule(SimTime when, Callback cb, EventRecord record = {});
 
     /// Cancels a pending event and destroys its callback. Cancelling an
     /// already-fired or already-cancelled event is a no-op. Returns true if
@@ -58,6 +80,9 @@ public:
     /// Sequence number the NEXT schedule() call will assign.
     std::uint64_t next_seq() const noexcept { return next_seq_; }
 
+    /// Every pending event's (seq, when, record), in ascending seq.
+    std::vector<PendingRecord> pending_records() const;
+
     /// Pops the earliest pending event and returns (time, callback).
     /// Requires !empty().
     std::pair<SimTime, Callback> pop();
@@ -76,6 +101,7 @@ private:
     struct Pending {
         SimTime when;
         Callback cb;
+        EventRecord record;
     };
 
     /// Pops keys whose entry is gone (fired or cancelled) until the top key

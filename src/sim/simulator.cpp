@@ -4,57 +4,37 @@
 
 namespace mcs {
 
-EventId Simulator::schedule_at(SimTime when, EventQueue::Callback cb) {
+EventId Simulator::schedule_at(SimTime when, EventQueue::Callback cb,
+                               EventRecord record) {
     MCS_REQUIRE(when >= now_, "cannot schedule into the past");
-    return queue_.schedule(when, std::move(cb));
+    return queue_.schedule(when, std::move(cb), record);
 }
 
-EventId Simulator::schedule_in(SimDuration delay, EventQueue::Callback cb) {
-    return queue_.schedule(now_ + delay, std::move(cb));
+EventId Simulator::schedule_in(SimDuration delay, EventQueue::Callback cb,
+                               EventRecord record) {
+    return queue_.schedule(now_ + delay, std::move(cb), record);
 }
 
-Simulator::PeriodicHandle Simulator::every(SimDuration period,
-                                           std::function<void(SimTime)> cb) {
-    return every(period, now_ + period, std::move(cb));
+void Simulator::every(SimDuration period, std::function<void(SimTime)> cb,
+                      EventRecord record) {
+    every(period, now_ + period, std::move(cb), record);
 }
 
-Simulator::PeriodicHandle Simulator::every(SimDuration period, SimTime first_at,
-                                           std::function<void(SimTime)> cb) {
+void Simulator::every(SimDuration period, SimTime first_at,
+                      std::function<void(SimTime)> cb, EventRecord record) {
     MCS_REQUIRE(period > 0, "periodic period must be positive");
     MCS_REQUIRE(static_cast<bool>(cb), "periodic callback must be callable");
     MCS_REQUIRE(first_at >= now_, "first firing cannot be in the past");
-    const std::uint64_t id = next_periodic_id_++;
-    auto [it, inserted] = periodics_.emplace(
-        id, PeriodicState{period, std::move(cb), EventId{}});
-    MCS_REQUIRE(inserted, "periodic id collision");
-    it->second.pending_event =
-        schedule_at(first_at, [this, id] { fire_periodic(id); });
-    return PeriodicHandle{id};
+    const std::size_t index = periodics_.size();
+    periodics_.push_back(Periodic{period, std::move(cb), record});
+    schedule_at(first_at, [this, index] { fire_periodic(index); }, record);
 }
 
-void Simulator::fire_periodic(std::uint64_t periodic_id) {
-    auto it = periodics_.find(periodic_id);
-    if (it == periodics_.end()) {
-        return;  // stopped between scheduling and firing
-    }
-    // Reschedule before invoking so the callback may stop_periodic() itself.
-    it->second.pending_event = schedule_at(
-        now_ + it->second.period, [this, periodic_id] {
-            fire_periodic(periodic_id);
-        });
-    // Copy the callback: the callback may stop this periodic, erasing the
-    // map entry (and the std::function we'd otherwise be executing from).
-    auto cb = it->second.cb;
-    cb(now_);
-}
-
-void Simulator::stop_periodic(PeriodicHandle handle) {
-    auto it = periodics_.find(handle.id);
-    if (it == periodics_.end()) {
-        return;
-    }
-    queue_.cancel(it->second.pending_event);
-    periodics_.erase(it);
+void Simulator::fire_periodic(std::size_t index) {
+    const Periodic& p = periodics_[index];
+    schedule_at(now_ + p.period, [this, index] { fire_periodic(index); },
+                p.record);
+    p.cb(now_);
 }
 
 void Simulator::set_tracer(telemetry::Tracer* tracer) {
@@ -62,21 +42,6 @@ void Simulator::set_tracer(telemetry::Tracer* tracer) {
     if (tracer_ != nullptr) {
         tracer_->set_clock([this] { return now_; });
     }
-}
-
-std::uint64_t Simulator::run_until(SimTime until) {
-    if (tracer_ != nullptr) {
-        tracer_->record(now_, telemetry::TraceCategory::Sim,
-                        telemetry::TracePhase::Instant, "run_until_begin", 0,
-                        static_cast<std::int64_t>(until));
-    }
-    const std::uint64_t ran = advance_until(until);
-    if (tracer_ != nullptr) {
-        tracer_->record(now_, telemetry::TraceCategory::Sim,
-                        telemetry::TracePhase::Instant, "run_until_end", 0,
-                        static_cast<std::int64_t>(ran));
-    }
-    return ran;
 }
 
 std::uint64_t Simulator::advance_until(SimTime until) {
@@ -88,18 +53,6 @@ std::uint64_t Simulator::advance_until(SimTime until) {
         now_ = until;
     }
     return ran;
-}
-
-SimTime Simulator::periodic_due(PeriodicHandle handle) const {
-    const auto it = periodics_.find(handle.id);
-    MCS_REQUIRE(it != periodics_.end(), "periodic_due on a stopped periodic");
-    return queue_.time_of(it->second.pending_event);
-}
-
-EventId Simulator::periodic_event(PeriodicHandle handle) const {
-    const auto it = periodics_.find(handle.id);
-    MCS_REQUIRE(it != periodics_.end(), "periodic_event on a stopped periodic");
-    return it->second.pending_event;
 }
 
 void Simulator::restore_clock(SimTime now, std::uint64_t executed) {

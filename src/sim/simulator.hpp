@@ -1,8 +1,9 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <unordered_map>
+#include <vector>
 
 #include "sim/event_queue.hpp"
 #include "sim/time.hpp"
@@ -21,37 +22,31 @@ public:
 
     SimTime now() const noexcept { return now_; }
 
-    /// Schedules `cb` at absolute simulated time `when >= now()`.
-    EventId schedule_at(SimTime when, EventQueue::Callback cb);
+    /// Schedules `cb` at absolute simulated time `when >= now()`. `record`
+    /// names the event for snapshots (see EventRecord).
+    EventId schedule_at(SimTime when, EventQueue::Callback cb,
+                        EventRecord record = {});
 
     /// Schedules `cb` after `delay` from now.
-    EventId schedule_in(SimDuration delay, EventQueue::Callback cb);
+    EventId schedule_in(SimDuration delay, EventQueue::Callback cb,
+                        EventRecord record = {});
 
     bool cancel(EventId id) { return queue_.cancel(id); }
     bool is_pending(EventId id) const { return queue_.is_pending(id); }
 
     /// Registers a periodic process firing every `period` starting at
     /// `first_at` (defaults to `period` from now). The callback receives the
-    /// current time. Returns a handle usable with stop_periodic().
-    struct PeriodicHandle {
-        std::uint64_t id = 0;
-        bool valid() const noexcept { return id != 0; }
-    };
-    PeriodicHandle every(SimDuration period,
-                         std::function<void(SimTime)> cb);
-    PeriodicHandle every(SimDuration period, SimTime first_at,
-                         std::function<void(SimTime)> cb);
-    void stop_periodic(PeriodicHandle handle);
+    /// current time. Each firing schedules the next one, carrying `record`,
+    /// before the callback runs; a periodic runs for the simulator's
+    /// lifetime.
+    void every(SimDuration period, std::function<void(SimTime)> cb,
+               EventRecord record = {});
+    void every(SimDuration period, SimTime first_at,
+               std::function<void(SimTime)> cb, EventRecord record = {});
 
     /// Runs events until the queue is empty or the clock would pass `until`.
-    /// The clock is left at min(until, last event time). Returns the number
-    /// of events executed.
-    std::uint64_t run_until(SimTime until);
-
-    /// run_until without the run_until_begin/run_until_end trace markers.
-    /// ManycoreSystem::run advances in segments (checkpoint boundaries) but
-    /// must emit exactly one marker pair per logical run, so the markers
-    /// live with the caller there.
+    /// The clock is left at `until` (never moved backwards). Returns the
+    /// number of events executed.
     std::uint64_t advance_until(SimTime until);
 
     /// Executes the single next event if there is one and it is at or before
@@ -68,20 +63,13 @@ public:
     }
 
     // ---- snapshot support -------------------------------------------------
-    // Capture reads pending-event identities; restore rebuilds the queue in
-    // the captured relative order, then fast-forwards the clock.
+    // Capture lists the pending records; restore rebuilds the queue in the
+    // captured relative order, then fast-forwards the clock.
 
-    /// Absolute time of a pending event. Requires is_pending(id).
-    SimTime event_time(EventId id) const { return queue_.time_of(id); }
-
-    /// Sequence number the next schedule_at/schedule_in call will assign.
-    std::uint64_t next_event_seq() const noexcept { return queue_.next_seq(); }
-
-    /// Next firing time of a live periodic. Requires a valid, live handle.
-    SimTime periodic_due(PeriodicHandle handle) const;
-
-    /// Pending event carrying the next firing of a live periodic.
-    EventId periodic_event(PeriodicHandle handle) const;
+    /// Every pending event's (seq, when, record), in ascending seq.
+    std::vector<PendingRecord> pending_records() const {
+        return queue_.pending_records();
+    }
 
     /// Fast-forwards a freshly constructed simulator to a checkpointed
     /// clock. Requires that nothing has been scheduled or executed yet.
@@ -93,28 +81,26 @@ public:
         queue_.restore_cancelled_count(cancelled);
     }
 
-    /// Attaches an (optional, non-owning) event tracer: its clock is bound
-    /// to this simulator's `now()` and run_until() marks its span. Pass
-    /// nullptr to detach.
+    /// Attaches an (optional, non-owning) event tracer and binds its clock
+    /// to this simulator's `now()`. Pass nullptr to detach.
     void set_tracer(telemetry::Tracer* tracer);
     telemetry::Tracer* tracer() const noexcept { return tracer_; }
 
 private:
-    struct Periodic;
-    void fire_periodic(std::uint64_t periodic_id);
+    struct Periodic {
+        SimDuration period;
+        std::function<void(SimTime)> cb;
+        EventRecord record;
+    };
+    void fire_periodic(std::size_t index);
 
     EventQueue queue_;
     telemetry::Tracer* tracer_ = nullptr;
     SimTime now_ = 0;
     std::uint64_t executed_ = 0;
-    std::uint64_t next_periodic_id_ = 1;
-    // Periodic bookkeeping: id -> (period, callback, next EventId).
-    struct PeriodicState {
-        SimDuration period;
-        std::function<void(SimTime)> cb;
-        EventId pending_event;
-    };
-    std::unordered_map<std::uint64_t, PeriodicState> periodics_;
+    /// A deque, so a callback may register another periodic without moving
+    /// the one that is running.
+    std::deque<Periodic> periodics_;
 };
 
 }  // namespace mcs

@@ -201,7 +201,7 @@ TEST(TestEngineSeams, SegmentedAbortResumeAcrossMappingContention) {
     EXPECT_TRUE(te.test_active(0));
     EXPECT_EQ(te.suite_progress(0), 0u);
     const double f0 = sys.chip().vf_table()[0].freq_hz;
-    sim.run_until(duration_for_cycles(routines[0].cycles, f0) + 1);
+    sim.advance_until(duration_for_cycles(routines[0].cycles, f0) + 1);
     EXPECT_TRUE(te.test_active(0));
     EXPECT_EQ(te.suite_progress(0), 1u);
 
@@ -217,7 +217,7 @@ TEST(TestEngineSeams, SegmentedAbortResumeAcrossMappingContention) {
     // Drain the app, then restart the session: it must finish after only
     // the REMAINING routines' cycles -- a restarted-from-scratch suite
     // could not complete before routine 0's cycles have elapsed again.
-    sim.run_until(sim.now() + 20 * kMillisecond);
+    sim.advance_until(sim.now() + 20 * kMillisecond);
     ASSERT_TRUE(we.app_done(a0));
     te.start_test_session(0, 0);
     EXPECT_EQ(te.suite_progress(0), 1u);
@@ -226,7 +226,7 @@ TEST(TestEngineSeams, SegmentedAbortResumeAcrossMappingContention) {
     for (std::size_t r = 1; r < routines.size(); ++r) {
         remaining += duration_for_cycles(routines[r].cycles, f0) + 1;
     }
-    sim.run_until(resumed_at + remaining);
+    sim.advance_until(resumed_at + remaining);
     EXPECT_FALSE(te.test_active(0));   // completed: resumed, not restarted
     EXPECT_EQ(te.suite_progress(0), 0u);  // wrapped for the next suite
 }
@@ -240,7 +240,7 @@ TEST(TestEngineSeams, InvalidateProgressDropsResumePoint) {
 
     te.start_test_session(1, 0);
     const double f0 = sys.chip().vf_table()[0].freq_hz;
-    sim.run_until(
+    sim.advance_until(
         duration_for_cycles(sys.suite().routines()[0].cycles, f0) + 1);
     te.abort_test(1);
     EXPECT_EQ(te.suite_progress(1), 1u);
@@ -283,7 +283,7 @@ TEST(TestEngineSeams, AbortBackoffFiltersCandidates) {
 
     // Abort a session at t > 0 (t == 0 is the "never aborted" sentinel).
     sim.schedule_at(1 * kMillisecond, [] {});
-    sim.run_until(1 * kMillisecond);
+    sim.advance_until(1 * kMillisecond);
     te.start_test_session(0, 0);
     te.abort_test(0);
     ASSERT_EQ(te.last_abort(0), sim.now());
@@ -295,7 +295,7 @@ TEST(TestEngineSeams, AbortBackoffFiltersCandidates) {
     // Past the window it is offered again.
     const SimTime past = 1 * kMillisecond + sys.config().test_retry_backoff;
     sim.schedule_at(past + 1, [] {});
-    sim.run_until(past + 1);
+    sim.advance_until(past + 1);
     te.test_epoch();
     EXPECT_EQ(probe->seen, (std::vector<CoreId>{0, 1, 2, 3}));
 }

@@ -105,9 +105,6 @@ public:
     void begin(SimDuration /*horizon*/) override { schedule(0); }
 
     // This leg never checkpoints; any snapshot hook firing is a test bug.
-    void append_event_manifest(std::vector<SnapshotEvent>&) const override {
-        MCS_REQUIRE(false, "hand-driven leg must not snapshot");
-    }
     void save_state(telemetry::JsonWriter&) const override {
         MCS_REQUIRE(false, "hand-driven leg must not snapshot");
     }

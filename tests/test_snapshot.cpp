@@ -1,5 +1,7 @@
 #include "core/snapshot.hpp"
 
+#include <algorithm>
+#include <memory>
 #include <regex>
 #include <string>
 #include <utility>
@@ -9,6 +11,7 @@
 
 #include "core/system.hpp"
 #include "core/system_factory.hpp"
+#include "scenario/scenario_player.hpp"
 #include "support/differential.hpp"
 #include "telemetry/json.hpp"
 #include "util/require.hpp"
@@ -106,7 +109,8 @@ TEST(Snapshot, DifferentialFeatured) {
 TEST(Snapshot, DifferentialAllSchedulers) {
     for (SchedulerKind kind :
          {SchedulerKind::PowerAware, SchedulerKind::Periodic,
-          SchedulerKind::Greedy, SchedulerKind::None}) {
+          SchedulerKind::Greedy, SchedulerKind::None,
+          SchedulerKind::DeadlineAware}) {
         SystemConfig cfg = base_config(7);
         cfg.scheduler = kind;
         cfg.periodic_test_period = 100 * kMillisecond;
@@ -120,6 +124,84 @@ TEST(Snapshot, DifferentialAcrossSeeds) {
         run_differential(base_config(seed), 600 * kMillisecond,
                          {200 * kMillisecond},
                          "seed-" + std::to_string(seed));
+    }
+}
+
+/// One run of `cfg` to `horizon`, with `spec` attached when non-null,
+/// restored from `restore_path` when non-empty, writing `checkpoints`.
+RunArtifacts run_leg(const SystemConfig& cfg, const ScenarioSpec* spec,
+                     const std::string& restore_path, SimDuration horizon,
+                     const std::vector<CheckpointPlan>& checkpoints = {}) {
+    ManycoreSystem sys(cfg);
+    telemetry::Tracer tracer(testsupport::kTraceCapacity);
+    sys.set_tracer(&tracer);
+    if (spec != nullptr) {
+        sys.attach_scenario(std::make_unique<ScenarioPlayer>(*spec));
+    }
+    if (!restore_path.empty()) {
+        sys.restore(load_snapshot_file(restore_path));
+    }
+    for (const CheckpointPlan& cp : checkpoints) {
+        sys.checkpoint_at(cp.at, cp.path);
+    }
+    return testsupport::capture(sys, tracer, horizon);
+}
+
+/// `text` with the seq of every events entry blanked: restore renumbers
+/// the queue from 1 in the captured order, so a capture taken after a
+/// restore differs from the uninterrupted one only there.
+std::string without_event_seqs(const std::string& text) {
+    const std::size_t events = text.find("\"events\":[");
+    return text.substr(0, events) +
+           std::regex_replace(text.substr(events), std::regex(R"("seq":\d+)"),
+                              R"("seq":_)");
+}
+
+TEST(Snapshot, ChainedCheckpointRestoresByteIdentical) {
+    // Every restored event carries the record it was captured from, so a
+    // restored run checkpoints again: restore at t1, capture at t2.
+    const ScenarioSpec spec = parse_scenario_text(
+        "{\"schema\":\"mcs.scenario.v1\",\"name\":\"chain\","
+        "\"directives\":["
+        "{\"at_us\":150000,\"kind\":\"arrival-burst\",\"apps\":4,"
+        "\"tasks\":4,\"qos\":\"soft-RT\"},"
+        "{\"at_us\":250000,\"kind\":\"set-budget\",\"tdp_scale\":0.7},"
+        "{\"at_us\":450000,\"kind\":\"abort-tests\"}]}");
+    struct Case {
+        std::string label;
+        SystemConfig cfg;
+        const ScenarioSpec* spec;
+        SimDuration horizon;
+        SimTime t1, t2;
+    };
+    const Case cases[] = {
+        {"baseline", base_config(), nullptr, kSecond, 300 * kMillisecond,
+         600 * kMillisecond},
+        {"featured", featured_config(), nullptr, kSecond, 300 * kMillisecond,
+         700 * kMillisecond},
+        // The third directive is pending at t2.
+        {"scenario", base_config(5), &spec, 600 * kMillisecond,
+         200 * kMillisecond, 400 * kMillisecond},
+    };
+    for (const Case& c : cases) {
+        const RunArtifacts fresh = run_leg(c.cfg, c.spec, "", c.horizon);
+        TempFile first("chain_t1"), second("chain_t2"), chained("chain_re");
+        expect_identical(run_leg(c.cfg, c.spec, "", c.horizon,
+                                 {{c.t1, first.path()},
+                                  {c.t2, second.path()}}),
+                         fresh, c.label + "/interrupted");
+        expect_identical(run_leg(c.cfg, c.spec, first.path(), c.horizon,
+                                 {{c.t2, chained.path()}}),
+                         fresh, c.label + "/restored@t1");
+        const std::string want = testsupport::read_file(second.path());
+        EXPECT_EQ(c.spec != nullptr,
+                  want.find("\"kind\":\"scenario\"") != std::string::npos)
+            << c.label;
+        EXPECT_EQ(without_event_seqs(testsupport::read_file(chained.path())),
+                  without_event_seqs(want))
+            << c.label << ": chained capture drifted";
+        expect_identical(run_leg(c.cfg, c.spec, chained.path(), c.horizon),
+                         fresh, c.label + "/chained@t2");
     }
 }
 
@@ -364,6 +446,143 @@ TEST_F(SnapshotGuards, MalformedWorkloadIdsFailCleanly) {
     };
     for (const auto& [text, prefix] : cases) {
         expect_rejected(text, prefix);
+    }
+}
+
+/// One events entry, laid out as the snapshot writer lays it out.
+struct ManifestEntry {
+    std::string kind;
+    std::uint64_t when = 0;
+    std::uint64_t seq = 0;
+    std::uint64_t a = 0;
+    std::uint64_t b = 0;
+};
+
+std::vector<ManifestEntry> manifest_of(const std::string& text) {
+    const telemetry::JsonValue doc = telemetry::parse_json(text);
+    std::vector<ManifestEntry> out;
+    for (const auto& e : doc.at("events").array()) {
+        out.push_back({e.at("kind").string(), e.at("when").u64(),
+                       e.at("seq").u64(), e.at("a").u64(), e.at("b").u64()});
+    }
+    return out;
+}
+
+/// `text` with its events array (the document's last member) replaced.
+std::string with_manifest(const std::string& text,
+                          const std::vector<ManifestEntry>& events) {
+    const std::string open = "\"events\":[";
+    std::string out = text.substr(0, text.rfind(open) + open.size());
+    for (const ManifestEntry& e : events) {
+        out += (out.back() == '[' ? "" : ",");
+        out += "{\"kind\":\"" + e.kind + "\",\"when\":" +
+               std::to_string(e.when) + ",\"seq\":" + std::to_string(e.seq) +
+               ",\"a\":" + std::to_string(e.a) +
+               ",\"b\":" + std::to_string(e.b) + "}";
+    }
+    return out + text.substr(text.rfind(']'));
+}
+
+TEST_F(SnapshotGuards, MalformedEventManifestFailsCleanly) {
+    // Each entry is checked alone and the replayed queue is checked against
+    // the restored state: the arrivals still to come, one completion per
+    // running task, session and link test, and each app's waiting inputs.
+    // Messages of 100-400 KB keep an edge in flight at this capture, beside
+    // arrivals, running tasks and a periodic test session.
+    cfg_.workload.graphs.min_edge_bytes = 100'000;
+    cfg_.workload.graphs.max_edge_bytes = 400'000;
+    cfg_.scheduler = SchedulerKind::Periodic;
+    cfg_.periodic_test_period = 100 * kMillisecond;
+    const SimTime now = 108500 * kMicrosecond;
+    snapshot_ = make_snapshot(cfg_, 300 * kMillisecond, now, file_);
+    std::vector<ManifestEntry> manifest = manifest_of(snapshot_);
+    ASSERT_EQ(with_manifest(snapshot_, manifest), snapshot_);
+    // Index of the first `kind` entry (manifest.size() when there is none).
+    const auto at = [&](const std::string& kind) {
+        return static_cast<std::size_t>(
+            std::find_if(manifest.begin(), manifest.end(),
+                         [&](const ManifestEntry& e) { return e.kind == kind; }) -
+            manifest.begin());
+    };
+    for (const char* kind :
+         {"arrival", "task_complete", "test_session_complete", "edge"}) {
+        ASSERT_LT(at(kind), manifest.size()) << "no " << kind << " captured";
+    }
+    // The manifest after `edit`.
+    const auto edited = [&](auto edit) {
+        std::vector<ManifestEntry> events = manifest;
+        edit(events);
+        return with_manifest(snapshot_, events);
+    };
+    const auto dropped = [&](const std::string& kind) {
+        const std::size_t i = at(kind);
+        return edited([i](auto& events) { events.erase(events.begin() + i); });
+    };
+    // A copy of the first `kind` entry, appended under a fresh seq.
+    const auto duplicated = [&](const std::string& kind) {
+        const std::size_t i = at(kind);
+        return edited([i](auto& events) {
+            ManifestEntry copy = events[i];
+            copy.seq = events.back().seq + 1;
+            events.push_back(copy);
+        });
+    };
+    const std::pair<std::string, const char*> cases[] = {
+        {dropped("arrival"), "snapshot manifest:"},
+        {duplicated("arrival"), "snapshot manifest:"},
+        // App 0 finished long before the capture.
+        {edited([now](auto& events) {
+             events.push_back({"arrival", now + 1000,
+                               events.back().seq + 1, 0, 0});
+         }),
+         "snapshot manifest:"},
+        {dropped("task_complete"), "snapshot manifest:"},
+        {dropped("test_session_complete"), "snapshot manifest:"},
+        {dropped("edge"), "snapshot manifest:"},
+        {duplicated("edge"), "snapshot manifest:"},
+        {edited([](auto& events) { events.front().kind = "bogus"; }),
+         "snapshot manifest:"},
+        {dropped("power_epoch"), "snapshot manifest:"},
+        {duplicated("power_epoch"), "epoch already registered"},
+        {edited([now](auto& events) { events.back().when = now; }),
+         "snapshot manifest:"},
+        {edited([](auto& events) { std::swap(events[0].seq, events[1].seq); }),
+         "snapshot manifest:"},
+    };
+    for (const auto& [text, prefix] : cases) {
+        expect_rejected(text, prefix);
+    }
+
+    // Link tests start on test-epoch boundaries (every 500 us), so a
+    // capture on one holds the tests that epoch started: here the first
+    // round, one test period in.
+    cfg_ = base_config();
+    cfg_.enable_noc_testing = true;
+    cfg_.noc_test.test_period_target = 50 * kMillisecond;
+    snapshot_ = make_snapshot(cfg_, 300 * kMillisecond, 50 * kMillisecond,
+                              file_);
+    manifest = manifest_of(snapshot_);
+    ASSERT_LT(at("link_test_complete"), manifest.size());
+    expect_rejected(dropped("link_test_complete"), "snapshot manifest:");
+    expect_rejected(duplicated("link_test_complete"), "snapshot manifest:");
+}
+
+TEST_F(SnapshotGuards, MalformedSchedulerStateFailsCleanly) {
+    // The periodic scheduler's per-core due times fill on the first test
+    // epoch. Each key must fit a CoreId and appear once; each value must be
+    // a non-negative time.
+    cfg_.scheduler = SchedulerKind::Periodic;
+    cfg_.periodic_test_period = 100 * kMillisecond;
+    snapshot_ = make_snapshot(cfg_, 300 * kMillisecond, 100 * kMillisecond,
+                              file_);
+    const std::string first = R"("due":\[\[(\d+),(\d+)\])";
+    const std::string edited[] = {
+        edit_first(snapshot_, first, R"("due":[[4294967296,$2])"),
+        edit_first(snapshot_, first, R"("due":[[$1,$2],[$1,$2])"),
+        edit_first(snapshot_, first, R"("due":[[$1,-7])"),
+    };
+    for (const std::string& text : edited) {
+        expect_rejected(text, "scheduler state:");
     }
 }
 

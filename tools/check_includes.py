@@ -10,11 +10,12 @@ Two kinds of rule, one per guarded header:
     fails when the header grows past its budget or when one of the
     deliberately-hidden headers reappears.
 
-  * src/sim/event_queue.hpp -- the simulation substrate must stay below the
-    architecture/engine layers: the event queue is a pure (time, seq,
-    callback) container and must never reach up into arch/ or core/
-    headers. A forbidden *prefix* guards the whole subtree, so a new
-    core/foo.hpp cannot slip in unnamed.
+  * src/sim/event_queue.hpp, src/sim/simulator.hpp -- the simulation
+    substrate must stay below the architecture/engine layers: the queue
+    holds (time, seq, callback, record) entries whose EventRecord is opaque
+    to it, and neither header may reach up into arch/ or core/ headers. A
+    forbidden *prefix* guards the whole subtree, so a new core/foo.hpp
+    cannot slip in unnamed.
 
 Usage: check_includes.py [--root REPO_ROOT]
 Exit code 0 on success, 1 on violation (with a per-violation message).
@@ -63,6 +64,10 @@ RULES = (
     ),
     Rule(
         header="src/sim/event_queue.hpp",
+        forbidden_prefixes=("arch/", "core/"),
+    ),
+    Rule(
+        header="src/sim/simulator.hpp",
         forbidden_prefixes=("arch/", "core/"),
     ),
 )
