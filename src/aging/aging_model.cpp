@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "util/require.hpp"
 
@@ -89,13 +90,26 @@ double AgingTracker::fault_acceleration(CoreId id) const {
 }
 
 
-void AgingTracker::load_state(std::span<const double> damage,
-                              SimTime last_update, bool started) {
+void AgingTracker::save_state(telemetry::JsonWriter& w) const {
+    w.begin_object();
+    w.key("damage");
+    w.begin_array();
+    for (double d : damage_) {
+        w.value(d);
+    }
+    w.end_array();
+    w.field("last_update", last_update_);
+    w.field("started", started_);
+    w.end_object();
+}
+
+void AgingTracker::load_state(const telemetry::JsonValue& doc) {
+    std::vector<double> damage = doc.at("damage").numbers();
     MCS_REQUIRE(damage.size() == damage_.size(),
                 "aging state: core count mismatch");
-    damage_.assign(damage.begin(), damage.end());
-    last_update_ = last_update;
-    started_ = started;
+    damage_ = std::move(damage);
+    last_update_ = doc.at("last_update").u64();
+    started_ = doc.at("started").boolean();
 }
 
 }  // namespace mcs

@@ -5,6 +5,7 @@
 
 #include "arch/chip.hpp"
 #include "sim/time.hpp"
+#include "telemetry/json.hpp"
 
 namespace mcs {
 
@@ -57,10 +58,10 @@ public:
     double damage_rate_per_s(CoreState state, double temp_c) const;
 
     // ---- snapshot support ----
-    SimTime last_update() const noexcept { return last_update_; }
-    bool started() const noexcept { return started_; }
-    void load_state(std::span<const double> damage, SimTime last_update,
-                    bool started);
+    /// Per-core damage and the update clock as one object; load_state
+    /// checks the damage vector against the core count.
+    void save_state(telemetry::JsonWriter& w) const;
+    void load_state(const telemetry::JsonValue& doc);
 
 private:
     AgingParams params_;

@@ -141,8 +141,49 @@ double Core::busy_fraction(SimTime now) const {
            static_cast<double>(now - s_.birth);
 }
 
-void Core::load_state(const PersistedState& s) {
-    s_ = s;
+void Core::save_state(telemetry::JsonWriter& w) const {
+    w.begin_array();
+    w.value(static_cast<std::uint64_t>(s_.state));
+    w.value(static_cast<std::int64_t>(s_.vf_level));
+    w.value(s_.reserved);
+    w.value(s_.last_checkpoint);
+    w.value(s_.busy_cycles_since_test);
+    w.value(s_.total_busy_cycles);
+    w.value(s_.total_busy_time);
+    w.value(s_.total_test_time);
+    w.value(s_.birth);
+    w.value(s_.last_state_change);
+    w.value(s_.last_test_end);
+    w.value(s_.tests_completed);
+    w.value(s_.tests_aborted);
+    w.value(s_.tasks_executed);
+    w.end_array();
+}
+
+void Core::load_state(const telemetry::JsonValue& record) {
+    const auto& f = record.array();
+    MCS_REQUIRE(f.size() == 14, "core state: malformed record");
+    const std::uint64_t state = f[0].u64();
+    MCS_REQUIRE(state <= static_cast<std::uint64_t>(CoreState::Faulty),
+                "core state: state out of range");
+    const std::int64_t level = f[1].i64();
+    MCS_REQUIRE(level >= 0 &&
+                    static_cast<std::uint64_t>(level) < vf_table_->size(),
+                "core state: DVFS level out of range");
+    s_.state = static_cast<CoreState>(state);
+    s_.vf_level = static_cast<int>(level);
+    s_.reserved = f[2].boolean();
+    s_.last_checkpoint = f[3].u64();
+    s_.busy_cycles_since_test = f[4].u64();
+    s_.total_busy_cycles = f[5].u64();
+    s_.total_busy_time = f[6].u64();
+    s_.total_test_time = f[7].u64();
+    s_.birth = f[8].u64();
+    s_.last_state_change = f[9].u64();
+    s_.last_test_end = f[10].u64();
+    s_.tests_completed = f[11].u64();
+    s_.tests_aborted = f[12].u64();
+    s_.tasks_executed = f[13].u64();
     journal_->note(id_);
 }
 

@@ -5,6 +5,7 @@
 
 #include "arch/technology.hpp"
 #include "sim/time.hpp"
+#include "telemetry/json.hpp"
 
 namespace mcs {
 
@@ -143,9 +144,17 @@ public:
     /// periodic observers (aging, metrics) see up-to-date counters.
     void checkpoint(SimTime now);
 
-    /// Complete mutable state, also the checkpoint/restore record
+    /// Checkpoint record: the core's mutable state as one 14-value array
     /// (identity and the VF table stay with the constructed core).
-    struct PersistedState {
+    /// load_state checks the state enum and the V/F level against the
+    /// table, and notes the core in the membership journal.
+    void save_state(telemetry::JsonWriter& w) const;
+    void load_state(const telemetry::JsonValue& record);
+
+private:
+    /// Complete mutable state; the checked transitions are its only
+    /// writers, apart from load_state.
+    struct Fields {
         CoreState state = CoreState::Idle;
         int vf_level = 0;
         bool reserved = false;
@@ -161,10 +170,7 @@ public:
         std::uint64_t tests_aborted = 0;
         std::uint64_t tasks_executed = 0;
     };
-    PersistedState save_state() const noexcept { return s_; }
-    void load_state(const PersistedState& s);
 
-private:
     void transition(SimTime now, CoreState to);
 
     CoreId id_;
@@ -172,7 +178,7 @@ private:
     int y_;
     const std::vector<VfLevel>* vf_table_;
     MembershipJournal* journal_;
-    PersistedState s_;
+    Fields s_;
 };
 
 }  // namespace mcs

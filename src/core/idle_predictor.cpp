@@ -1,6 +1,7 @@
 #include "core/idle_predictor.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/require.hpp"
 
@@ -56,10 +57,34 @@ SimDuration IdlePredictor::expected_period(CoreId core) const {
 }
 
 
-void IdlePredictor::load_state(std::vector<double> ewma_ns,
-                               std::vector<SimTime> period_start,
-                               std::vector<bool> in_period,
-                               std::uint64_t completed) {
+void IdlePredictor::save_state(telemetry::JsonWriter& w) const {
+    w.begin_object();
+    w.key("ewma");
+    w.begin_array();
+    for (double v : ewma_ns_) {
+        w.value(v);
+    }
+    w.end_array();
+    w.key("period_start");
+    w.begin_array();
+    for (SimTime t : period_start_) {
+        w.value(t);
+    }
+    w.end_array();
+    w.key("in_period");
+    w.begin_array();
+    for (bool b : in_period_) {
+        w.value(b);
+    }
+    w.end_array();
+    w.field("completed", completed_);
+    w.end_object();
+}
+
+void IdlePredictor::load_state(const telemetry::JsonValue& doc) {
+    std::vector<double> ewma_ns = doc.at("ewma").numbers();
+    std::vector<SimTime> period_start = doc.at("period_start").u64s();
+    std::vector<bool> in_period = doc.at("in_period").booleans();
     MCS_REQUIRE(ewma_ns.size() == ewma_ns_.size() &&
                     period_start.size() == period_start_.size() &&
                     in_period.size() == in_period_.size(),
@@ -67,7 +92,7 @@ void IdlePredictor::load_state(std::vector<double> ewma_ns,
     ewma_ns_ = std::move(ewma_ns);
     period_start_ = std::move(period_start);
     in_period_ = std::move(in_period);
-    completed_ = completed;
+    completed_ = doc.at("completed").u64();
 }
 
 }  // namespace mcs

@@ -4,6 +4,7 @@
 
 #include "arch/core.hpp"
 #include "sim/time.hpp"
+#include "telemetry/json.hpp"
 
 namespace mcs {
 
@@ -40,14 +41,11 @@ public:
     std::uint64_t completed_periods() const noexcept { return completed_; }
 
     // ---- snapshot support ----
-    const std::vector<double>& ewma_ns() const noexcept { return ewma_ns_; }
-    const std::vector<SimTime>& period_start() const noexcept {
-        return period_start_;
-    }
-    const std::vector<bool>& in_period() const noexcept { return in_period_; }
-    void load_state(std::vector<double> ewma_ns,
-                    std::vector<SimTime> period_start,
-                    std::vector<bool> in_period, std::uint64_t completed);
+    /// The per-core EWMAs, period stamps and flags plus the completed
+    /// count as one object; load_state checks the vectors against the
+    /// core count.
+    void save_state(telemetry::JsonWriter& w) const;
+    void load_state(const telemetry::JsonValue& doc);
 
 private:
     double alpha_;

@@ -209,72 +209,16 @@ void PlatformEngine::save_state(telemetry::JsonWriter& w) const {
     w.field("link_test_energy_j", link_test_energy_j_);
     w.field("peak_temp_c", peak_temp_c_);
 
-    const PowerManager::PersistedState ps = power_mgr_.save_state();
     w.key("power_mgr");
-    w.begin_object();
-    w.key("last_active");
-    w.begin_array();
-    for (SimTime t : ps.last_active) {
-        w.value(t);
-    }
-    w.end_array();
-    w.field("last_epoch", ps.last_epoch);
-    w.field("has_epoch", ps.has_epoch);
-    w.field("measured", ps.measured_power_w);
-    w.field("committed", ps.committed_power_w);
-    w.field("throttle", ps.throttle_steps);
-    w.field("boost", ps.boost_steps);
-    w.field("gated", ps.cores_gated);
-    w.field("rotate", ps.rotate);
-    w.key("pid");
-    w.begin_object();
-    w.field("integral", ps.pid_integral);
-    w.field("prev_error", ps.pid_prev_error);
-    w.field("has_prev", ps.pid_has_prev);
-    w.field("last_output", ps.pid_last_output);
-    w.end_object();
-    w.end_object();
-
+    power_mgr_.save_state(w);
     w.key("thermal");
-    w.begin_array();
-    for (double t : thermal_.temps_c()) {
-        w.value(t);
-    }
-    w.end_array();
-
+    thermal_.save_state(w);
     w.key("aging");
-    w.begin_object();
-    w.key("damage");
-    w.begin_array();
-    for (double d : aging_.damage_all()) {
-        w.value(d);
-    }
-    w.end_array();
-    w.field("last_update", aging_.last_update());
-    w.field("started", aging_.started());
-    w.end_object();
-
+    aging_.save_state(w);
     if (faults_) {
         w.key("faults");
         w.begin_object();
-        snapshot::write_rng(w, "rng", faults_->rng());
-        snapshot::write_latent_slots(w, "latent", faults_->latent_slots());
-        w.key("history");
-        w.begin_array();
-        for (const Fault& f : faults_->history()) {
-            w.begin_object();
-            w.field("core", static_cast<std::uint64_t>(f.core));
-            w.field("unit", static_cast<std::int64_t>(f.unit));
-            w.field("kind", static_cast<std::int64_t>(f.kind));
-            w.field("injected", f.injected);
-            w.field("detected", f.detected);
-            w.field("detected_at", f.detected_at);
-            w.end_object();
-        }
-        w.end_array();
-        w.field("detected", faults_->detected_count());
-        w.field("escaped", faults_->escaped_tests());
-        w.field("corrupted", faults_->corrupted_tasks());
+        faults_->save_state(w);
         w.end_object();
     }
     w.end_object();
@@ -289,68 +233,11 @@ void PlatformEngine::load_state(const telemetry::JsonValue& doc) {
     energy_clock_ = doc.at("energy_clock").u64();
     link_test_energy_j_ = doc.at("link_test_energy_j").number();
     peak_temp_c_ = doc.at("peak_temp_c").number();
-
-    const telemetry::JsonValue& pm = doc.at("power_mgr");
-    PowerManager::PersistedState ps;
-    ps.last_active = pm.at("last_active").u64s();
-    MCS_REQUIRE(ps.last_active.size() == ctx_.chip.core_count(),
-                "snapshot platform: power-manager core count mismatch");
-    ps.last_epoch = pm.at("last_epoch").u64();
-    ps.has_epoch = pm.at("has_epoch").boolean();
-    ps.measured_power_w = pm.at("measured").number();
-    ps.committed_power_w = pm.at("committed").number();
-    ps.throttle_steps = pm.at("throttle").u64();
-    ps.boost_steps = pm.at("boost").u64();
-    ps.cores_gated = pm.at("gated").u64();
-    ps.rotate = pm.at("rotate").u64();
-    const telemetry::JsonValue& pid = pm.at("pid");
-    ps.pid_integral = pid.at("integral").number();
-    ps.pid_prev_error = pid.at("prev_error").number();
-    ps.pid_has_prev = pid.at("has_prev").boolean();
-    ps.pid_last_output = pid.at("last_output").number();
-    power_mgr_.load_state(ps);
-
-    const std::vector<double> temps = doc.at("thermal").numbers();
-    MCS_REQUIRE(temps.size() == ctx_.chip.core_count(),
-                "snapshot platform: thermal node count mismatch");
-    thermal_.load_temps(temps);
-
-    const telemetry::JsonValue& aging = doc.at("aging");
-    const std::vector<double> damage = aging.at("damage").numbers();
-    MCS_REQUIRE(damage.size() == ctx_.chip.core_count(),
-                "snapshot platform: damage vector size mismatch");
-    aging_.load_state(damage, aging.at("last_update").u64(),
-                      aging.at("started").boolean());
-
+    power_mgr_.load_state(doc.at("power_mgr"));
+    thermal_.load_state(doc.at("thermal"));
+    aging_.load_state(doc.at("aging"));
     if (faults_) {
-        const telemetry::JsonValue& fd = doc.at("faults");
-        std::vector<Fault> history;
-        for (const auto& f : fd.at("history").array()) {
-            const std::int64_t unit = f.at("unit").i64();
-            const std::int64_t kind = f.at("kind").i64();
-            MCS_REQUIRE(unit >= 0 && static_cast<std::size_t>(unit) <
-                                         kFunctionalUnitCount,
-                        "snapshot platform: fault unit out of range");
-            MCS_REQUIRE(kind >= 0 && kind <= 2,
-                        "snapshot platform: fault kind out of range");
-            Fault fault;
-            fault.core = static_cast<CoreId>(f.at("core").u64());
-            MCS_REQUIRE(fault.core < ctx_.chip.core_count(),
-                        "snapshot platform: fault core out of range");
-            fault.unit = static_cast<FunctionalUnit>(unit);
-            fault.kind = static_cast<FaultKind>(kind);
-            fault.injected = f.at("injected").u64();
-            fault.detected = f.at("detected").boolean();
-            fault.detected_at = f.at("detected_at").u64();
-            history.push_back(fault);
-        }
-        auto latent =
-            snapshot::read_latent_slots(fd, "latent", history.size());
-        MCS_REQUIRE(latent.size() == ctx_.chip.core_count(),
-                    "snapshot platform: latent slot count mismatch");
-        faults_->load_state(snapshot::read_rng(fd, "rng"), std::move(latent),
-                            std::move(history), fd.at("detected").u64(),
-                            fd.at("escaped").u64(), fd.at("corrupted").u64());
+        faults_->load_state(doc.at("faults"));
     }
 }
 

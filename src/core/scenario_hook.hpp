@@ -54,6 +54,11 @@ public:
     /// event exactly where the captured queue had it, with its record.
     virtual void schedule_restored_directive(std::uint64_t index,
                                              SimTime when) = 0;
+
+    /// Whether a directive is still to fire. A driver chains its
+    /// directives, so it then has exactly one pending directive event and
+    /// otherwise none; restore checks the replayed manifest against this.
+    virtual bool directive_due() const = 0;
 };
 
 }  // namespace mcs

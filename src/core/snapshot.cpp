@@ -186,27 +186,10 @@ void hash_full(Fnv1a& fp, const SystemConfig& cfg) {
     fp.u64(cfg.trace_epoch);
 }
 
-// ------------------------------------------- stats / metrics round-trips
+// ------------------------------------------------- metrics round-trip
 
-void write_running_stats(telemetry::JsonWriter& w, const RunningStats& s) {
-    w.begin_object();
-    w.field("n", static_cast<std::uint64_t>(s.count()));
-    w.field("mean", s.mean());
-    w.field("m2", s.m2());
-    w.field("sum", s.sum());
-    w.field("min", s.min());
-    w.field("max", s.max());
-    w.end_object();
-}
-
-RunningStats read_running_stats(const telemetry::JsonValue& doc) {
-    RunningStats s;
-    s.restore(static_cast<std::size_t>(doc.at("n").u64()),
-              doc.at("mean").number(), doc.at("m2").number(),
-              doc.at("sum").number(), doc.at("min").number(),
-              doc.at("max").number());
-    return s;
-}
+using telemetry::read_running_stats;
+using telemetry::write_running_stats;
 
 void write_u64_array(telemetry::JsonWriter& w, std::string_view key,
                      const std::vector<std::uint64_t>& values) {
@@ -312,62 +295,6 @@ std::string config_fingerprint(const SystemConfig& cfg) {
     return fp.hex();
 }
 
-// ------------------------------------------------ shared engine helpers
-
-namespace snapshot {
-
-void write_rng(telemetry::JsonWriter& w, std::string_view key,
-               const Rng& rng) {
-    w.key(key);
-    w.begin_array();
-    for (std::uint64_t word : rng.state()) {
-        w.value(word);
-    }
-    w.end_array();
-}
-
-Rng read_rng(const telemetry::JsonValue& doc, const std::string& key) {
-    const std::vector<std::uint64_t> words = doc.at(key).u64s();
-    MCS_REQUIRE(words.size() == 4, "snapshot: RNG state must have 4 words");
-    Rng rng;
-    rng.set_state({words[0], words[1], words[2], words[3]});
-    return rng;
-}
-
-void write_latent_slots(
-    telemetry::JsonWriter& w, std::string_view key,
-    const std::vector<std::optional<std::size_t>>& slots) {
-    w.key(key);
-    w.begin_array();
-    for (const auto& slot : slots) {
-        if (slot) {
-            w.value(static_cast<std::uint64_t>(*slot));
-        } else {
-            w.value(std::int64_t{-1});
-        }
-    }
-    w.end_array();
-}
-
-std::vector<std::optional<std::size_t>> read_latent_slots(
-    const telemetry::JsonValue& doc, const std::string& key,
-    std::size_t history_size) {
-    std::vector<std::optional<std::size_t>> latent;
-    for (const auto& v : doc.at(key).array()) {
-        const std::int64_t slot = v.i64();
-        if (slot < 0) {
-            latent.emplace_back(std::nullopt);
-        } else {
-            MCS_REQUIRE(static_cast<std::size_t>(slot) < history_size,
-                        "snapshot: latent slot out of history range");
-            latent.emplace_back(static_cast<std::size_t>(slot));
-        }
-    }
-    return latent;
-}
-
-}  // namespace snapshot
-
 // ----------------------------------------------------- capture (facade)
 
 void ManycoreSystem::write_snapshot(std::ostream& out,
@@ -399,59 +326,16 @@ void ManycoreSystem::write_snapshot(std::ostream& out,
     w.field("cancelled", sim.events_cancelled());
 
     w.key("budget");
-    w.begin_object();
-    w.field("last_power_w", ctx_->budget.last_power_w());
-    w.field("samples", ctx_->budget.samples());
-    w.field("violations", ctx_->budget.violations());
-    w.field("worst_overshoot_w", ctx_->budget.worst_overshoot_w());
-    w.key("stats");
-    write_running_stats(w, ctx_->budget.power_stats());
-    w.end_object();
-
-    snapshot::write_rng(w, "map_rng", ctx_->map_rng);
-
+    ctx_->budget.save_state(w);
+    telemetry::write_rng(w, "map_rng", ctx_->map_rng);
     w.key("cores");
     w.begin_array();
     for (const Core& c : ctx_->chip.cores()) {
-        const Core::PersistedState s = c.save_state();
-        w.begin_array();
-        w.value(static_cast<std::uint64_t>(s.state));
-        w.value(static_cast<std::int64_t>(s.vf_level));
-        w.value(s.reserved);
-        w.value(s.last_checkpoint);
-        w.value(s.busy_cycles_since_test);
-        w.value(s.total_busy_cycles);
-        w.value(s.total_busy_time);
-        w.value(s.total_test_time);
-        w.value(s.birth);
-        w.value(s.last_state_change);
-        w.value(s.last_test_end);
-        w.value(s.tests_completed);
-        w.value(s.tests_aborted);
-        w.value(s.tasks_executed);
-        w.end_array();
+        c.save_state(w);
     }
     w.end_array();
-
     w.key("noc");
-    w.begin_object();
-    w.key("window_bytes");
-    w.begin_array();
-    for (double v : ctx_->noc.window_bytes()) {
-        w.value(v);
-    }
-    w.end_array();
-    w.key("util");
-    w.begin_array();
-    for (double v : ctx_->noc.smoothed_util()) {
-        w.value(v);
-    }
-    w.end_array();
-    w.field("energy", ctx_->noc.total_energy_j());
-    w.field("messages", ctx_->noc.messages_sent());
-    w.field("bytes", ctx_->noc.bytes_sent());
-    w.field("hop_bytes", ctx_->noc.total_hop_bytes());
-    w.end_object();
+    ctx_->noc.save_state(w);
 
     w.key("metrics");
     write_metrics(w, ctx_->metrics);
@@ -508,7 +392,6 @@ void ManycoreSystem::restore(const telemetry::JsonValue& doc,
     }
 
     const SimTime now = doc.at("now").u64();
-    const std::uint64_t executed = doc.at("executed").u64();
     restored_horizon_ = doc.at("horizon").u64();
     MCS_REQUIRE(now > 0 && now < restored_horizon_,
                 "snapshot clock outside the captured run");
@@ -538,53 +421,15 @@ void ManycoreSystem::restore(const telemetry::JsonValue& doc,
     }
 
     // 2. Substrate state.
-    const telemetry::JsonValue& budget = doc.at("budget");
-    ctx_->budget.load_state(
-        budget.at("last_power_w").number(), budget.at("samples").u64(),
-        budget.at("violations").u64(), budget.at("worst_overshoot_w").number(),
-        read_running_stats(budget.at("stats")));
-    ctx_->map_rng = snapshot::read_rng(doc, "map_rng");
-
+    ctx_->budget.load_state(doc.at("budget"));
+    ctx_->map_rng = telemetry::read_rng(doc, "map_rng");
     const auto& cores = doc.at("cores").array();
     MCS_REQUIRE(cores.size() == ctx_->chip.core_count(),
                 "snapshot core count mismatch");
     for (std::size_t i = 0; i < cores.size(); ++i) {
-        const auto& f = cores[i].array();
-        MCS_REQUIRE(f.size() == 14, "snapshot: malformed core state record");
-        const std::uint64_t state = f[0].u64();
-        MCS_REQUIRE(state <= 4, "snapshot: core state out of range");
-        Core::PersistedState s;
-        s.state = static_cast<CoreState>(state);
-        s.vf_level = static_cast<int>(f[1].i64());
-        MCS_REQUIRE(s.vf_level >= 0 &&
-                        static_cast<std::size_t>(s.vf_level) <
-                            ctx_->chip.vf_level_count(),
-                    "snapshot: core DVFS level out of range");
-        s.reserved = f[2].boolean();
-        s.last_checkpoint = f[3].u64();
-        s.busy_cycles_since_test = f[4].u64();
-        s.total_busy_cycles = f[5].u64();
-        s.total_busy_time = f[6].u64();
-        s.total_test_time = f[7].u64();
-        s.birth = f[8].u64();
-        s.last_state_change = f[9].u64();
-        s.last_test_end = f[10].u64();
-        s.tests_completed = f[11].u64();
-        s.tests_aborted = f[12].u64();
-        s.tasks_executed = f[13].u64();
-        ctx_->chip.core(static_cast<CoreId>(i)).load_state(s);
+        ctx_->chip.core(static_cast<CoreId>(i)).load_state(cores[i]);
     }
-
-    const telemetry::JsonValue& noc = doc.at("noc");
-    std::vector<double> window_bytes = noc.at("window_bytes").numbers();
-    std::vector<double> util = noc.at("util").numbers();
-    MCS_REQUIRE(window_bytes.size() == ctx_->noc.link_count() &&
-                    util.size() == ctx_->noc.link_count(),
-                "snapshot NoC link count mismatch");
-    ctx_->noc.load_state(std::move(window_bytes), std::move(util),
-                         noc.at("energy").number(), noc.at("messages").u64(),
-                         noc.at("bytes").u64(), noc.at("hop_bytes").u64());
-
+    ctx_->noc.load_state(doc.at("noc"));
     read_metrics(doc.at("metrics"), ctx_->metrics);
     ctx_->registry.load_state(doc.at("registry"));
     // The captured trace ring reloads only into an attached tracer (attach
@@ -607,10 +452,8 @@ void ManycoreSystem::restore(const telemetry::JsonValue& doc,
     //    Each dispatch schedules exactly one event, with the record it was
     //    captured from, so the rebuilt queue breaks timestamp ties exactly
     //    as the captured one did and can be captured again.
-    ctx_->sim.restore_clock(now, executed);
-    // Older snapshots predate the cancellation counter; they restore as 0.
-    ctx_->sim.restore_cancelled(
-        doc.has("cancelled") ? doc.at("cancelled").u64() : 0);
+    ctx_->sim.restore_clock(now, doc.at("executed").u64(),
+                            doc.at("cancelled").u64());
     const auto& events = doc.at("events").array();
     std::uint64_t prev_seq = 0;
     bool first = true;
@@ -637,15 +480,14 @@ void ManycoreSystem::restore(const telemetry::JsonValue& doc,
             workload_->schedule_restored_arrival(
                 static_cast<std::size_t>(a), when);
         } else if (kind == "task_complete") {
-            workload_->schedule_restored_completion(static_cast<CoreId>(a),
-                                                    when);
+            workload_->schedule_restored_completion(a, when);
         } else if (kind == "edge") {
             workload_->schedule_restored_edge(static_cast<std::size_t>(a), b,
                                               when);
         } else if (kind == "test_session_complete") {
-            test_->schedule_restored_session(static_cast<CoreId>(a), when);
+            test_->schedule_restored_session(a, when);
         } else if (kind == "link_test_complete") {
-            test_->schedule_restored_link_test(static_cast<LinkId>(a), when);
+            test_->schedule_restored_link_test(a, when);
         } else if (kind == "scenario") {
             MCS_REQUIRE(scenario_ != nullptr,
                         "snapshot has a pending scenario directive but no "
@@ -672,6 +514,15 @@ void ManycoreSystem::restore(const telemetry::JsonValue& doc,
         MCS_REQUIRE(p.record.is("edge") ||
                         seen.emplace(p.record.kind, p.record.a).second,
                     "snapshot manifest: duplicate event");
+    }
+    if (scenario_ != nullptr) {
+        const auto directives = std::count_if(
+            pending.begin(), pending.end(), [](const PendingRecord& p) {
+                return p.record.is("scenario");
+            });
+        MCS_REQUIRE(directives == (scenario_->directive_due() ? 1 : 0),
+                    "snapshot manifest: the scenario's pending directive "
+                    "does not match its replay position");
     }
     workload_->check_restored_events(pending);
     test_->check_restored_events(pending);

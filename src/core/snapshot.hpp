@@ -8,10 +8,19 @@
 //
 // Layout (one JSON object, schema "mcs.snapshot.v1"):
 //   fingerprints  -- config/structural FNV-1a hashes guarding restore
-//   substrate     -- clock, chip cores, NoC, budget, map RNG, metrics,
-//                    registry, tracer ring (when one is attached)
-//   engines       -- workload / test / platform component state
+//   substrate     -- clock, power budget, map RNG, chip cores, NoC,
+//                    metrics, registry, tracer ring (when one is attached)
+//   engines       -- workload / test / platform / scenario state
 //   events        -- typed manifest of every pending simulator event
+//
+// Each stateful component owns its snapshot fields: it writes them in
+// save_state(telemetry::JsonWriter&) and reads them back in
+// load_state(const telemetry::JsonValue&), where it also checks every
+// range and size it relies on, once, on the 64-bit value before any
+// narrowing. The façade (snapshot.cpp) and the engines only lay out the
+// document, one call per component. Codecs shared by several components
+// (RNG state, latent fault slots, running statistics) sit beside the
+// writer in telemetry/json.hpp.
 //
 // The std::function callbacks inside the event queue cannot be serialized;
 // instead every event is scheduled with an EventRecord (kind + small args)
@@ -23,12 +32,7 @@
 // timestamps replay in the captured order and the continuation is
 // event-for-event identical. See docs/checkpoint.md.
 
-#include <optional>
 #include <string>
-#include <string_view>
-#include <vector>
-
-#include "util/rng.hpp"
 
 namespace mcs {
 
@@ -59,23 +63,5 @@ std::string structural_fingerprint(const SystemConfig& cfg);
 /// seed, policy knobs, controller epochs, model constants). Equal full
 /// fingerprints mean the restored run continues the captured run exactly.
 std::string config_fingerprint(const SystemConfig& cfg);
-
-/// Shared JSON helpers for the engine save/load implementations: exact
-/// round-trips for RNG engine state (4 x u64) and the per-entity latent
-/// fault slots of the injector components (-1 encodes "no latent fault").
-namespace snapshot {
-
-void write_rng(telemetry::JsonWriter& w, std::string_view key,
-               const Rng& rng);
-Rng read_rng(const telemetry::JsonValue& doc, const std::string& key);
-
-void write_latent_slots(telemetry::JsonWriter& w, std::string_view key,
-                        const std::vector<std::optional<std::size_t>>& slots);
-/// Every stored slot must index into a history of `history_size` entries.
-std::vector<std::optional<std::size_t>> read_latent_slots(
-    const telemetry::JsonValue& doc, const std::string& key,
-    std::size_t history_size);
-
-}  // namespace snapshot
 
 }  // namespace mcs

@@ -355,23 +355,7 @@ void TestEngine::save_state(telemetry::JsonWriter& w) const {
         }
         w.end_array();
         w.field("running", static_cast<std::int64_t>(link_tests_running_));
-        snapshot::write_rng(w, "rng", link_tester_->rng());
-        snapshot::write_latent_slots(w, "latent",
-                                     link_tester_->latent_slots());
-        w.key("history");
-        w.begin_array();
-        for (const LinkFault& f : link_tester_->history()) {
-            w.begin_object();
-            w.field("link", static_cast<std::uint64_t>(f.link));
-            w.field("injected", f.injected);
-            w.field("detected", f.detected);
-            w.field("detected_at", f.detected_at);
-            w.end_object();
-        }
-        w.end_array();
-        w.field("detected", link_tester_->detected_count());
-        w.field("escaped", link_tester_->escaped_tests());
-        w.field("corrupted", link_tester_->corrupted_messages());
+        link_tester_->save_state(w);
         w.end_object();
     }
     w.end_object();
@@ -434,46 +418,34 @@ void TestEngine::load_state(const telemetry::JsonValue& doc) {
                     "snapshot test engine: link running count does not "
                     "match the active links");
         link_tests_running_ = active_links;
-        std::vector<LinkFault> history;
-        for (const auto& f : link.at("history").array()) {
-            history.push_back(LinkFault{
-                static_cast<LinkId>(f.at("link").u64()),
-                f.at("injected").u64(), f.at("detected").boolean(),
-                f.at("detected_at").u64()});
-        }
-        auto latent =
-            snapshot::read_latent_slots(link, "latent", history.size());
-        MCS_REQUIRE(latent.size() == ctx_.noc.link_count(),
-                    "snapshot test engine: latent slot count mismatch");
-        link_tester_->load_state(snapshot::read_rng(link, "rng"),
-                                 std::move(latent), std::move(history),
-                                 link.at("detected").u64(),
-                                 link.at("escaped").u64(),
-                                 link.at("corrupted").u64());
+        link_tester_->load_state(link);
     }
     // Core::load_state rewrote every core's state wholesale; rebuild the
     // candidate view from scratch.
     candidacy_.invalidate();
 }
 
-void TestEngine::schedule_restored_session(CoreId core, SimTime when) {
+void TestEngine::schedule_restored_session(std::uint64_t core,
+                                           SimTime when) {
     MCS_REQUIRE(core < test_exec_.size(),
                 "snapshot manifest: test core out of range");
-    TestExec& ex = test_exec_[core];
+    const TestExec& ex = test_exec_[core];
     MCS_REQUIRE(ex.active, "snapshot manifest: session on inactive core");
     MCS_REQUIRE(!ex.completion.valid(),
                 "snapshot manifest: duplicate session for core");
-    schedule_session_step(core, when);
+    schedule_session_step(static_cast<CoreId>(core), when);
 }
 
-void TestEngine::schedule_restored_link_test(LinkId link, SimTime when) {
+void TestEngine::schedule_restored_link_test(std::uint64_t link,
+                                             SimTime when) {
     MCS_REQUIRE(link < link_test_active_.size(),
                 "snapshot manifest: link out of range");
     MCS_REQUIRE(link_test_active_[link] != 0,
                 "snapshot manifest: link test on inactive link");
+    const auto id = static_cast<LinkId>(link);
     ctx_.sim.schedule_at(
-        when, [this, link] { on_link_test_complete(link); },
-        EventRecord{"link_test_complete", link});
+        when, [this, id] { on_link_test_complete(id); },
+        EventRecord{"link_test_complete", id});
 }
 
 void TestEngine::check_restored_events(

@@ -92,9 +92,10 @@ public:
     void load_state(const telemetry::JsonValue& doc);
     /// Manifest replay, with the records the live paths schedule with:
     /// "test_session_complete" (a = core; the routine or the full suite)
-    /// and "link_test_complete" (a = link).
-    void schedule_restored_session(CoreId core, SimTime when);
-    void schedule_restored_link_test(LinkId link, SimTime when);
+    /// and "link_test_complete" (a = link). Each id is the manifest's
+    /// 64-bit value, checked before it narrows.
+    void schedule_restored_session(std::uint64_t core, SimTime when);
+    void schedule_restored_link_test(std::uint64_t link, SimTime when);
     /// After the replay, checks that every active session and link test
     /// has its completion among the `pending` records; else a
     /// `snapshot manifest:` RequireError.

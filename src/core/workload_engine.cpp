@@ -75,19 +75,43 @@ WorkloadEngine::WorkloadEngine(SystemContext& ctx)
 }
 
 void WorkloadEngine::admit_workload(SimDuration horizon) {
+    const std::size_t first = append_arrival_trace(horizon, ctx_.cfg.seed);
+    for (std::size_t index = first; index < apps_.size(); ++index) {
+        schedule_arrival(index, apps_[index].spec.arrival);
+    }
+}
+
+std::size_t WorkloadEngine::append_arrival_trace(SimDuration horizon,
+                                                 std::uint64_t root_seed) {
     WorkloadGenerator wg(ctx_.cfg.workload,
-                         ctx_.cfg.seed ^ 0xbf58476d1ce4e5b9ULL);
+                         root_seed ^ 0xbf58476d1ce4e5b9ULL);
     auto specs = wg.generate(horizon);
-    apps_.reserve(apps_.size() + specs.size());
+    const std::size_t first = apps_.size();
+    apps_.reserve(first + specs.size());
     for (auto& spec : specs) {
-        const std::size_t index = apps_.size();
-        const SimTime arrival = spec.arrival;
         apps_.emplace_back(std::move(spec));
-        ctx_.sim.schedule_at(
-            arrival, [this, index] { on_arrival(index); },
-            EventRecord{"arrival", index});
     }
     ctx_.metrics.apps_arrived = apps_.size();
+    return first;
+}
+
+void WorkloadEngine::schedule_arrival(std::size_t app_index, SimTime when) {
+    ctx_.sim.schedule_at(
+        when, [this, app_index] { on_arrival(app_index); },
+        EventRecord{"arrival", app_index});
+}
+
+void WorkloadEngine::schedule_completion(CoreId core, SimTime when) {
+    core_exec_[core].completion = ctx_.sim.schedule_at(
+        when, [this, core] { on_task_complete(core); },
+        EventRecord{"task_complete", core});
+}
+
+void WorkloadEngine::schedule_edge(std::size_t app_index, TaskIndex dst,
+                                   SimTime when) {
+    ctx_.sim.schedule_at(
+        when, [this, app_index, dst] { deliver_edge(app_index, dst); },
+        EventRecord{"edge", app_index, dst});
 }
 
 std::size_t WorkloadEngine::inject(ApplicationSpec spec) {
@@ -273,9 +297,7 @@ void WorkloadEngine::start_task(std::size_t app_index, TaskIndex task) {
     ex.last_progress = now;
     const SimDuration dur = std::max<SimDuration>(
         1, duration_for_cycles(app.spec.graph.task(task).cycles, c.freq_hz()));
-    ex.completion = ctx_.sim.schedule_in(
-        dur, [this, id] { on_task_complete(id); },
-        EventRecord{"task_complete", id});
+    schedule_completion(id, now + dur);
 }
 
 void WorkloadEngine::on_task_complete(CoreId core) {
@@ -304,11 +326,8 @@ void WorkloadEngine::on_task_complete(CoreId core) {
                 }
             }
         }
-        const TaskIndex dst = e.dst;
-        ctx_.sim.schedule_in(
-            std::max<SimDuration>(1, t.latency),
-            [this, app_index, dst] { deliver_edge(app_index, dst); },
-            EventRecord{"edge", app_index, dst});
+        schedule_edge(app_index, e.dst,
+                      now + std::max<SimDuration>(1, t.latency));
     }
     ++app.tasks_done;
     if (app.tasks_done == app.spec.graph.size()) {
@@ -375,9 +394,7 @@ void WorkloadEngine::on_vf_change(CoreId core, int old_level, int new_level) {
         std::ceil(ex.remaining_cycles));
     const SimDuration dur =
         std::max<SimDuration>(1, duration_for_cycles(cycles, new_freq));
-    ex.completion = ctx_.sim.schedule_in(
-        dur, [this, core] { on_task_complete(core); },
-        EventRecord{"task_complete", core});
+    schedule_completion(core, now + dur);
 }
 
 // ------------------------------------------------------ snapshot support
@@ -432,27 +449,7 @@ void WorkloadEngine::save_state(telemetry::JsonWriter& w) const {
     w.field("mapping_rounds", mapping_rounds_);
     w.field("mapping_attempts", mapping_attempts_);
     w.key("idle");
-    w.begin_object();
-    w.key("ewma");
-    w.begin_array();
-    for (double v : idle_predictor_.ewma_ns()) {
-        w.value(v);
-    }
-    w.end_array();
-    w.key("period_start");
-    w.begin_array();
-    for (SimTime t : idle_predictor_.period_start()) {
-        w.value(t);
-    }
-    w.end_array();
-    w.key("in_period");
-    w.begin_array();
-    for (bool b : idle_predictor_.in_period()) {
-        w.value(b);
-    }
-    w.end_array();
-    w.field("completed", idle_predictor_.completed_periods());
-    w.end_object();
+    idle_predictor_.save_state(w);
     w.end_object();
 }
 
@@ -523,24 +520,13 @@ void WorkloadEngine::load_state(const telemetry::JsonValue& doc) {
     }
     mapping_rounds_ = doc.at("mapping_rounds").u64();
     mapping_attempts_ = doc.at("mapping_attempts").u64();
-    const telemetry::JsonValue& idle = doc.at("idle");
-    idle_predictor_.load_state(idle.at("ewma").numbers(),
-                               idle.at("period_start").u64s(),
-                               idle.at("in_period").booleans(),
-                               idle.at("completed").u64());
+    idle_predictor_.load_state(doc.at("idle"));
 }
 
 void WorkloadEngine::restore_workload(SimDuration horizon,
                                       std::uint64_t root_seed) {
     MCS_REQUIRE(apps_.empty(), "restore_workload on a used engine");
-    WorkloadGenerator wg(ctx_.cfg.workload,
-                         root_seed ^ 0xbf58476d1ce4e5b9ULL);
-    auto specs = wg.generate(horizon);
-    apps_.reserve(specs.size());
-    for (auto& spec : specs) {
-        apps_.emplace_back(std::move(spec));
-    }
-    ctx_.metrics.apps_arrived = apps_.size();
+    append_arrival_trace(horizon, root_seed);
 }
 
 void WorkloadEngine::schedule_restored_arrival(std::size_t app_index,
@@ -549,31 +535,25 @@ void WorkloadEngine::schedule_restored_arrival(std::size_t app_index,
                 "snapshot manifest: arrival app out of range");
     MCS_REQUIRE(when == apps_[app_index].spec.arrival,
                 "snapshot manifest: arrival time is not the app's arrival");
-    ctx_.sim.schedule_at(
-        when, [this, app_index] { on_arrival(app_index); },
-        EventRecord{"arrival", app_index});
+    schedule_arrival(app_index, when);
 }
 
-void WorkloadEngine::schedule_restored_completion(CoreId core, SimTime when) {
+void WorkloadEngine::schedule_restored_completion(std::uint64_t core,
+                                                  SimTime when) {
     MCS_REQUIRE(core < core_exec_.size(),
                 "snapshot manifest: completion core out of range");
-    CoreExec& ex = core_exec_[core];
+    const CoreExec& ex = core_exec_[core];
     MCS_REQUIRE(ex.active, "snapshot manifest: completion on inactive core");
     MCS_REQUIRE(!ex.completion.valid(),
                 "snapshot manifest: duplicate completion for core");
-    ex.completion = ctx_.sim.schedule_at(
-        when, [this, core] { on_task_complete(core); },
-        EventRecord{"task_complete", core});
+    schedule_completion(static_cast<CoreId>(core), when);
 }
 
 void WorkloadEngine::schedule_restored_edge(std::size_t app_index,
                                             std::uint64_t task,
                                             SimTime when) {
     running_app(app_index, task, "snapshot manifest: edge");
-    const auto dst = static_cast<TaskIndex>(task);
-    ctx_.sim.schedule_at(
-        when, [this, app_index, dst] { deliver_edge(app_index, dst); },
-        EventRecord{"edge", app_index, dst});
+    schedule_edge(app_index, static_cast<TaskIndex>(task), when);
 }
 
 void WorkloadEngine::check_restored_events(

@@ -91,10 +91,10 @@ public:
     /// from: "arrival" (a = app index), "task_complete" (a = core) and
     /// "edge" (a = app index, b = destination task), the same records the
     /// live paths schedule with.
+    /// `core` and `task` are the manifest's 64-bit values, checked against
+    /// the chip and the app's graph before they narrow.
     void schedule_restored_arrival(std::size_t app_index, SimTime when);
-    void schedule_restored_completion(CoreId core, SimTime when);
-    /// `task` is the manifest's 64-bit value; it is checked against the
-    /// app's graph before it narrows to a TaskIndex.
+    void schedule_restored_completion(std::uint64_t core, SimTime when);
     void schedule_restored_edge(std::size_t app_index, std::uint64_t task,
                                 SimTime when);
     /// After the replay, checks the restored state against the `pending`
@@ -128,6 +128,16 @@ private:
         EventId completion{};
     };
 
+    /// Appends the arrival trace that `root_seed` generates up to
+    /// `horizon` (no events); returns the index of its first app.
+    std::size_t append_arrival_trace(SimDuration horizon,
+                                     std::uint64_t root_seed);
+    /// One scheduler per workload event kind, with the record the
+    /// snapshot manifest lists; the live paths and the manifest replay
+    /// share them.
+    void schedule_arrival(std::size_t app_index, SimTime when);
+    void schedule_completion(CoreId core, SimTime when);
+    void schedule_edge(std::size_t app_index, TaskIndex dst, SimTime when);
     void commit_mapping(std::size_t app_index, const MappingResult& result);
     void scan_view();
     void start_task(std::size_t app_index, TaskIndex task);

@@ -1,5 +1,7 @@
 #include "noc/link_test.hpp"
 
+#include <utility>
+
 #include "util/require.hpp"
 
 namespace mcs {
@@ -82,23 +84,45 @@ bool LinkTester::roll_message_corruption(LinkId link) {
 }
 
 
-void LinkTester::load_state(const Rng& rng,
-                            std::vector<std::optional<std::size_t>> latent,
-                            std::vector<LinkFault> history,
-                            std::uint64_t detected, std::uint64_t escaped,
-                            std::uint64_t corrupted) {
+void LinkTester::save_state(telemetry::JsonWriter& w) const {
+    telemetry::write_rng(w, "rng", rng_);
+    telemetry::write_latent_slots(w, "latent", latent_);
+    w.key("history");
+    w.begin_array();
+    for (const LinkFault& f : history_) {
+        w.begin_object();
+        w.field("link", static_cast<std::uint64_t>(f.link));
+        w.field("injected", f.injected);
+        w.field("detected", f.detected);
+        w.field("detected_at", f.detected_at);
+        w.end_object();
+    }
+    w.end_array();
+    w.field("detected", detected_);
+    w.field("escaped", escaped_);
+    w.field("corrupted", corrupted_);
+}
+
+void LinkTester::load_state(const telemetry::JsonValue& doc) {
+    std::vector<LinkFault> history;
+    for (const auto& f : doc.at("history").array()) {
+        const std::uint64_t link = f.at("link").u64();
+        MCS_REQUIRE(link < latent_.size(),
+                    "link tester state: fault link out of range");
+        history.push_back(LinkFault{static_cast<LinkId>(link),
+                                    f.at("injected").u64(),
+                                    f.at("detected").boolean(),
+                                    f.at("detected_at").u64()});
+    }
+    auto latent = telemetry::read_latent_slots(doc, "latent", history.size());
     MCS_REQUIRE(latent.size() == latent_.size(),
                 "link tester state: link count mismatch");
-    for (const auto& slot : latent) {
-        MCS_REQUIRE(!slot.has_value() || *slot < history.size(),
-                    "link tester state: latent index out of range");
-    }
-    rng_ = rng;
+    rng_ = telemetry::read_rng(doc, "rng");
     latent_ = std::move(latent);
     history_ = std::move(history);
-    detected_ = detected;
-    escaped_ = escaped;
-    corrupted_ = corrupted;
+    detected_ = doc.at("detected").u64();
+    escaped_ = doc.at("escaped").u64();
+    corrupted_ = doc.at("corrupted").u64();
 }
 
 }  // namespace mcs

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "util/require.hpp"
 
@@ -101,19 +102,39 @@ double Network::routers_idle_power_w() const {
 }
 
 
-void Network::load_state(std::vector<double> window_bytes,
-                         std::vector<double> util, double total_energy_j,
-                         std::uint64_t messages, std::uint64_t bytes,
-                         std::uint64_t hop_bytes) {
+void Network::save_state(telemetry::JsonWriter& w) const {
+    w.begin_object();
+    w.key("window_bytes");
+    w.begin_array();
+    for (double v : window_bytes_) {
+        w.value(v);
+    }
+    w.end_array();
+    w.key("util");
+    w.begin_array();
+    for (double v : util_) {
+        w.value(v);
+    }
+    w.end_array();
+    w.field("energy", total_energy_j_);
+    w.field("messages", messages_);
+    w.field("bytes", bytes_);
+    w.field("hop_bytes", hop_bytes_);
+    w.end_object();
+}
+
+void Network::load_state(const telemetry::JsonValue& doc) {
+    std::vector<double> window_bytes = doc.at("window_bytes").numbers();
+    std::vector<double> util = doc.at("util").numbers();
     MCS_REQUIRE(window_bytes.size() == window_bytes_.size() &&
                     util.size() == util_.size(),
                 "network state: link count mismatch");
     window_bytes_ = std::move(window_bytes);
     util_ = std::move(util);
-    total_energy_j_ = total_energy_j;
-    messages_ = messages;
-    bytes_ = bytes;
-    hop_bytes_ = hop_bytes;
+    total_energy_j_ = doc.at("energy").number();
+    messages_ = doc.at("messages").u64();
+    bytes_ = doc.at("bytes").u64();
+    hop_bytes_ = doc.at("hop_bytes").u64();
 }
 
 }  // namespace mcs

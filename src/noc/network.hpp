@@ -5,6 +5,7 @@
 
 #include "noc/topology.hpp"
 #include "sim/time.hpp"
+#include "telemetry/json.hpp"
 
 namespace mcs {
 
@@ -86,16 +87,11 @@ public:
     double routers_idle_power_w() const;
 
     // ---- snapshot support ----
-    // last_route_ is scratch (valid only until the next send) and is not
-    // part of the persisted state.
-    const std::vector<double>& window_bytes() const noexcept {
-        return window_bytes_;
-    }
-    const std::vector<double>& smoothed_util() const noexcept { return util_; }
-    void load_state(std::vector<double> window_bytes,
-                    std::vector<double> util, double total_energy_j,
-                    std::uint64_t messages, std::uint64_t bytes,
-                    std::uint64_t hop_bytes);
+    /// The window accumulators, smoothed utilizations and traffic totals
+    /// as one object; last_route_ is scratch and stays out. load_state
+    /// checks both per-link vectors against the link count.
+    void save_state(telemetry::JsonWriter& w) const;
+    void load_state(const telemetry::JsonValue& doc);
 
 private:
     MeshTopology topo_;

@@ -36,4 +36,20 @@ void PidController::reset() {
     last_output_ = 0.0;
 }
 
+void PidController::save_state(telemetry::JsonWriter& w) const {
+    w.begin_object();
+    w.field("integral", integral_);
+    w.field("prev_error", prev_error_);
+    w.field("has_prev", has_prev_);
+    w.field("last_output", last_output_);
+    w.end_object();
+}
+
+void PidController::load_state(const telemetry::JsonValue& doc) {
+    integral_ = doc.at("integral").number();
+    prev_error_ = doc.at("prev_error").number();
+    has_prev_ = doc.at("has_prev").boolean();
+    last_output_ = doc.at("last_output").number();
+}
+
 }  // namespace mcs

@@ -1,5 +1,7 @@
 #pragma once
 
+#include "telemetry/json.hpp"
+
 namespace mcs {
 
 /// PID gains and output clamps. Output is a dimensionless actuation signal;
@@ -36,16 +38,9 @@ public:
     double last_output() const noexcept { return last_output_; }
 
     // ---- snapshot support ----
-    double integral() const noexcept { return integral_; }
-    double prev_error() const noexcept { return prev_error_; }
-    bool has_prev() const noexcept { return has_prev_; }
-    void load_state(double integral, double prev_error, bool has_prev,
-                    double last_output) noexcept {
-        integral_ = integral;
-        prev_error_ = prev_error;
-        has_prev_ = has_prev;
-        last_output_ = last_output;
-    }
+    /// Integrator, derivative memory and last output as one object.
+    void save_state(telemetry::JsonWriter& w) const;
+    void load_state(const telemetry::JsonValue& doc);
 
 private:
     PidParams params_;

@@ -38,4 +38,23 @@ double PowerBudget::violation_rate() const noexcept {
     return static_cast<double>(violations_) / static_cast<double>(samples_);
 }
 
+void PowerBudget::save_state(telemetry::JsonWriter& w) const {
+    w.begin_object();
+    w.field("last_power_w", last_power_w_);
+    w.field("samples", samples_);
+    w.field("violations", violations_);
+    w.field("worst_overshoot_w", worst_overshoot_w_);
+    w.key("stats");
+    telemetry::write_running_stats(w, stats_);
+    w.end_object();
+}
+
+void PowerBudget::load_state(const telemetry::JsonValue& doc) {
+    last_power_w_ = doc.at("last_power_w").number();
+    samples_ = doc.at("samples").u64();
+    violations_ = doc.at("violations").u64();
+    worst_overshoot_w_ = doc.at("worst_overshoot_w").number();
+    stats_ = telemetry::read_running_stats(doc.at("stats"));
+}
+
 }  // namespace mcs

@@ -3,6 +3,7 @@
 #include <cstdint>
 
 #include "sim/time.hpp"
+#include "telemetry/json.hpp"
 #include "util/stats.hpp"
 
 namespace mcs {
@@ -37,15 +38,10 @@ public:
     const RunningStats& power_stats() const noexcept { return stats_; }
 
     // ---- snapshot support ----
-    void load_state(double last_power_w, std::uint64_t samples,
-                    std::uint64_t violations, double worst_overshoot_w,
-                    const RunningStats& stats) noexcept {
-        last_power_w_ = last_power_w;
-        samples_ = samples;
-        violations_ = violations;
-        worst_overshoot_w_ = worst_overshoot_w;
-        stats_ = stats;
-    }
+    /// The sample accounting as one object. The TDP and the margin are
+    /// configuration and stay out (a scenario's set_tdp is replayed).
+    void save_state(telemetry::JsonWriter& w) const;
+    void load_state(const telemetry::JsonValue& doc);
 
 private:
     double tdp_w_;

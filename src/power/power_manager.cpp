@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
+#include "telemetry/json.hpp"
 #include "util/require.hpp"
 
 namespace mcs {
@@ -348,38 +350,41 @@ void PowerManager::force_vf(SimTime now, CoreId id, int level) {
 }
 
 
-PowerManager::PersistedState PowerManager::save_state() const {
-    PersistedState st;
-    st.last_active = last_active_;
-    st.last_epoch = last_epoch_;
-    st.has_epoch = has_epoch_;
-    st.measured_power_w = measured_power_w_;
-    st.committed_power_w = committed_power_w_;
-    st.throttle_steps = throttle_steps_;
-    st.boost_steps = boost_steps_;
-    st.cores_gated = cores_gated_;
-    st.rotate = rotate_;
-    st.pid_integral = pid_.integral();
-    st.pid_prev_error = pid_.prev_error();
-    st.pid_has_prev = pid_.has_prev();
-    st.pid_last_output = pid_.last_output();
-    return st;
+void PowerManager::save_state(telemetry::JsonWriter& w) const {
+    w.begin_object();
+    w.key("last_active");
+    w.begin_array();
+    for (SimTime t : last_active_) {
+        w.value(t);
+    }
+    w.end_array();
+    w.field("last_epoch", last_epoch_);
+    w.field("has_epoch", has_epoch_);
+    w.field("measured", measured_power_w_);
+    w.field("committed", committed_power_w_);
+    w.field("throttle", throttle_steps_);
+    w.field("boost", boost_steps_);
+    w.field("gated", cores_gated_);
+    w.field("rotate", static_cast<std::uint64_t>(rotate_));
+    w.key("pid");
+    pid_.save_state(w);
+    w.end_object();
 }
 
-void PowerManager::load_state(const PersistedState& s) {
-    MCS_REQUIRE(s.last_active.size() == last_active_.size(),
+void PowerManager::load_state(const telemetry::JsonValue& doc) {
+    std::vector<SimTime> last_active = doc.at("last_active").u64s();
+    MCS_REQUIRE(last_active.size() == last_active_.size(),
                 "power manager state: core count mismatch");
-    last_active_ = s.last_active;
-    last_epoch_ = s.last_epoch;
-    has_epoch_ = s.has_epoch;
-    measured_power_w_ = s.measured_power_w;
-    committed_power_w_ = s.committed_power_w;
-    throttle_steps_ = s.throttle_steps;
-    boost_steps_ = s.boost_steps;
-    cores_gated_ = s.cores_gated;
-    rotate_ = static_cast<std::size_t>(s.rotate);
-    pid_.load_state(s.pid_integral, s.pid_prev_error, s.pid_has_prev,
-                    s.pid_last_output);
+    last_active_ = std::move(last_active);
+    last_epoch_ = doc.at("last_epoch").u64();
+    has_epoch_ = doc.at("has_epoch").boolean();
+    measured_power_w_ = doc.at("measured").number();
+    committed_power_w_ = doc.at("committed").number();
+    throttle_steps_ = doc.at("throttle").u64();
+    boost_steps_ = doc.at("boost").u64();
+    cores_gated_ = doc.at("gated").u64();
+    rotate_ = static_cast<std::size_t>(doc.at("rotate").u64());
+    pid_.load_state(doc.at("pid"));
 }
 
 }  // namespace mcs

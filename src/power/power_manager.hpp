@@ -124,26 +124,13 @@ public:
     std::uint64_t cores_gated() const noexcept { return cores_gated_; }
 
     // ---- snapshot support ----
-    /// Complete mutable control state (the cached telemetry pointers, the
-    /// listeners, and the chip/model/budget references are rebuilt by the
-    /// owning system and stay out of the snapshot).
-    struct PersistedState {
-        std::vector<SimTime> last_active;
-        SimTime last_epoch = 0;
-        bool has_epoch = false;
-        double measured_power_w = 0.0;
-        double committed_power_w = 0.0;
-        std::uint64_t throttle_steps = 0;
-        std::uint64_t boost_steps = 0;
-        std::uint64_t cores_gated = 0;
-        std::uint64_t rotate = 0;
-        double pid_integral = 0.0;
-        double pid_prev_error = 0.0;
-        bool pid_has_prev = false;
-        double pid_last_output = 0.0;
-    };
-    PersistedState save_state() const;
-    void load_state(const PersistedState& s);
+    /// Complete mutable control state as one object, the PID's included
+    /// (the cached telemetry pointers, the listeners, and the
+    /// chip/model/budget references are rebuilt by the owning system and
+    /// stay out of the snapshot). load_state checks the per-core idle
+    /// stamps against the core count.
+    void save_state(telemetry::JsonWriter& w) const;
+    void load_state(const telemetry::JsonValue& doc);
 
 private:
     void actuate(SimTime now, double signal, std::span<const double> temps_c);

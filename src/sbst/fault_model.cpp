@@ -1,5 +1,7 @@
 #include "sbst/fault_model.hpp"
 
+#include <utility>
+
 #include "util/require.hpp"
 
 namespace mcs {
@@ -163,24 +165,56 @@ bool FaultInjector::roll_task_corruption(CoreId core) {
 }
 
 
-void FaultInjector::load_state(const Rng& rng,
-                               std::vector<std::optional<std::size_t>> latent,
-                               std::vector<Fault> history,
-                               std::uint64_t detected,
-                               std::uint64_t escaped_tests,
-                               std::uint64_t corrupted) {
+void FaultInjector::save_state(telemetry::JsonWriter& w) const {
+    telemetry::write_rng(w, "rng", rng_);
+    telemetry::write_latent_slots(w, "latent", latent_);
+    w.key("history");
+    w.begin_array();
+    for (const Fault& f : history_) {
+        w.begin_object();
+        w.field("core", static_cast<std::uint64_t>(f.core));
+        w.field("unit", static_cast<std::int64_t>(f.unit));
+        w.field("kind", static_cast<std::int64_t>(f.kind));
+        w.field("injected", f.injected);
+        w.field("detected", f.detected);
+        w.field("detected_at", f.detected_at);
+        w.end_object();
+    }
+    w.end_array();
+    w.field("detected", detected_);
+    w.field("escaped", escaped_tests_);
+    w.field("corrupted", corrupted_);
+}
+
+void FaultInjector::load_state(const telemetry::JsonValue& doc) {
+    std::vector<Fault> history;
+    for (const auto& f : doc.at("history").array()) {
+        const std::uint64_t core = f.at("core").u64();
+        const std::int64_t unit = f.at("unit").i64();
+        const std::int64_t kind = f.at("kind").i64();
+        MCS_REQUIRE(core < latent_.size(),
+                    "fault injector state: fault core out of range");
+        MCS_REQUIRE(unit >= 0 && static_cast<std::uint64_t>(unit) <
+                                     kFunctionalUnitCount,
+                    "fault injector state: fault unit out of range");
+        MCS_REQUIRE(kind >= 0 &&
+                        kind <= static_cast<std::int64_t>(
+                                    FaultKind::LowVoltage),
+                    "fault injector state: fault kind out of range");
+        history.push_back(Fault{
+            static_cast<CoreId>(core), static_cast<FunctionalUnit>(unit),
+            static_cast<FaultKind>(kind), f.at("injected").u64(),
+            f.at("detected").boolean(), f.at("detected_at").u64()});
+    }
+    auto latent = telemetry::read_latent_slots(doc, "latent", history.size());
     MCS_REQUIRE(latent.size() == latent_.size(),
                 "fault injector state: core count mismatch");
-    for (const auto& slot : latent) {
-        MCS_REQUIRE(!slot.has_value() || *slot < history.size(),
-                    "fault injector state: latent index out of range");
-    }
-    rng_ = rng;
+    rng_ = telemetry::read_rng(doc, "rng");
     latent_ = std::move(latent);
     history_ = std::move(history);
-    detected_ = detected;
-    escaped_tests_ = escaped_tests;
-    corrupted_ = corrupted;
+    detected_ = doc.at("detected").u64();
+    escaped_tests_ = doc.at("escaped").u64();
+    corrupted_ = doc.at("corrupted").u64();
 }
 
 }  // namespace mcs

@@ -7,6 +7,7 @@
 #include "arch/chip.hpp"
 #include "sbst/test_suite.hpp"
 #include "sim/time.hpp"
+#include "telemetry/json.hpp"
 #include "util/rng.hpp"
 
 namespace mcs {
@@ -120,16 +121,11 @@ public:
     const FaultModelParams& params() const noexcept { return params_; }
 
     // ---- snapshot support ----
-    const Rng& rng() const noexcept { return rng_; }
-    /// Per-core index into history() of the latent fault, if any.
-    const std::vector<std::optional<std::size_t>>& latent_slots()
-        const noexcept {
-        return latent_;
-    }
-    void load_state(const Rng& rng,
-                    std::vector<std::optional<std::size_t>> latent,
-                    std::vector<Fault> history, std::uint64_t detected,
-                    std::uint64_t escaped_tests, std::uint64_t corrupted);
+    /// Writes the RNG, latent slots, history and counters as fields of the
+    /// object the caller has open. load_state checks each fault's core,
+    /// unit and kind, and the latent slots' count and history indices.
+    void save_state(telemetry::JsonWriter& w) const;
+    void load_state(const telemetry::JsonValue& doc);
 
 private:
     FaultKind draw_kind();

@@ -35,6 +35,9 @@ public:
     void reapply_restored() override;
     void schedule_restored_directive(std::uint64_t index,
                                      SimTime when) override;
+    bool directive_due() const override {
+        return next_ < spec_.directives.size();
+    }
 
     // --- introspection (tests) ---
     const ScenarioSpec& spec() const noexcept { return spec_; }

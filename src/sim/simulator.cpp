@@ -55,12 +55,14 @@ std::uint64_t Simulator::advance_until(SimTime until) {
     return ran;
 }
 
-void Simulator::restore_clock(SimTime now, std::uint64_t executed) {
+void Simulator::restore_clock(SimTime now, std::uint64_t executed,
+                              std::uint64_t cancelled) {
     MCS_REQUIRE(queue_.empty() && periodics_.empty() && now_ == 0 &&
                     executed_ == 0,
                 "restore_clock requires a pristine simulator");
     now_ = now;
     executed_ = executed;
+    queue_.restore_cancelled_count(cancelled);
 }
 
 bool Simulator::step(SimTime until) {

@@ -72,14 +72,10 @@ public:
     }
 
     /// Fast-forwards a freshly constructed simulator to a checkpointed
-    /// clock. Requires that nothing has been scheduled or executed yet.
-    void restore_clock(SimTime now, std::uint64_t executed);
-
-    /// Restores the lifetime cancellation count from a checkpoint (kept
-    /// separate from restore_clock: older snapshots lack the field).
-    void restore_cancelled(std::uint64_t cancelled) {
-        queue_.restore_cancelled_count(cancelled);
-    }
+    /// clock and its lifetime executed/cancelled counts. Requires that
+    /// nothing has been scheduled or executed yet.
+    void restore_clock(SimTime now, std::uint64_t executed,
+                       std::uint64_t cancelled);
 
     /// Attaches an (optional, non-owning) event tracer and binds its clock
     /// to this simulator's `now()`. Pass nullptr to detach.

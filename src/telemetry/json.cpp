@@ -408,4 +408,74 @@ JsonValue parse_json(std::string_view text, const JsonLimits& limits) {
     return JsonValue::Parser(text, limits).parse_document();
 }
 
+// ------------------------------------------------------ snapshot codecs
+
+void write_rng(JsonWriter& w, std::string_view key, const Rng& rng) {
+    w.key(key);
+    w.begin_array();
+    for (std::uint64_t word : rng.state()) {
+        w.value(word);
+    }
+    w.end_array();
+}
+
+Rng read_rng(const JsonValue& doc, const std::string& key) {
+    const std::vector<std::uint64_t> words = doc.at(key).u64s();
+    MCS_REQUIRE(words.size() == 4, "snapshot: RNG state must have 4 words");
+    Rng rng;
+    rng.set_state({words[0], words[1], words[2], words[3]});
+    return rng;
+}
+
+void write_latent_slots(
+    JsonWriter& w, std::string_view key,
+    const std::vector<std::optional<std::size_t>>& slots) {
+    w.key(key);
+    w.begin_array();
+    for (const auto& slot : slots) {
+        if (slot) {
+            w.value(static_cast<std::uint64_t>(*slot));
+        } else {
+            w.value(std::int64_t{-1});
+        }
+    }
+    w.end_array();
+}
+
+std::vector<std::optional<std::size_t>> read_latent_slots(
+    const JsonValue& doc, const std::string& key, std::size_t history_size) {
+    std::vector<std::optional<std::size_t>> latent;
+    for (const auto& v : doc.at(key).array()) {
+        const std::int64_t slot = v.i64();
+        if (slot < 0) {
+            latent.emplace_back(std::nullopt);
+        } else {
+            MCS_REQUIRE(static_cast<std::size_t>(slot) < history_size,
+                        "snapshot: latent slot out of history range");
+            latent.emplace_back(static_cast<std::size_t>(slot));
+        }
+    }
+    return latent;
+}
+
+void write_running_stats(JsonWriter& w, const RunningStats& s) {
+    w.begin_object();
+    w.field("n", static_cast<std::uint64_t>(s.count()));
+    w.field("mean", s.mean());
+    w.field("m2", s.m2());
+    w.field("sum", s.sum());
+    w.field("min", s.min());
+    w.field("max", s.max());
+    w.end_object();
+}
+
+RunningStats read_running_stats(const JsonValue& doc) {
+    RunningStats s;
+    s.restore(static_cast<std::size_t>(doc.at("n").u64()),
+              doc.at("mean").number(), doc.at("m2").number(),
+              doc.at("sum").number(), doc.at("min").number(),
+              doc.at("max").number());
+    return s;
+}
+
 }  // namespace mcs::telemetry

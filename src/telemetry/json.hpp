@@ -16,10 +16,14 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace mcs::telemetry {
 
@@ -163,5 +167,25 @@ private:
     Array array_;
     Object object_;
 };
+
+// ------------------------------------------------------ snapshot codecs
+// Exact round-trips for value types that several components persist in
+// their save_state/load_state.
+
+/// RNG engine state as an array of its 4 raw words under `key`.
+void write_rng(JsonWriter& w, std::string_view key, const Rng& rng);
+Rng read_rng(const JsonValue& doc, const std::string& key);
+
+/// Per-entity latent fault slots of an injector under `key`: the index of
+/// the entity's latent fault in the injector's history, -1 for none.
+void write_latent_slots(JsonWriter& w, std::string_view key,
+                        const std::vector<std::optional<std::size_t>>& slots);
+/// Every stored slot must index into a history of `history_size` entries.
+std::vector<std::optional<std::size_t>> read_latent_slots(
+    const JsonValue& doc, const std::string& key, std::size_t history_size);
+
+/// Welford accumulator state as one object (n, mean, m2, sum, min, max).
+void write_running_stats(JsonWriter& w, const RunningStats& s);
+RunningStats read_running_stats(const JsonValue& doc);
 
 }  // namespace mcs::telemetry

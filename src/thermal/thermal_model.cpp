@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "util/require.hpp"
 
@@ -90,11 +91,19 @@ double ThermalModel::isolated_steady_state_c(double power_w) const {
     return params_.ambient_c + power_w / params_.g_vertical_w_per_k;
 }
 
+void ThermalModel::save_state(telemetry::JsonWriter& w) const {
+    w.begin_array();
+    for (double t : temps_) {
+        w.value(t);
+    }
+    w.end_array();
+}
 
-void ThermalModel::load_temps(std::span<const double> temps_c) {
-    MCS_REQUIRE(temps_c.size() == temps_.size(),
+void ThermalModel::load_state(const telemetry::JsonValue& doc) {
+    std::vector<double> temps = doc.numbers();
+    MCS_REQUIRE(temps.size() == temps_.size(),
                 "thermal state: node count mismatch");
-    temps_.assign(temps_c.begin(), temps_c.end());
+    temps_ = std::move(temps);
 }
 
 }  // namespace mcs

@@ -3,6 +3,8 @@
 #include <span>
 #include <vector>
 
+#include "telemetry/json.hpp"
+
 namespace mcs {
 
 /// Lumped-RC thermal parameters. Constants are modeling choices tuned to
@@ -40,8 +42,10 @@ public:
     /// `power_w` (ignores lateral coupling); useful for calibration tests.
     double isolated_steady_state_c(double power_w) const;
 
-    /// Overwrites node temperatures from a checkpoint (size must match).
-    void load_temps(std::span<const double> temps_c);
+    /// Node temperatures as one array, row-major; load_state checks the
+    /// node count.
+    void save_state(telemetry::JsonWriter& w) const;
+    void load_state(const telemetry::JsonValue& doc);
 
     int width() const noexcept { return width_; }
     int height() const noexcept { return height_; }

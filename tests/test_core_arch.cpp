@@ -1,7 +1,10 @@
 #include "arch/core.hpp"
 
+#include <sstream>
+
 #include <gtest/gtest.h>
 
+#include "telemetry/json.hpp"
 #include "util/require.hpp"
 
 namespace mcs {
@@ -165,7 +168,12 @@ TEST_F(CoreTest, JournalNotesEachMembershipChangeOnce) {
     notes_once("wake", [&] { core_.wake(++t); });
     notes_once("set_reserved(true)", [&] { core_.set_reserved(true); });
     notes_once("set_reserved(false)", [&] { core_.set_reserved(false); });
-    notes_once("load_state", [&] { core_.load_state(core_.save_state()); });
+    notes_once("load_state", [&] {
+        std::ostringstream record;
+        telemetry::JsonWriter w(record);
+        core_.save_state(w);
+        core_.load_state(telemetry::parse_json(record.str()));
+    });
     notes_once("repeated changes", [&] {
         core_.start_task(++t);
         core_.finish_task(++t);

@@ -120,6 +120,10 @@ public:
     void schedule_restored_directive(std::uint64_t, SimTime) override {
         MCS_REQUIRE(false, "hand-driven leg must not restore");
     }
+    bool directive_due() const override {
+        MCS_REQUIRE(false, "hand-driven leg must not restore");
+        return false;
+    }
 
 private:
     const ScenarioSpec& spec() const { return player_.spec(); }

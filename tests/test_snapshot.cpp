@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <regex>
 #include <string>
 #include <utility>
@@ -247,20 +248,26 @@ protected:
                                   100 * kMillisecond, file_);
     }
 
-    /// Restores `text` as a snapshot into a fresh system built from `cfg`.
+    /// Restores `text` as a snapshot into a fresh system built from `cfg`,
+    /// with a player for `spec` attached when it is non-null.
     static void restore_text(const SystemConfig& cfg, const std::string& text,
-                             RestoreOptions opts = {}) {
+                             RestoreOptions opts = {},
+                             const ScenarioSpec* spec = nullptr) {
         ManycoreSystem sys(cfg);
+        if (spec != nullptr) {
+            sys.attach_scenario(std::make_unique<ScenarioPlayer>(*spec));
+        }
         sys.restore(telemetry::parse_json(text), opts);
     }
 
-    /// Restoring the edited snapshot `text` must throw a RequireError whose
-    /// message contains `what`.
+    /// Restoring the edited snapshot `text` (with `scenario_` attached, if
+    /// set) must throw a RequireError whose message contains `what`.
     void expect_rejected(const std::string& text,
                          const std::string& what) const {
         ASSERT_NE(text, snapshot_) << "the edit did not apply";
         try {
-            restore_text(cfg_, text);
+            restore_text(cfg_, text, {},
+                         scenario_ ? &*scenario_ : nullptr);
             ADD_FAILURE() << "restored a snapshot that must fail: " << what;
         } catch (const RequireError& e) {
             EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
@@ -269,6 +276,7 @@ protected:
     }
 
     SystemConfig cfg_;
+    std::optional<ScenarioSpec> scenario_;
     TempFile file_{"snapshot_guard"};
     std::string snapshot_;
 };
@@ -518,6 +526,13 @@ TEST_F(SnapshotGuards, MalformedEventManifestFailsCleanly) {
         const std::size_t i = at(kind);
         return edited([i](auto& events) { events.erase(events.begin() + i); });
     };
+    // The first `kind` entry with its id moved by 2^32: equal to a valid id
+    // in the low 32 bits, so it must be checked before it narrows.
+    const auto aliased = [&](const std::string& kind) {
+        const std::size_t i = at(kind);
+        return edited(
+            [i](auto& events) { events[i].a += std::uint64_t{1} << 32; });
+    };
     // A copy of the first `kind` entry, appended under a fresh seq.
     const auto duplicated = [&](const std::string& kind) {
         const std::size_t i = at(kind);
@@ -537,7 +552,9 @@ TEST_F(SnapshotGuards, MalformedEventManifestFailsCleanly) {
          }),
          "snapshot manifest:"},
         {dropped("task_complete"), "snapshot manifest:"},
+        {aliased("task_complete"), "snapshot manifest:"},
         {dropped("test_session_complete"), "snapshot manifest:"},
+        {aliased("test_session_complete"), "snapshot manifest:"},
         {dropped("edge"), "snapshot manifest:"},
         {duplicated("edge"), "snapshot manifest:"},
         {edited([](auto& events) { events.front().kind = "bogus"; }),
@@ -565,6 +582,61 @@ TEST_F(SnapshotGuards, MalformedEventManifestFailsCleanly) {
     ASSERT_LT(at("link_test_complete"), manifest.size());
     expect_rejected(dropped("link_test_complete"), "snapshot manifest:");
     expect_rejected(duplicated("link_test_complete"), "snapshot manifest:");
+    expect_rejected(aliased("link_test_complete"), "snapshot manifest:");
+
+    // A scenario player chains its directives, so a capture taken while
+    // one is still to fire holds exactly one `scenario` entry.
+    cfg_ = base_config(5);
+    scenario_ = parse_scenario_text(
+        "{\"schema\":\"mcs.scenario.v1\",\"name\":\"guard\","
+        "\"directives\":["
+        "{\"at_us\":150000,\"kind\":\"arrival-burst\",\"apps\":4,"
+        "\"tasks\":4,\"qos\":\"soft-RT\"},"
+        "{\"at_us\":250000,\"kind\":\"abort-tests\"}]}");
+    run_leg(cfg_, &*scenario_, "", 300 * kMillisecond,
+            {{200 * kMillisecond, file_.path()}});
+    snapshot_ = testsupport::read_file(file_.path());
+    manifest = manifest_of(snapshot_);
+    ASSERT_LT(at("scenario"), manifest.size());
+    expect_rejected(dropped("scenario"), "snapshot manifest:");
+}
+
+TEST_F(SnapshotGuards, MalformedComponentStateFailsCleanly) {
+    // Each component checks the ids it loads on the 64-bit value, before
+    // it narrows: a core's V/F level, a fault's core or a link fault's
+    // link moved by 2^32 equals a valid one in its low 32 bits. Every
+    // field is required; `cancelled` has no fallback.
+    cfg_ = featured_config();
+    snapshot_ = make_snapshot(cfg_, 300 * kMillisecond, 100 * kMillisecond,
+                              file_);
+    const telemetry::JsonValue doc = telemetry::parse_json(snapshot_);
+    const auto& faults = doc.at("platform").at("faults").at("history");
+    const auto& link_faults = doc.at("test").at("link").at("history");
+    ASSERT_FALSE(faults.array().empty()) << "no fault captured";
+    ASSERT_FALSE(link_faults.array().empty()) << "no link fault captured";
+    const auto aliased = [](std::uint64_t id) {
+        return std::to_string(id + (std::uint64_t{1} << 32));
+    };
+    const std::string level =
+        aliased(doc.at("cores").array()[0].array()[1].u64());
+    const std::string core = aliased(faults.array()[0].at("core").u64());
+    const std::string link = aliased(link_faults.array()[0].at("link").u64());
+    const std::pair<std::string, const char*> cases[] = {
+        {edit_first(snapshot_, R"("cores":\[\[(\d+),\d+,)",
+                    "\"cores\":[[$1," + level + ","),
+         "core state:"},
+        {edit_first(snapshot_, R"("history":\[\{"core":\d+)",
+                    "\"history\":[{\"core\":" + core),
+         "fault injector state:"},
+        {edit_first(snapshot_, R"("history":\[\{"link":\d+)",
+                    "\"history\":[{\"link\":" + link),
+         "link tester state:"},
+        {edit_first(snapshot_, R"(,"cancelled":\d+)", ""),
+         "missing JSON member: cancelled"},
+    };
+    for (const auto& [text, what] : cases) {
+        expect_rejected(text, what);
+    }
 }
 
 TEST_F(SnapshotGuards, MalformedSchedulerStateFailsCleanly) {

@@ -2,6 +2,8 @@
 // for arbitrary seeds and a range of configurations.
 
 #include <numeric>
+#include <ostream>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
@@ -20,6 +22,16 @@ struct PropertyCase {
     MapperKind mapper;
     bool faults;
 };
+
+/// The case's name in test listings (and so in the ctest names). Without
+/// it gtest prints the struct's bytes, padding included, which differ
+/// between runs.
+void PrintTo(const PropertyCase& pc, std::ostream* os) {
+    const std::string_view mapper = to_string(pc.mapper);
+    *os << "seed" << pc.seed << '_' << pc.width << 'x' << pc.height << "_occ"
+        << pc.occupancy << '_' << to_string(pc.scheduler) << '_'
+        << mapper.substr(0, mapper.find(' ')) << (pc.faults ? "_faults" : "");
+}
 
 SystemConfig make_config(const PropertyCase& pc) {
     SystemConfig cfg;

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Guard the include surface of layering-sensitive headers.
+"""Guard the include surface of layering-sensitive files.
 
-Two kinds of rule, one per guarded header:
+Each rule names a glob of files (relative to the repository root) and what
+they may not include:
 
   * src/core/system.hpp -- the god-object decomposition pruned the public
     façade from 21 direct project includes down to 14: the engine, chip,
@@ -13,9 +14,16 @@ Two kinds of rule, one per guarded header:
   * src/sim/event_queue.hpp, src/sim/simulator.hpp -- the simulation
     substrate must stay below the architecture/engine layers: the queue
     holds (time, seq, callback, record) entries whose EventRecord is opaque
-    to it, and neither header may reach up into arch/ or core/ headers. A
-    forbidden *prefix* guards the whole subtree, so a new core/foo.hpp
-    cannot slip in unnamed.
+    to it, and neither header may reach up into arch/ or core/ headers.
+
+  * every header and source under the component layers (util, sim, arch,
+    noc, power, thermal, aging, sbst, mapping, app, isa) -- the engines
+    and the façade in core/ sit above them. Each stateful component saves
+    and loads its own snapshot fields through the telemetry JSON codecs,
+    so none of them needs a core/ header.
+
+A forbidden *prefix* guards a whole subtree, so a new core/foo.hpp cannot
+slip in unnamed.
 
 Usage: check_includes.py [--root REPO_ROOT]
 Exit code 0 on success, 1 on violation (with a per-violation message).
@@ -32,10 +40,13 @@ import sys
 
 @dataclasses.dataclass(frozen=True)
 class Rule:
-    header: str
-    # Budget for direct project includes; carries one-include headroom over
-    # the current count so a legitimately needed value-type header does not
-    # require touching this file in the same PR. None = no budget.
+    # Glob of the guarded files, relative to the repository root; it must
+    # match at least one file.
+    files: str
+    # Budget for direct project includes per file; carries one-include
+    # headroom over the current count so a legitimately needed value-type
+    # header does not require touching this file in the same PR. None = no
+    # budget.
     max_project_includes: int | None = None
     # Exact headers that must never be included. If one of these comes
     # back, incomplete-type firewalls are broken -- fix the code, do not
@@ -46,9 +57,13 @@ class Rule:
     forbidden_prefixes: tuple[str, ...] = ()
 
 
+# The layers below core/: components, models and the simulation substrate.
+COMPONENT_LAYERS = ("util", "sim", "arch", "noc", "power", "thermal",
+                    "aging", "sbst", "mapping", "app", "isa")
+
 RULES = (
     Rule(
-        header="src/core/system.hpp",
+        files="src/core/system.hpp",
         max_project_includes=15,
         forbidden=(
             "core/platform_engine.hpp",
@@ -63,27 +78,26 @@ RULES = (
         ),
     ),
     Rule(
-        header="src/sim/event_queue.hpp",
+        files="src/sim/event_queue.hpp",
         forbidden_prefixes=("arch/", "core/"),
     ),
     Rule(
-        header="src/sim/simulator.hpp",
+        files="src/sim/simulator.hpp",
         forbidden_prefixes=("arch/", "core/"),
     ),
+    *(Rule(files=f"src/{layer}/*.[ch]pp", forbidden_prefixes=("core/",))
+      for layer in COMPONENT_LAYERS),
 )
 
 PROJECT_INCLUDE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
 
 
-def check_rule(root: pathlib.Path, rule: Rule, errors: list[str]) -> str:
-    header = root / rule.header
-    if not header.is_file():
-        errors.append(f"{header} not found")
-        return ""
-
+def check_file(root: pathlib.Path, path: pathlib.Path, rule: Rule,
+               errors: list[str]) -> int:
+    name = path.relative_to(root).as_posix()
     includes = [
         m.group(1)
-        for line in header.read_text(encoding="utf-8").splitlines()
+        for line in path.read_text(encoding="utf-8").splitlines()
         if (m := PROJECT_INCLUDE.match(line))
     ]
 
@@ -91,26 +105,38 @@ def check_rule(root: pathlib.Path, rule: Rule, errors: list[str]) -> str:
     if budget is not None and len(includes) > budget:
         listing = "\n".join(f"    {inc}" for inc in includes)
         errors.append(
-            f"{rule.header} has {len(includes)} direct project includes "
+            f"{name} has {len(includes)} direct project includes "
             f"(budget: {budget}). Prefer a forward declaration "
             f"and an out-of-line accessor.\n{listing}"
         )
     for inc in includes:
         if inc in rule.forbidden:
             errors.append(
-                f"{rule.header} includes {inc}, which must only be "
+                f"{name} includes {inc}, which must only be "
                 f"forward-declared (see docs/architecture.md)."
             )
         for prefix in rule.forbidden_prefixes:
             if inc.startswith(prefix):
                 errors.append(
-                    f"{rule.header} includes {inc}: the {prefix} layer is "
-                    f"above this header (see docs/hot_paths.md)."
+                    f"{name} includes {inc}: the {prefix} layer is above "
+                    f"this file (see docs/architecture.md)."
                 )
+    return len(includes)
 
-    if budget is not None:
-        return f"{rule.header} OK ({len(includes)}/{budget} project includes)"
-    return f"{rule.header} OK ({len(includes)} project includes)"
+
+def check_rule(root: pathlib.Path, rule: Rule, errors: list[str]) -> str:
+    paths = sorted(p for p in root.glob(rule.files) if p.is_file())
+    if not paths:
+        errors.append(f"{root / rule.files} matches no file")
+        return ""
+    counts = [check_file(root, p, rule, errors) for p in paths]
+
+    if len(paths) > 1:
+        return f"{rule.files} OK ({len(paths)} files)"
+    if rule.max_project_includes is not None:
+        return (f"{rule.files} OK ({counts[0]}/{rule.max_project_includes} "
+                f"project includes)")
+    return f"{rule.files} OK ({counts[0]} project includes)"
 
 
 def main() -> int:
