@@ -176,13 +176,18 @@ BENCHMARK(BM_ThermalStep)->Arg(8)->Arg(16);
 
 void BM_ContiguousMapping(benchmark::State& state) {
     const int side = static_cast<int>(state.range(0));
+    const auto request = static_cast<std::size_t>(state.range(1));
     const auto n = static_cast<std::size_t>(side * side);
     std::vector<std::uint8_t> alloc(n, 1);
+    std::vector<std::uint8_t> testing(n, 0);
     std::vector<double> util(n, 0.3);
     std::vector<double> crit(n, 0.5);
+    std::vector<double> temps(n, 45.0);
     Rng rng(5);
     for (std::size_t i = 0; i < n; ++i) {
         alloc[i] = rng.bernoulli(0.5) ? 1 : 0;
+        testing[i] = rng.bernoulli(0.1) ? 1 : 0;
+        temps[i] = rng.uniform(40.0, 90.0);
     }
     PlatformView view;
     view.width = side;
@@ -190,12 +195,15 @@ void BM_ContiguousMapping(benchmark::State& state) {
     view.allocatable = alloc;
     view.utilization = util;
     view.criticality = crit;
+    view.testing = testing;
+    view.temperature_c = temps;
     auto mapper = ContiguousMapper::test_aware();
     for (auto _ : state) {
-        benchmark::DoNotOptimize(mapper.map({1, 9}, view, rng));
+        benchmark::DoNotOptimize(mapper.map({1, request}, view, rng));
     }
 }
-BENCHMARK(BM_ContiguousMapping)->Arg(8)->Arg(16);
+// Chip side x request size; 32x32 is where the mapper's cost grows.
+BENCHMARK(BM_ContiguousMapping)->ArgsProduct({{8, 16, 32}, {4, 9, 16}});
 
 }  // namespace
 

@@ -157,11 +157,14 @@ void TestEngine::schedule_link_tests(SimTime now) {
         ++link_tests_running_;
         const SimDuration dur = std::max<SimDuration>(
             1, ctx_.noc.link_transfer_time(p.test_bytes));
-        const LinkId id = link;
-        ctx_.sim.schedule_in(
-            dur, [this, id] { on_link_test_complete(id); },
-            EventRecord{"link_test_complete", id});
+        schedule_link_test_done(link, now + dur);
     }
+}
+
+void TestEngine::schedule_link_test_done(LinkId link, SimTime when) {
+    ctx_.sim.schedule_at(
+        when, [this, link] { on_link_test_complete(link); },
+        EventRecord{"link_test_complete", link});
 }
 
 void TestEngine::on_link_test_complete(LinkId link) {
@@ -442,10 +445,7 @@ void TestEngine::schedule_restored_link_test(std::uint64_t link,
                 "snapshot manifest: link out of range");
     MCS_REQUIRE(link_test_active_[link] != 0,
                 "snapshot manifest: link test on inactive link");
-    const auto id = static_cast<LinkId>(link);
-    ctx_.sim.schedule_at(
-        when, [this, id] { on_link_test_complete(id); },
-        EventRecord{"link_test_complete", id});
+    schedule_link_test_done(static_cast<LinkId>(link), when);
 }
 
 void TestEngine::check_restored_events(

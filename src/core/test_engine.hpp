@@ -121,6 +121,9 @@ private:
     /// its snapshot record. The start, each routine and the manifest replay
     /// share it.
     void schedule_session_step(CoreId core, SimTime when);
+    /// Schedules the end of the test on `link` at `when`, with its snapshot
+    /// record. The start and the manifest replay share it.
+    void schedule_link_test_done(LinkId link, SimTime when);
     void on_link_test_complete(LinkId link);
     void on_routine_complete(CoreId core);
     void on_test_complete(CoreId core);

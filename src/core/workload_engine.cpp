@@ -473,9 +473,15 @@ void WorkloadEngine::load_state(const telemetry::JsonValue& doc) {
                         app.task_core.size() == app.spec.graph.size(),
                     "snapshot workload: mapping size mismatch");
         const std::vector<std::uint64_t> waiting = a.at("waiting").u64s();
-        app.waiting.assign(waiting.begin(), waiting.end());
-        MCS_REQUIRE(app.waiting.size() == app.task_core.size(),
+        MCS_REQUIRE(waiting.size() == app.task_core.size(),
                     "snapshot workload: waiting size mismatch");
+        for (std::size_t t = 0; t < waiting.size(); ++t) {
+            MCS_REQUIRE(waiting[t] <= app.spec.graph.pred_count(
+                                          static_cast<TaskIndex>(t)),
+                        "snapshot workload: waiting count exceeds the "
+                        "task's inputs");
+        }
+        app.waiting.assign(waiting.begin(), waiting.end());
         MCS_REQUIRE(app.tasks_done <= app.spec.graph.size(),
                     "snapshot workload: tasks_done out of range");
     }

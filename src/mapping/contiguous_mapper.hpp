@@ -1,5 +1,9 @@
 #pragma once
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "mapping/mapper.hpp"
 
 namespace mcs {
@@ -22,9 +26,19 @@ struct MappingWeights {
 };
 
 /// Contiguous runtime mapper: SHiC-style square-factor first-node selection
-/// followed by nearest-first BFS region growth. With non-zero utilization /
+/// followed by nearest-first region growth. With non-zero utilization /
 /// criticality weights it becomes the paper's test-aware utilization-
 /// oriented mapper (TAUM).
+///
+/// `map` returns what a full scan returns: the allocatable core with the
+/// highest `first_node_score` (the lowest id on ties) and then the other
+/// allocatable cores in growth order. It does less work to get there. Two
+/// summed-area tables give every candidate an upper bound on its score, so
+/// only candidates whose bound reaches the best exact score so far are
+/// scored; the growth order is one partial sort. The argument is in
+/// contiguous_mapper.cpp and docs/hot_paths.md. It needs non-negative
+/// weights and `temp_scale_c > 0` (checked on construction) and finite
+/// inputs with utilization and criticality non-negative (checked per call).
 class ContiguousMapper : public Mapper {
 public:
     ContiguousMapper(std::string name, MappingWeights weights = {});
@@ -54,11 +68,37 @@ public:
     }
 
 private:
+    /// Region-growth sort key of one allocatable core.
+    struct GrowthKey {
+        int dist;     ///< hops from the first node, plus the testing penalty
+        double crit;  ///< criticality when test-aware, else 0
+        CoreId id;
+    };
+
+    /// The one exact scorer: weighted contiguity minus the mean
+    /// utilization, criticality and temperature penalties of the
+    /// (2r+1)^2 window around `candidate`, summed in row-major order.
     double first_node_score(const PlatformView& view, CoreId candidate,
                             int radius) const;
+    /// The temperature penalty of one cell, as `first_node_score` sums it.
+    double temperature_term(double temp_c) const;
+    /// Checks the view's values and fills both summed-area tables; returns
+    /// the number of allocatable cores.
+    std::size_t build_tables(const PlatformView& view);
+    /// The highest-scoring allocatable core, lowest id on ties.
+    CoreId select_first_node(const PlatformView& view, int radius);
+    /// Fills `result.cores`: the first node, then the `count - 1` other
+    /// allocatable cores in growth order.
+    void grow_region(const PlatformView& view, std::size_t count,
+                     MappingResult& result);
 
     std::string name_;
     MappingWeights weights_;
+    // Per-call working buffers, members so their capacity is reused.
+    std::vector<int> free_table_;        ///< summed-area table of allocatable
+    std::vector<double> penalty_table_;  ///< summed-area table of penalties
+    std::vector<std::pair<CoreId, double>> bounds_;  ///< candidate, bound
+    std::vector<GrowthKey> growth_;
 };
 
 /// Baseline: picks random allocatable cores with no contiguity constraint.

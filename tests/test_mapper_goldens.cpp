@@ -1,0 +1,67 @@
+#include <ostream>
+#include <string>
+
+#include <gtest/gtest.h>
+
+#include "core/config_bridge.hpp"
+#include "support/differential.hpp"
+#include "util/config.hpp"
+#include "util/fnv1a.hpp"
+
+// Pins the system bytes of the four contiguous-mapper presets. The
+// scenario corpus pins only the default test-aware mapper at 8x8; here each
+// preset maps a crowded 16x16 chip (occupancy 0.9, test aborts on, so
+// testing cores are allocatable) for 0.3 s. A digest that moves means the
+// mapper decided differently: find the cause, do not refresh the constant.
+
+namespace mcs {
+namespace {
+
+struct GoldenCase {
+    const char* name;    ///< preset, as the test name
+    const char* mapper;  ///< `mapper=` value
+    const char* report;  ///< FNV-1a of the run-report JSON
+    const char* trace;   ///< FNV-1a of the chrome-trace JSON
+};
+
+std::string digest(const std::string& bytes) {
+    Fnv1a h;
+    h.bytes(bytes);
+    return h.hex();
+}
+
+/// The preset's name in test listings (and so in the ctest names). Without
+/// it gtest prints the struct's pointer bytes, which differ between runs.
+void PrintTo(const GoldenCase& golden, std::ostream* os) {
+    *os << golden.name;
+}
+
+class MapperGoldens : public ::testing::TestWithParam<GoldenCase> {};
+
+TEST_P(MapperGoldens, RunMatchesPinnedDigests) {
+    const GoldenCase& golden = GetParam();
+    const std::string mapper = std::string("mapper=") + golden.mapper;
+    const char* const args[] = {"side=16", "occupancy=0.9",
+                                "abort_tests=true", "seed=20",
+                                mapper.c_str()};
+    const SystemConfig cfg = system_config_from(Config::from_args(args));
+    const testsupport::RunArtifacts art =
+        testsupport::run_reference(cfg, 300 * kMillisecond);
+    EXPECT_EQ(digest(art.report), golden.report);
+    EXPECT_EQ(digest(art.trace), golden.trace);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Presets, MapperGoldens,
+    ::testing::Values(
+        GoldenCase{"plain", "contiguous", "ad551e30aef6d1e0",
+                   "34a0f1ed6c0db248"},
+        GoldenCase{"utilization_oriented", "util-oriented",
+                   "ce22973c0e1f2006", "556db381b9bde735"},
+        GoldenCase{"test_aware", "test-aware", "22f8e0327dfa8f48",
+                   "c1ee66edf31add43"},
+        GoldenCase{"thermal_aware", "thermal-aware", "9a681536f3614a76",
+                   "359d05f0e60abc25"}));
+
+}  // namespace
+}  // namespace mcs

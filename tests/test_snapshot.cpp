@@ -367,7 +367,8 @@ TEST_F(SnapshotGuards, MalformedWorkloadIdsFailCleanly) {
     // A resumed run indexes the chip, the app table and each task graph
     // with the ids a snapshot carries, so restore checks every one: the
     // mapped cores, the app, task and core of each running task, and the
-    // app and destination task of each in-flight edge.
+    // app and destination task of each in-flight edge. Waiting counts are
+    // checked against the task's inputs before they narrow to 32 bits.
 
     // Messages of 100-400 KB (tens of microseconds per hop) keep edges in
     // flight often enough that this capture holds one beside running tasks.
@@ -436,6 +437,10 @@ TEST_F(SnapshotGuards, MalformedWorkloadIdsFailCleanly) {
     ASSERT_GT(mapped.size(), 1u);
     const std::string last_core =
         "," + num(mapped.back().u64()) + "],\"waiting\":";
+    // Its first waiting count, moved by 2^32: the low 32 bits still match.
+    const std::uint64_t first_wait =
+        apps[app].at("waiting").array().front().u64();
+    const std::string waiting = "\"waiting\":[" + num(first_wait) + ",";
     const std::pair<std::string, const char*> cases[] = {
         {edited(edge_ids, seq + ",\"a\":" + num(app) + ",\"b\":999"),
          "snapshot manifest:"},
@@ -446,6 +451,10 @@ TEST_F(SnapshotGuards, MalformedWorkloadIdsFailCleanly) {
                 exec_app + num(unmapped) + running),
          "snapshot workload:"},
         {edited(last_core, ",99999],\"waiting\":", record),
+         "snapshot workload:"},
+        {edited(waiting,
+                "\"waiting\":[" + num(first_wait + (1ULL << 32)) + ",",
+                record),
          "snapshot workload:"},
         {edited(exec_app + num(run_app) + running,
                 exec_app + num(run_app) + ",\"task\":" + num(other_task) +
