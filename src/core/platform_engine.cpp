@@ -30,7 +30,8 @@ PlatformEngine::PlatformEngine(SystemContext& ctx)
       aging_(ctx.chip.core_count(), ctx.cfg.aging),
       crit_eval_(ctx.cfg.criticality),
       criticality_(ctx.chip.core_count(), 0.0),
-      power_w_(ctx.chip.core_count(), 0.0) {
+      power_w_(ctx.chip.core_count(), 0.0),
+      power_key_(ctx.chip.core_count()) {
     if (ctx_.cfg.enable_fault_injection) {
         faults_.emplace(ctx_.chip.core_count(), ctx_.cfg.faults,
                         ctx_.cfg.seed ^ 0x94d049bb133111ebULL);
@@ -85,10 +86,21 @@ void PlatformEngine::accumulate_energy(SimTime now) {
 }
 
 void PlatformEngine::fill_power() {
+    // The key comparison is the whole invalidation. States and levels may
+    // change between any two fills; temperatures change only in
+    // ThermalModel::step and load_state, so most fills evaluate no exp.
+    // Temperatures compare exactly: -0.0 and +0.0 give the same bits, and a
+    // NaN never matches, so it is evaluated every time.
     const std::span<const double> temps = thermal_.temps_c();
     for (const Core& c : ctx_.chip.cores()) {
-        power_w_[c.id()] = power_model_.core_power_w(c.state(), c.vf_level(),
-                                                     temps[c.id()]);
+        PowerKey& key = power_key_[c.id()];
+        const double temp = temps[c.id()];
+        if (key.state != c.state() || key.vf_level != c.vf_level() ||
+            key.temp_c != temp) {
+            key = PowerKey{c.state(), c.vf_level(), temp};
+            power_w_[c.id()] =
+                power_model_.core_power_w(key.state, key.vf_level, temp);
+        }
     }
 }
 

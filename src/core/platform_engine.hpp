@@ -82,8 +82,20 @@ public:
 
 private:
     /// Fills power_w_: the current draw of each core from its state, V/F
-    /// level and temperature.
+    /// level and temperature. The power model is a pure function of those
+    /// three inputs, so only a core whose inputs differ from its key in
+    /// power_key_ is evaluated again; every other entry already holds the
+    /// bits a fresh evaluation would give.
     void fill_power();
+
+    /// The inputs a power_w_ entry was last evaluated at. The default key
+    /// (level -1) matches no core, so a new or restored engine evaluates
+    /// every core on its first fill.
+    struct PowerKey {
+        CoreState state = CoreState::Idle;
+        int vf_level = -1;
+        double temp_c = 0.0;
+    };
 
     SystemContext& ctx_;
     PowerModel power_model_;
@@ -96,6 +108,7 @@ private:
     // per-core epoch buffers, by core id (reused across epochs)
     std::vector<double> criticality_;  ///< last refresh_criticality()
     std::vector<double> power_w_;      ///< last fill_power()
+    std::vector<PowerKey> power_key_;  ///< inputs behind each power_w_
     std::vector<double> accel_buf_;    ///< fault acceleration (wear epoch)
 
     // accumulators

@@ -14,6 +14,8 @@ int manhattan(const PlatformView& view, CoreId a, CoreId b) {
            std::abs(view.y_of(a) - view.y_of(b));
 }
 
+}  // namespace
+
 void validate(const MapRequest& request, const PlatformView& view) {
     MCS_REQUIRE(view.width > 0 && view.height > 0,
                 "platform view has empty dimensions");
@@ -33,8 +35,6 @@ void validate(const MapRequest& request, const PlatformView& view) {
                 "testing mask size mismatch");
     MCS_REQUIRE(request.core_count > 0, "mapping request for zero cores");
 }
-
-}  // namespace
 
 double mapping_dispersion(const PlatformView& view,
                           std::span<const CoreId> cores) {

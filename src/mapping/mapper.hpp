@@ -62,6 +62,12 @@ public:
     virtual std::string_view name() const = 0;
 };
 
+/// Checks what every mapper relies on: positive dimensions, an
+/// `allocatable` mask with one entry per core, every other span empty or
+/// one entry per core, and a request for at least one core. Throws
+/// RequireError.
+void validate(const MapRequest& request, const PlatformView& view);
+
 /// Average Manhattan distance between all pairs of allocated cores — the
 /// standard mapping-dispersion figure (lower = more contiguous = less NoC
 /// congestion).

@@ -1,6 +1,7 @@
 #include "mapping/reliability_mapper.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/require.hpp"
 
@@ -20,11 +21,17 @@ ReliabilityWeightedMapper::ReliabilityWeightedMapper(
 
 double ReliabilityWeightedMapper::core_weight(const PlatformView& view,
                                               CoreId id) const {
-    double w = weights_.w_utilization * view.utilization[id] +
-               weights_.w_criticality * view.criticality[id];
+    const double u = view.utilization[id];
+    const double c = view.criticality[id];
+    MCS_REQUIRE(std::isfinite(u) && u >= 0.0,
+                "utilization must be finite and non-negative");
+    MCS_REQUIRE(std::isfinite(c) && c >= 0.0,
+                "criticality must be finite and non-negative");
+    double w = weights_.w_utilization * u + weights_.w_criticality * c;
     if (!view.temperature_c.empty()) {
-        const double t = (view.temperature_c[id] - weights_.temp_ref_c) /
-                         weights_.temp_scale_c;
+        const double temp = view.temperature_c[id];
+        MCS_REQUIRE(std::isfinite(temp), "temperature must be finite");
+        const double t = (temp - weights_.temp_ref_c) / weights_.temp_scale_c;
         w += weights_.w_temperature * std::clamp(t, 0.0, 1.0);
     }
     if (!view.testing.empty() && view.testing[id] != 0) {
@@ -36,9 +43,14 @@ double ReliabilityWeightedMapper::core_weight(const PlatformView& view,
 std::optional<MappingResult> ReliabilityWeightedMapper::map(
     const MapRequest& request, const PlatformView& view, Rng& rng) {
     (void)rng;  // deterministic policy: no random draws
-    MCS_REQUIRE(request.core_count > 0, "mapping request for zero cores");
-    std::vector<std::pair<double, CoreId>> scored;
+    validate(request, view);
     const std::size_t n = view.core_count();
+    // Every core's weight reads its utilization and criticality.
+    MCS_REQUIRE(view.utilization.size() == n,
+                "reliability-weighted mapping needs utilization per core");
+    MCS_REQUIRE(view.criticality.size() == n,
+                "reliability-weighted mapping needs criticality per core");
+    std::vector<std::pair<double, CoreId>> scored;
     for (CoreId id = 0; id < n; ++id) {
         if (view.allocatable[id] == 0) {
             continue;

@@ -28,6 +28,8 @@ struct ReliabilityWeights {
 /// Reliability-weighted mapper (policy zoo): global lowest-wear-risk core
 /// selection, ties broken by core id. Stateless and RNG-free, so mapping
 /// decisions replay bit-identically and the policy needs no snapshot hooks.
+/// Besides validate(), map() requires utilization and criticality for every
+/// core.
 class ReliabilityWeightedMapper : public Mapper {
 public:
     explicit ReliabilityWeightedMapper(ReliabilityWeights weights = {});
@@ -40,7 +42,9 @@ public:
     const ReliabilityWeights& weights() const noexcept { return weights_; }
 
     /// The wear-risk weight of one core under `view`; exposed so reference
-    /// implementations (tests) can score independently.
+    /// implementations (tests) can score independently. The view must hold
+    /// utilization and criticality for `id`; each value read must be finite
+    /// and non-negative, and a temperature finite (RequireError otherwise).
     double core_weight(const PlatformView& view, CoreId id) const;
 
 private:

@@ -168,48 +168,54 @@ void PowerManager::actuate(SimTime now, double signal,
                            std::span<const double> temps_c) {
     // Collect busy cores eligible for stepping. Testing cores are left
     // alone: their power was admitted at a fixed V/F by the test scheduler.
-    std::vector<Core*> busy;
-    busy.reserve(chip_.core_count());
+    busy_.clear();
     for (Core& c : chip_.cores()) {
         if (c.is_busy()) {
-            busy.push_back(&c);
+            const int priority =
+                priority_lookup_ ? priority_lookup_(c.id()) : 0;
+            busy_.push_back(BusyCore{priority, c.vf_level(), 0, &c});
         }
     }
-    if (busy.empty()) {
+    if (busy_.empty()) {
         return;
     }
     const double scale = signal < 0.0 ? 1.0 : params_.boost_fraction;
     const auto steps = static_cast<std::size_t>(std::ceil(
-        std::abs(signal) * scale * static_cast<double>(busy.size())));
+        std::abs(signal) * scale * static_cast<double>(busy_.size())));
 
-    auto priority = [this](const Core* c) {
-        return priority_lookup_ ? priority_lookup_(c->id()) : 0;
-    };
+    // One sort on keys computed once per busy core: priority, V/F level
+    // (each in the direction's order, below), then the rotated id.
     // Fairness rotation must not defeat the priority/level ordering, so it
-    // is the final tie-break of the sort, not an offset into the sorted
-    // array.
-    auto rotated_id = [this, &busy](const Core* c) {
-        return (static_cast<std::size_t>(c->id()) + rotate_) % busy.size();
-    };
-    if (signal < 0.0) {
+    // is a tie-break of the sort, not an offset into the sorted array.
+    // Distinct ids can share a rotated id; the core id breaks those ties,
+    // which keeps the order a stable sort of the id-ordered busy_ gives.
+    const bool throttle = signal < 0.0;
+    for (BusyCore& b : busy_) {
+        b.rotated = (static_cast<std::size_t>(b.core->id()) + rotate_) %
+                    busy_.size();
+    }
+    std::sort(busy_.begin(), busy_.end(),
+              [throttle](const BusyCore& a, const BusyCore& b) {
+                  if (a.priority != b.priority) {
+                      return throttle ? a.priority < b.priority
+                                      : a.priority > b.priority;
+                  }
+                  if (a.vf_level != b.vf_level) {
+                      return throttle ? a.vf_level > b.vf_level
+                                      : a.vf_level < b.vf_level;
+                  }
+                  if (a.rotated != b.rotated) {
+                      return a.rotated < b.rotated;
+                  }
+                  return a.core->id() < b.core->id();
+              });
+    if (throttle) {
         // Over the setpoint: throttle low-priority work first, within a
         // priority the highest-level cores, rotating among equals so the
         // same core is not always the victim.
-        std::stable_sort(busy.begin(), busy.end(),
-                         [&](const Core* a, const Core* b) {
-                             const int pa = priority(a);
-                             const int pb = priority(b);
-                             if (pa != pb) {
-                                 return pa < pb;
-                             }
-                             if (a->vf_level() != b->vf_level()) {
-                                 return a->vf_level() > b->vf_level();
-                             }
-                             return rotated_id(a) < rotated_id(b);
-                         });
         std::size_t done = 0;
-        for (std::size_t i = 0; i < busy.size() && done < steps; ++i) {
-            Core& c = *busy[i];
+        for (std::size_t i = 0; i < busy_.size() && done < steps; ++i) {
+            Core& c = *busy_[i].core;
             if (c.vf_level() > 0) {
                 change_vf(now, c, c.vf_level() - 1);
                 ++throttle_steps_;
@@ -225,22 +231,10 @@ void PowerManager::actuate(SimTime now, double signal,
         // increment is charged to the ledger and boosting stops when the
         // next step would push committed power past the setpoint -- this is
         // what keeps boost ramps from overshooting the cap.
-        std::stable_sort(busy.begin(), busy.end(),
-                         [&](const Core* a, const Core* b) {
-                             const int pa = priority(a);
-                             const int pb = priority(b);
-                             if (pa != pb) {
-                                 return pa > pb;
-                             }
-                             if (a->vf_level() != b->vf_level()) {
-                                 return a->vf_level() < b->vf_level();
-                             }
-                             return rotated_id(a) < rotated_id(b);
-                         });
         const int max_level = chip_.max_vf_level();
         std::size_t done = 0;
-        for (std::size_t i = 0; i < busy.size() && done < steps; ++i) {
-            Core& c = *busy[i];
+        for (std::size_t i = 0; i < busy_.size() && done < steps; ++i) {
+            Core& c = *busy_[i].core;
             if (c.vf_level() >= max_level) {
                 continue;
             }

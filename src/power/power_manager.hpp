@@ -71,7 +71,8 @@ public:
     /// Optional QoS hook (ICCD'14: hard/soft/best-effort priorities):
     /// returns the priority of the work on a busy core (higher = more
     /// important). When set, throttling victimizes low-priority cores first
-    /// and boosting favors high-priority ones.
+    /// and boosting favors high-priority ones. An actuating epoch calls it
+    /// once per busy core.
     void set_priority_lookup(std::function<int(CoreId)> lookup);
 
     /// One control epoch: record the caller's chip-power measurement
@@ -159,6 +160,17 @@ private:
     std::uint64_t boost_steps_ = 0;
     std::uint64_t cores_gated_ = 0;
     std::size_t rotate_ = 0;
+
+    /// A busy core's place in the capping order, computed once per
+    /// actuation: its priority and V/F level, and the fairness rotation
+    /// (id + rotate_) % busy count.
+    struct BusyCore {
+        int priority = 0;
+        int vf_level = 0;
+        std::size_t rotated = 0;
+        Core* core = nullptr;
+    };
+    std::vector<BusyCore> busy_;  ///< actuate() scratch, reused
 };
 
 }  // namespace mcs

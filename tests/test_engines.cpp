@@ -1,23 +1,29 @@
 // Unit-level tests for the engine seams behind the ManycoreSystem façade:
 // the per-round mapper view (one chip scan per mapping round, patched on
 // each commit), the segmented-test abort/resume path under mapping
-// contention, the abort backoff filter, and set_priority_blind's
-// interaction with the QoS admission queues. These drive
-// WorkloadEngine/TestEngine directly -- no full-system run() needed except
-// where app completion matters.
+// contention, the abort backoff filter, set_priority_blind's interaction
+// with the QoS admission queues, and the platform's memoized power buffer.
+// These drive the engines directly -- no full-system run() needed except
+// where app completion or the periodic epochs matter.
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <memory>
 
 #include <gtest/gtest.h>
 
+#include "core/config_bridge.hpp"
 #include "core/platform_engine.hpp"
 #include "core/system.hpp"
+#include "core/system_factory.hpp"
 #include "core/system_observer.hpp"
 #include "core/test_engine.hpp"
 #include "core/workload_engine.hpp"
 #include "mapping/contiguous_mapper.hpp"
 #include "sim/simulator.hpp"
+#include "support/differential.hpp"
+#include "util/config.hpp"
 #include "util/rng.hpp"
 
 namespace mcs {
@@ -447,6 +453,86 @@ TEST(WorkloadEngineSeams, PriorityBlindMergesQosQueues) {
     // Arrival order wins: the earlier best-effort app maps first.
     EXPECT_EQ(order.order,
               (std::vector<std::size_t>{blocker, be, hr}));
+}
+
+// Differential for the power memo: PlatformEngine evaluates a core's power
+// again only when its state, V/F level or temperature changed. With a trace
+// sample on every power epoch, each sample's total must equal, bit for bit,
+// a fresh evaluation of the whole chip (summed in core order from 0.0, as
+// the sample is) plus the NoC term. The run throttles and boosts, gates and
+// wakes cores, aborts tests and marks cores faulty (the greedy scheduler
+// starts sessions despite the tight budget); the check runs again after a
+// mid-run restore, whose engine starts with no memo.
+TEST(PlatformEngineSeams, PowerBufferMatchesFreshEvaluation) {
+    const char* const args[] = {
+        "side=10",           "occupancy=0.9",     "tdp_scale=0.7",
+        "hard_rt_share=0.3", "soft_rt_share=0.3", "scheduler=greedy",
+        "faults=true",       "fault_rate=20",     "abort_tests=true",
+        "seed=21"};
+    SystemConfig cfg = system_config_from(Config::from_args(args));
+    cfg.trace_epoch = cfg.power_epoch;
+
+    struct FreshPowerCheck final : SystemObserver {
+        ManycoreSystem& sys;
+        PowerModel model;
+        std::size_t samples = 0;
+        std::size_t mismatches = 0;
+        std::size_t faulty_samples = 0;
+
+        // The platform's model: the same technology and V/F table, and the
+        // test activity of the SBST suite actually executed.
+        static ActivityFactors activity_of(const ManycoreSystem& s) {
+            ActivityFactors activity = s.config().activity;
+            activity.test = s.suite().mean_activity();
+            return activity;
+        }
+        explicit FreshPowerCheck(ManycoreSystem& s)
+            : sys(s),
+              model(s.chip().tech(), s.chip().vf_table(), activity_of(s)) {}
+
+        void on_trace_sample(const TraceSample& sample) override {
+            PlatformEngine& platform = sys.platform_engine();
+            const double fresh =
+                model.chip_power_w(sys.chip(), platform.thermal().temps_c()) +
+                platform.noc_power_w();
+            const std::vector<Core>& cores = sys.chip().cores();
+            ++samples;
+            mismatches += std::bit_cast<std::uint64_t>(sample.total_power_w) ==
+                                  std::bit_cast<std::uint64_t>(fresh)
+                              ? 0
+                              : 1;
+            faulty_samples += std::any_of(cores.begin(), cores.end(),
+                                          [](const Core& c) {
+                                              return c.state() ==
+                                                     CoreState::Faulty;
+                                          })
+                                  ? 1
+                                  : 0;
+        }
+    };
+
+    const SimDuration horizon = 400 * kMillisecond;
+    const testsupport::TempFile snapshot("power_memo");
+    ManycoreSystem sys(cfg);
+    FreshPowerCheck check(sys);
+    sys.add_observer(&check);
+    sys.checkpoint_at(horizon / 2, snapshot.path());
+    const RunMetrics m = sys.run(horizon);
+    EXPECT_EQ(check.samples, horizon / cfg.power_epoch);
+    EXPECT_EQ(check.mismatches, 0u);
+    EXPECT_GT(check.faulty_samples, 0u);
+    EXPECT_GT(m.dvfs_throttle_steps, 0u);
+    EXPECT_GT(m.dvfs_boost_steps, 0u);
+    EXPECT_GT(m.tests_aborted, 0u);
+
+    ManycoreSystem restored(cfg);
+    FreshPowerCheck restored_check(restored);
+    restored.add_observer(&restored_check);
+    restored.restore(load_snapshot_file(snapshot.path()));
+    restored.run(restored.restored_horizon());
+    EXPECT_EQ(restored_check.samples, horizon / 2 / cfg.power_epoch);
+    EXPECT_EQ(restored_check.mismatches, 0u);
+    EXPECT_GT(restored_check.faulty_samples, 0u);
 }
 
 }  // namespace

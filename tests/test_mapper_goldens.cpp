@@ -13,6 +13,11 @@
 // preset maps a crowded 16x16 chip (occupancy 0.9, test aborts on, so
 // testing cores are allocatable) for 0.3 s. A digest that moves means the
 // mapper decided differently: find the cause, do not refresh the constant.
+//
+// CappingGoldens pins the capping order the same way: a 12x12 chip under a
+// tight budget (tdp_scale=0.7), with and without a QoS mix. The trace
+// records every vf_change, so its digest fixes which core the PID loop
+// throttles or boosts at each step.
 
 namespace mcs {
 namespace {
@@ -62,6 +67,42 @@ INSTANTIATE_TEST_SUITE_P(
                    "c1ee66edf31add43"},
         GoldenCase{"thermal_aware", "thermal-aware", "9a681536f3614a76",
                    "359d05f0e60abc25"}));
+
+struct CappingCase {
+    const char* name;      ///< workload mix, as the test name
+    const char* hard_rt;   ///< `hard_rt_share=` value
+    const char* soft_rt;   ///< `soft_rt_share=` value
+    const char* report;    ///< FNV-1a of the run-report JSON
+    const char* trace;     ///< FNV-1a of the chrome-trace JSON
+};
+
+void PrintTo(const CappingCase& golden, std::ostream* os) {
+    *os << golden.name;
+}
+
+class CappingGoldens : public ::testing::TestWithParam<CappingCase> {};
+
+TEST_P(CappingGoldens, RunMatchesPinnedDigests) {
+    const CappingCase& golden = GetParam();
+    const std::string hard = std::string("hard_rt_share=") + golden.hard_rt;
+    const std::string soft = std::string("soft_rt_share=") + golden.soft_rt;
+    const char* const args[] = {"side=12",       "occupancy=0.9",
+                                "tdp_scale=0.7", "seed=21",
+                                hard.c_str(),    soft.c_str()};
+    const SystemConfig cfg = system_config_from(Config::from_args(args));
+    const testsupport::RunArtifacts art =
+        testsupport::run_reference(cfg, 200 * kMillisecond);
+    EXPECT_EQ(digest(art.report), golden.report);
+    EXPECT_EQ(digest(art.trace), golden.trace);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Mixes, CappingGoldens,
+    ::testing::Values(
+        CappingCase{"best_effort", "0", "0", "982922b30044d7cc",
+                    "8efd80ca008245af"},
+        CappingCase{"qos_mix", "0.3", "0.3", "f31c52d3da4bbe19",
+                    "5f83932306f756ad"}));
 
 }  // namespace
 }  // namespace mcs

@@ -1,5 +1,8 @@
 #include "power/power_manager.hpp"
 
+#include <cstdint>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "util/require.hpp"
@@ -260,6 +263,36 @@ TEST_F(PowerManagerTest, PriorityLookupShieldsImportantCores) {
             chip_.core(static_cast<CoreId>(i)).vf_level();
     }
     EXPECT_GT(protected_sum / 4.0, rest_sum / 12.0);
+}
+
+TEST_F(PowerManagerTest, PriorityLookupOncePerBusyCore) {
+    PowerManagerParams p;
+    p.enable_power_gating = false;
+    auto mgr = make(p);
+    telemetry::MetricsRegistry registry;
+    mgr.set_telemetry(nullptr, &registry);
+    make_busy(12);  // cores 12..15 stay idle
+    std::vector<std::uint64_t> calls(chip_.core_count(), 0);
+    mgr.set_priority_lookup([&calls](CoreId id) {
+        ++calls[id];
+        return id % 3 == 0 ? 1 : 0;
+    });
+    const telemetry::Counter& actuations =
+        registry.counter("power.capping_actuations");
+    for (int e = 0; e < 50; ++e) {
+        const std::uint64_t before = actuations.value();
+        const std::vector<std::uint64_t> calls_before = calls;
+        epoch(mgr, static_cast<SimTime>(e + 1) * 100 * kMicrosecond);
+        const std::uint64_t acted = actuations.value() - before;
+        // One lookup per busy core in an epoch that actuates, none in an
+        // epoch inside the deadband, and none for an idle core.
+        for (CoreId id = 0; id < chip_.core_count(); ++id) {
+            EXPECT_EQ(calls[id] - calls_before[id], id < 12 ? acted : 0u)
+                << "epoch " << e << ", core " << id;
+        }
+    }
+    EXPECT_GT(actuations.value(), 0u);
+    EXPECT_GT(mgr.throttle_steps(), 0u);
 }
 
 TEST_F(PowerManagerTest, InvalidParamsThrow) {

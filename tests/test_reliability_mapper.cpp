@@ -1,7 +1,9 @@
 #include "mapping/reliability_mapper.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <set>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -190,6 +192,66 @@ TEST(ReliabilityMapper, ReturnsNulloptWhenInsufficient) {
     EXPECT_FALSE(mapper.map({1, 5}, f.view(), rng).has_value());
     EXPECT_TRUE(mapper.map({1, 4}, f.view(), rng).has_value());
     EXPECT_THROW(mapper.map({1, 0}, f.view(), rng), RequireError);
+}
+
+TEST(ReliabilityMapper, RejectsBadInputs) {
+    ReliabilityWeightedMapper mapper;
+    Rng rng(1);
+    const MapRequest request{1, 2};
+    const auto rejects = [&](const PlatformView& v) {
+        EXPECT_THROW(mapper.map(request, v, rng), RequireError);
+    };
+    // Every core's weight reads utilization and criticality: neither may be
+    // left out, and no span may disagree with the dimensions.
+    {
+        ViewFixture f(4, 4);
+        PlatformView v = f.view();
+        v.utilization = {};
+        rejects(v);
+        v = f.view();
+        v.criticality = {};
+        rejects(v);
+        v = f.view();
+        v.allocatable = {};
+        rejects(v);
+        v = f.view();
+        v.utilization = std::span<const double>(f.util).first(15);
+        rejects(v);
+        v = f.view();
+        v.temperature_c = std::span<const double>(f.temp).first(15);
+        rejects(v);
+        v = f.view();
+        v.testing = std::span<const std::uint8_t>(f.testing).first(15);
+        rejects(v);
+        v = f.view();
+        v.width = 0;
+        rejects(v);
+    }
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const double bad : {nan, -0.5, inf}) {
+        ViewFixture f(4, 4);
+        f.util[6] = bad;
+        rejects(f.view());
+    }
+    for (const double bad : {nan, -0.5, inf}) {
+        ViewFixture f(4, 4);
+        f.crit[9] = bad;
+        rejects(f.view());
+    }
+    for (const double bad : {nan, inf, -inf}) {
+        ViewFixture f(4, 4);
+        f.temp[3] = bad;
+        rejects(f.view());
+        // Without the layer attached the temperature is never read.
+        EXPECT_TRUE(mapper.map(request, f.view(/*with_temp=*/false), rng)
+                        .has_value());
+    }
+    // A value on a core that cannot be allocated is never read.
+    ViewFixture f(4, 4);
+    f.util[0] = nan;
+    f.alloc[0] = 0;
+    EXPECT_TRUE(mapper.map(request, f.view(), rng).has_value());
 }
 
 }  // namespace
