@@ -23,6 +23,7 @@ int main(int argc, char** argv) {
     print_header("E1: throughput vs injection rate",
                  "PA-OTS throughput penalty < 1%; power-oblivious testing "
                  "costs more under load");
+    BenchReport report("e1_throughput", opt);
 
     const std::vector<std::string> occupancies =
         opt.quick ? std::vector<std::string>{"0.5", "0.9"}
@@ -41,7 +42,6 @@ int main(int argc, char** argv) {
 
     CampaignRunner runner(std::move(spec));
     const CampaignResult res = runner.run(opt.jobs);
-    BenchReport report("e1_throughput", opt);
 
     TablePrinter table({"occupancy", "scheduler", "work Gcycles/s",
                         "norm. throughput", "penalty", "tests/core/s",

@@ -20,6 +20,7 @@ int main(int argc, char** argv) {
     print_header("E2: power trace over time",
                  "capped power <= TDP; test power fills the slack under the "
                  "cap");
+    BenchReport report("e2_power_trace", opt);
 
     SystemConfig cfg = base_config(11);
     set_occupancy(cfg, 0.6);
@@ -68,7 +69,6 @@ int main(int argc, char** argv) {
                 m.tdp_w, peak, test_peak, m.tdp_violation_rate * 100.0,
                 csv_path.c_str(), samples.size());
 
-    BenchReport report("e2_power_trace", opt);
     report.metric("tdp_w", m.tdp_w);
     report.metric("peak_total_w", peak);
     report.metric("peak_test_w", test_peak);

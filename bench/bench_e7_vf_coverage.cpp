@@ -21,6 +21,7 @@ int main(int argc, char** argv) {
     print_header("E7: V/F level coverage of test sessions",
                  "rotation covers all DVFS levels; fixed policy leaves "
                  "levels untested");
+    BenchReport report("e7_vf_coverage", opt);
 
     CampaignSpec spec;
     spec.base.set("width", "8");
@@ -77,7 +78,6 @@ int main(int argc, char** argv) {
                 "so under mapping contention many are aborted -- the "
                 "rotation policy amortizes this across levels.\n");
 
-    BenchReport report("e7_vf_coverage", opt);
     report.metric("levels_covered_rotate", covered);
     report.metric("tests_completed_rotate",
                   static_cast<double>(rotate_m.tests_completed));

@@ -22,6 +22,7 @@ int main(int argc, char** argv) {
     print_header("X2 (extension): scaling the chip",
                  "abortable sessions churn on large chips; atomic sessions "
                  "keep full test coverage at the same throughput");
+    BenchReport report("x2_scale", opt);
 
     const std::vector<std::string> sides =
         opt.quick ? std::vector<std::string>{"4", "8"}
@@ -45,7 +46,6 @@ int main(int argc, char** argv) {
         }
     }
 
-    BenchReport report("x2_scale", opt);
     TablePrinter table({"chip", "sessions", "work Gcycles/s",
                         "tests/core/s", "untested cores", "max gap [s]",
                         "aborted", "TDP viol."});

@@ -340,7 +340,7 @@ void ManycoreSystem::write_snapshot(std::ostream& out,
     w.key("metrics");
     write_metrics(w, ctx_->metrics);
     w.key("registry");
-    ctx_->registry.save_state(w);
+    ctx_->registry.write_json(w);
     if (ctx_->tracer != nullptr) {
         w.key("tracer");
         ctx_->tracer->save_state(w);

@@ -62,7 +62,6 @@ void ManycoreSystem::set_trace_sink(TraceSink sink) {
 void ManycoreSystem::set_tracer(telemetry::Tracer* tracer) {
     MCS_REQUIRE(!ran_, "set_tracer must precede run()");
     ctx_->tracer = tracer;
-    ctx_->sim.set_tracer(tracer);
     ctx_->power_mgr->set_telemetry(tracer, &ctx_->registry);
     telemetry_obs_->set_tracer(tracer);
 }
@@ -78,10 +77,6 @@ void ManycoreSystem::attach_scenario(std::unique_ptr<ScenarioDriver> driver) {
 
 void ManycoreSystem::add_observer(SystemObserver* observer) {
     ctx_->observers.add(observer);
-}
-
-void ManycoreSystem::remove_observer(SystemObserver* observer) {
-    ctx_->observers.remove(observer);
 }
 
 telemetry::MetricsRegistry& ManycoreSystem::registry() noexcept {
@@ -167,8 +162,8 @@ RunMetrics ManycoreSystem::run(SimDuration horizon) {
         if (scenario_ != nullptr) {
             scenario_->begin(horizon);
         }
-        if (ctx_->sim.tracer() != nullptr) {
-            ctx_->sim.tracer()->record(
+        if (ctx_->tracer != nullptr) {
+            ctx_->tracer->record(
                 ctx_->sim.now(), telemetry::TraceCategory::Sim,
                 telemetry::TracePhase::Instant, "run_until_begin", 0,
                 static_cast<std::int64_t>(horizon));
@@ -195,8 +190,8 @@ RunMetrics ManycoreSystem::run(SimDuration horizon) {
         MCS_REQUIRE(out.good(), "checkpoint write failed");
     }
     ctx_->sim.advance_until(horizon);
-    if (ctx_->sim.tracer() != nullptr) {
-        ctx_->sim.tracer()->record(
+    if (ctx_->tracer != nullptr) {
+        ctx_->tracer->record(
             ctx_->sim.now(), telemetry::TraceCategory::Sim,
             telemetry::TracePhase::Instant, "run_until_end", 0,
             static_cast<std::int64_t>(ctx_->sim.events_executed()));
@@ -220,12 +215,9 @@ RunMetrics ManycoreSystem::finalize() {
 
     ctx_->registry.counter("sim.events_cancelled")
         .inc(ctx_->sim.events_cancelled());
-    ctx_->registry.gauge("system.peak_temp_c", telemetry::GaugeMerge::Max)
-        .set(platform_->peak_temp_c());
-    ctx_->registry.gauge("system.mean_power_w", telemetry::GaugeMerge::Mean)
-        .set(m.mean_power_w);
-    ctx_->registry
-        .gauge("system.mean_chip_utilization", telemetry::GaugeMerge::Mean)
+    ctx_->registry.gauge("system.peak_temp_c").set(platform_->peak_temp_c());
+    ctx_->registry.gauge("system.mean_power_w").set(m.mean_power_w);
+    ctx_->registry.gauge("system.mean_chip_utilization")
         .set(m.mean_chip_utilization);
     return m;
 }

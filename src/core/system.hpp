@@ -180,7 +180,6 @@ public:
     /// layer; it receives the run's typed events after the built-in
     /// telemetry adapter. The observer must outlive the system.
     void add_observer(SystemObserver* observer);
-    void remove_observer(SystemObserver* observer);
 
     /// Attaches a declarative scenario driver (timed directives replayed
     /// through the engine seams; see src/scenario/ and docs/scenarios.md).

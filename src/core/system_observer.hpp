@@ -84,11 +84,6 @@ public:
                     "observer already registered");
         observers_.push_back(observer);
     }
-    void remove(SystemObserver* observer) {
-        observers_.erase(std::remove(observers_.begin(), observers_.end(),
-                                     observer),
-                         observers_.end());
-    }
 
     void app_arrival(SimTime now, std::size_t app, std::size_t tasks) const {
         for (SystemObserver* o : observers_) {

@@ -62,9 +62,6 @@ public:
         return test_progress_[core];
     }
     SimTime last_abort(CoreId core) const { return last_test_abort_[core]; }
-    std::span<const SimTime> last_test_done() const noexcept {
-        return last_test_done_;
-    }
     const TestScheduler& scheduler() const noexcept { return *scheduler_; }
     TestScheduler& scheduler() noexcept { return *scheduler_; }
     const LinkTester* link_tester() const noexcept {

@@ -119,7 +119,6 @@ public:
     double setpoint_w() const;
     double measured_power_w() const noexcept { return measured_power_w_; }
     double committed_power_w() const noexcept { return committed_power_w_; }
-    double last_pid_output() const noexcept { return pid_.last_output(); }
     std::uint64_t throttle_steps() const noexcept { return throttle_steps_; }
     std::uint64_t boost_steps() const noexcept { return boost_steps_; }
     std::uint64_t cores_gated() const noexcept { return cores_gated_; }

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <string_view>
@@ -40,20 +39,21 @@ constexpr std::array<std::pair<const char*, const char*>, 16> kColumns{{
     {"peak_temp_c", "peak_temp_c"},
 }};
 
-/// Shortest round-trip-exact decimal text; locale-independent, so the CSV
-/// bytes are reproducible everywhere.
+/// The shortest "%.*g" text (precision 1..17) that round-trips. charconv
+/// formats and parses as the C locale does, whatever LC_NUMERIC says, so
+/// the CSV bytes are reproducible everywhere.
 std::string num(double v) {
     char buf[32];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    // Prefer the shortest representation that round-trips.
-    for (int precision = 1; precision < 17; ++precision) {
-        char candidate[32];
-        std::snprintf(candidate, sizeof candidate, "%.*g", precision, v);
-        if (std::strtod(candidate, nullptr) == v) {
-            return candidate;
+    for (int precision = 1;; ++precision) {
+        const auto res = std::to_chars(buf, buf + sizeof buf, v,
+                                       std::chars_format::general, precision);
+        MCS_REQUIRE(res.ec == std::errc{}, "num: to_chars failed");
+        double back = 0.0;
+        std::from_chars(buf, res.ptr, back);
+        if (back == v || precision == 17) {
+            return std::string(buf, res.ptr);
         }
     }
-    return buf;
 }
 
 }  // namespace

@@ -48,10 +48,9 @@ ServeService::ServeService(SnapshotPool pool, ServiceOptions opts,
     registry_.counter("serve.responses_2xx");
     registry_.counter("serve.responses_4xx");
     registry_.counter("serve.responses_5xx");
-    registry_.gauge("serve.queue_depth", telemetry::GaugeMerge::Max);
-    registry_.gauge("serve.queue_depth_peak", telemetry::GaugeMerge::Max);
-    registry_.gauge("serve.snapshots", telemetry::GaugeMerge::Max)
-        .set(static_cast<double>(pool_->size()));
+    registry_.gauge("serve.queue_depth");
+    registry_.gauge("serve.queue_depth_peak");
+    registry_.gauge("serve.snapshots").set(static_cast<double>(pool_->size()));
     registry_.histogram("serve.latency_us", kLatencyLoUs, kLatencyHiUs,
                         kLatencyBins);
     if (!opts_.cache_file.empty()) {
@@ -90,8 +89,7 @@ void ServeService::reload() {
     // entries can never answer a query against the new pool.
     std::lock_guard<std::mutex> lock(metrics_mutex_);
     registry_.counter("serve.pool_reloads").inc();
-    registry_.gauge("serve.snapshots", telemetry::GaugeMerge::Max)
-        .set(static_cast<double>(pool()->size()));
+    registry_.gauge("serve.snapshots").set(static_cast<double>(pool()->size()));
 }
 
 void ServeService::save_cache() const {
@@ -288,9 +286,8 @@ void ServeService::count_response(const HttpResponse& response) {
 void ServeService::note_queue_depth(std::size_t depth) {
     std::lock_guard<std::mutex> lock(metrics_mutex_);
     const double d = static_cast<double>(depth);
-    registry_.gauge("serve.queue_depth", telemetry::GaugeMerge::Max).set(d);
-    telemetry::Gauge& peak =
-        registry_.gauge("serve.queue_depth_peak", telemetry::GaugeMerge::Max);
+    registry_.gauge("serve.queue_depth").set(d);
+    telemetry::Gauge& peak = registry_.gauge("serve.queue_depth_peak");
     if (d > peak.value()) {
         peak.set(d);
     }

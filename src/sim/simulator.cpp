@@ -37,13 +37,6 @@ void Simulator::fire_periodic(std::size_t index) {
     p.cb(now_);
 }
 
-void Simulator::set_tracer(telemetry::Tracer* tracer) {
-    tracer_ = tracer;
-    if (tracer_ != nullptr) {
-        tracer_->set_clock([this] { return now_; });
-    }
-}
-
 std::uint64_t Simulator::advance_until(SimTime until) {
     std::uint64_t ran = 0;
     while (step(until)) {

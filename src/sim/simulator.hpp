@@ -7,7 +7,6 @@
 
 #include "sim/event_queue.hpp"
 #include "sim/time.hpp"
-#include "telemetry/tracer.hpp"
 
 namespace mcs {
 
@@ -77,11 +76,6 @@ public:
     void restore_clock(SimTime now, std::uint64_t executed,
                        std::uint64_t cancelled);
 
-    /// Attaches an (optional, non-owning) event tracer and binds its clock
-    /// to this simulator's `now()`. Pass nullptr to detach.
-    void set_tracer(telemetry::Tracer* tracer);
-    telemetry::Tracer* tracer() const noexcept { return tracer_; }
-
 private:
     struct Periodic {
         SimDuration period;
@@ -91,7 +85,6 @@ private:
     void fire_periodic(std::size_t index);
 
     EventQueue queue_;
-    telemetry::Tracer* tracer_ = nullptr;
     SimTime now_ = 0;
     std::uint64_t executed_ = 0;
     /// A deque, so a callback may register another periodic without moving

@@ -12,15 +12,12 @@ Counter& MetricsRegistry::counter(std::string_view name) {
     return counters_.emplace(std::string(name), Counter{}).first->second;
 }
 
-Gauge& MetricsRegistry::gauge(std::string_view name, GaugeMerge merge) {
+Gauge& MetricsRegistry::gauge(std::string_view name) {
     const auto it = gauges_.find(name);
     if (it != gauges_.end()) {
-        MCS_REQUIRE(it->second.merge_policy() == merge,
-                    "gauge re-registered with a different merge policy: " +
-                        std::string(name));
         return it->second;
     }
-    return gauges_.emplace(std::string(name), Gauge{merge}).first->second;
+    return gauges_.emplace(std::string(name), Gauge{}).first->second;
 }
 
 Histogram& MetricsRegistry::histogram(std::string_view name, double lo,
@@ -39,17 +36,6 @@ Histogram& MetricsRegistry::histogram(std::string_view name, double lo,
 const Counter* MetricsRegistry::find_counter(std::string_view name) const {
     const auto it = counters_.find(name);
     return it == counters_.end() ? nullptr : &it->second;
-}
-
-const Gauge* MetricsRegistry::find_gauge(std::string_view name) const {
-    const auto it = gauges_.find(name);
-    return it == gauges_.end() ? nullptr : &it->second;
-}
-
-const Histogram* MetricsRegistry::find_histogram(
-    std::string_view name) const {
-    const auto it = histograms_.find(name);
-    return it == histograms_.end() ? nullptr : &it->second;
 }
 
 void MetricsRegistry::write_json(JsonWriter& w) const {
@@ -88,86 +74,12 @@ void MetricsRegistry::write_json(JsonWriter& w) const {
     w.end_object();
 }
 
-namespace {
-
-std::string_view merge_name(GaugeMerge m) {
-    switch (m) {
-        case GaugeMerge::Sum: return "sum";
-        case GaugeMerge::Max: return "max";
-        case GaugeMerge::Min: return "min";
-        case GaugeMerge::Mean: return "mean";
-    }
-    return "sum";
-}
-
-GaugeMerge merge_from(std::string_view name) {
-    if (name == "sum") {
-        return GaugeMerge::Sum;
-    }
-    if (name == "max") {
-        return GaugeMerge::Max;
-    }
-    if (name == "min") {
-        return GaugeMerge::Min;
-    }
-    if (name == "mean") {
-        return GaugeMerge::Mean;
-    }
-    MCS_REQUIRE(false, "unknown gauge merge policy: " + std::string(name));
-    return GaugeMerge::Sum;
-}
-
-}  // namespace
-
-void MetricsRegistry::save_state(JsonWriter& w) const {
-    w.begin_object();
-    w.key("counters");
-    w.begin_object();
-    for (const auto& [name, c] : counters_) {
-        w.field(name, c.value());
-    }
-    w.end_object();
-    w.key("gauges");
-    w.begin_object();
-    for (const auto& [name, g] : gauges_) {
-        w.key(name);
-        w.begin_object();
-        w.field("merge", merge_name(g.merge_policy()));
-        w.field("value", g.raw_value());
-        w.field("count", g.observation_count());
-        w.end_object();
-    }
-    w.end_object();
-    w.key("histograms");
-    w.begin_object();
-    for (const auto& [name, h] : histograms_) {
-        w.key(name);
-        w.begin_object();
-        w.field("lo", h.bins() > 0 ? h.bin_lo(0) : 0.0);
-        w.field("hi", h.bins() > 0 ? h.bin_hi(h.bins() - 1) : 0.0);
-        w.field("underflow", h.underflow());
-        w.field("overflow", h.overflow());
-        w.field("total", h.total());
-        w.key("counts");
-        w.begin_array();
-        for (std::size_t i = 0; i < h.bins(); ++i) {
-            w.value(h.bin_count(i));
-        }
-        w.end_array();
-        w.end_object();
-    }
-    w.end_object();
-    w.end_object();
-}
-
 void MetricsRegistry::load_state(const JsonValue& doc) {
     for (const auto& [name, v] : doc.at("counters").object()) {
         counter(name).restore(v.u64());
     }
     for (const auto& [name, v] : doc.at("gauges").object()) {
-        const GaugeMerge policy = merge_from(v.at("merge").string());
-        gauge(name, policy).restore(v.at("value").number(),
-                                    v.at("count").u64());
+        gauge(name).set(v.number());
     }
     for (const auto& [name, v] : doc.at("histograms").object()) {
         const std::vector<std::uint64_t> counts = v.at("counts").u64s();

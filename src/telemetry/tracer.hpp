@@ -5,10 +5,12 @@
 // decisions, ...) exportable as Chrome-trace JSON (chrome://tracing,
 // https://ui.perfetto.dev) or as JSONL for ad-hoc tooling.
 //
-// Overhead contract: a disabled tracer costs one predictable branch per
-// call site; an enabled tracer costs one ring-buffer store (no allocation
-// after construction, no locking -- the simulator is single-threaded).
-// Event names must be string literals (the buffer stores the pointer).
+// Overhead contract: tracing is off when a call site holds a null
+// Tracer*, which costs one predictable branch; an attached tracer costs
+// one ring-buffer store per event (no allocation after construction, no
+// locking -- the simulator is single-threaded). Every event carries an
+// explicit simulated time. Event names must be string literals (the
+// buffer stores the pointer).
 
 #include <cstdint>
 #include <deque>
@@ -64,33 +66,10 @@ public:
 
     explicit Tracer(std::size_t capacity = kDefaultCapacity);
 
-    bool enabled() const noexcept { return enabled_; }
-    void set_enabled(bool on) noexcept { enabled_ = on; }
-
-    /// Clock used by the scope/instant conveniences (the wiring point for
-    /// Simulator::now). record() takes explicit times and works without it.
-    void set_clock(std::function<SimTime()> clock) {
-        clock_ = std::move(clock);
-    }
-    SimTime clock_now() const { return clock_ ? clock_() : 0; }
-
     void record(SimTime time, TraceCategory cat, TracePhase phase,
                 const char* name, std::uint32_t tid = 0, std::int64_t a = 0,
                 std::int64_t b = 0) {
-        if (!enabled_) {
-            return;
-        }
         store(TraceEvent{time, name, a, b, tid, cat, phase});
-    }
-
-    /// Point event stamped with the attached clock.
-    void instant(TraceCategory cat, const char* name, std::uint32_t tid = 0,
-                 std::int64_t a = 0, std::int64_t b = 0) {
-        if (!enabled_) {
-            return;
-        }
-        store(TraceEvent{clock_now(), name, a, b, tid, cat,
-                         TracePhase::Instant});
     }
 
     std::size_t capacity() const noexcept { return buf_.size(); }
@@ -129,38 +108,10 @@ private:
     std::size_t next_ = 0;   ///< slot the next event lands in
     std::size_t count_ = 0;  ///< retained events
     std::uint64_t dropped_ = 0;
-    bool enabled_ = true;
-    std::function<SimTime()> clock_;
     // Owned storage for names restored from a snapshot. A deque never
     // reallocates existing elements, so the c_str() pointers stay stable.
     std::deque<std::string> name_pool_;
     std::map<std::string, const char*, std::less<>> interned_;
-};
-
-/// RAII Begin/End pair on one track, stamped with the tracer clock:
-///
-///     TraceScope scope(tracer, TraceCategory::Session, "test_session",
-///                      core, vf_level);
-class TraceScope {
-public:
-    TraceScope(Tracer& tracer, TraceCategory cat, const char* name,
-               std::uint32_t tid = 0, std::int64_t a = 0, std::int64_t b = 0)
-        : tracer_(tracer), name_(name), tid_(tid), cat_(cat) {
-        tracer_.record(tracer_.clock_now(), cat_, TracePhase::Begin, name_,
-                       tid_, a, b);
-    }
-    TraceScope(const TraceScope&) = delete;
-    TraceScope& operator=(const TraceScope&) = delete;
-    ~TraceScope() {
-        tracer_.record(tracer_.clock_now(), cat_, TracePhase::End, name_,
-                       tid_);
-    }
-
-private:
-    Tracer& tracer_;
-    const char* name_;
-    std::uint32_t tid_;
-    TraceCategory cat_;
 };
 
 }  // namespace mcs::telemetry

@@ -132,31 +132,4 @@ double SampleSet::max() const {
     return samples_.back();
 }
 
-void TimeWeightedStat::update(std::uint64_t now, double value) {
-    if (!started_) {
-        started_ = true;
-        start_ = now;
-        last_time_ = now;
-        last_value_ = value;
-        return;
-    }
-    MCS_REQUIRE(now >= last_time_, "time-weighted updates must be ordered");
-    weighted_sum_ +=
-        last_value_ * static_cast<double>(now - last_time_);
-    last_time_ = now;
-    last_value_ = value;
-}
-
-double TimeWeightedStat::average() const noexcept {
-    const std::uint64_t span = elapsed();
-    if (span == 0) {
-        return started_ ? last_value_ : 0.0;
-    }
-    return weighted_sum_ / static_cast<double>(span);
-}
-
-std::uint64_t TimeWeightedStat::elapsed() const noexcept {
-    return started_ ? last_time_ - start_ : 0;
-}
-
 }  // namespace mcs

@@ -98,25 +98,4 @@ private:
     void ensure_sorted() const;
 };
 
-/// Time-weighted average of a piecewise-constant signal, e.g. the fraction
-/// of time a core spends busy. Feed (timestamp, value) transitions in
-/// non-decreasing time order.
-class TimeWeightedStat {
-public:
-    /// Records that the signal held `value` from the previous update time
-    /// until `now` (times in arbitrary but consistent units).
-    void update(std::uint64_t now, double value);
-
-    /// Average over [first update, last update]; 0 if no interval elapsed.
-    double average() const noexcept;
-    std::uint64_t elapsed() const noexcept;
-
-private:
-    bool started_ = false;
-    std::uint64_t start_ = 0;
-    std::uint64_t last_time_ = 0;
-    double last_value_ = 0.0;
-    double weighted_sum_ = 0.0;
-};
-
 }  // namespace mcs

@@ -33,7 +33,7 @@ struct RunArtifacts {
     RunMetrics metrics;
     std::string report;    ///< run-report JSON (metrics + registry)
     std::string trace;     ///< chrome-trace JSON of the event ring
-    std::string registry;  ///< metrics-registry save_state bytes
+    std::string registry;  ///< metrics-registry write_json bytes
 };
 
 /// Unique throwaway path under the system temp directory (ctest runs test
@@ -93,7 +93,7 @@ inline RunArtifacts capture(ManycoreSystem& sys, telemetry::Tracer& tracer,
     {
         std::ostringstream os;
         telemetry::JsonWriter w(os);
-        sys.registry().save_state(w);
+        sys.registry().write_json(w);
         art.registry = os.str();
     }
     return art;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <clocale>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -264,6 +265,29 @@ TEST(MetricCatalog, EveryNameReachesEverySerializer) {
                   std::string::npos)
             << def.name << " not in the campaign CSV";
     }
+}
+
+TEST(CampaignCsv, IsLocaleIndependent) {
+    // snprintf/strtod honour LC_NUMERIC; charconv must not.
+    Config cfg;
+    cfg.set("replicas", "1");
+    CampaignRunner runner(CampaignSpec::from_config(cfg));
+    runner.set_replica_fn([](const Config&, double) {
+        RunMetrics m;
+        m.work_cycles_per_s = 0.3;
+        return m;
+    });
+    const CampaignResult res = runner.run(1);
+    const std::string c_path = temp_path("locale_c.csv");
+    const std::string de_path = temp_path("locale_de.csv");
+    write_replica_csv(res, c_path);
+    if (std::setlocale(LC_NUMERIC, "de_DE.UTF-8") == nullptr) {
+        GTEST_SKIP() << "de_DE.UTF-8 locale not installed";
+    }
+    write_replica_csv(res, de_path);
+    std::setlocale(LC_NUMERIC, "C");
+    EXPECT_NE(read_file(c_path).find(",0.3,"), std::string::npos);
+    EXPECT_EQ(read_file(de_path), read_file(c_path));
 }
 
 TEST(CampaignRunner, BadConfigCellFailsInPlace) {

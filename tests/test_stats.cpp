@@ -123,38 +123,5 @@ TEST(SampleSet, QuantileRangeChecked) {
     EXPECT_THROW(s.quantile(1.1), RequireError);
 }
 
-TEST(TimeWeightedStat, PiecewiseConstantAverage) {
-    TimeWeightedStat t;
-    t.update(0, 1.0);    // value 1.0 from t=0
-    t.update(10, 3.0);   // value 1.0 held over [0,10), now 3.0
-    t.update(20, 0.0);   // value 3.0 held over [10,20)
-    // average = (1*10 + 3*10) / 20 = 2.0
-    EXPECT_DOUBLE_EQ(t.average(), 2.0);
-    EXPECT_EQ(t.elapsed(), 20u);
-}
-
-TEST(TimeWeightedStat, NoElapsedTimeReturnsLastValue) {
-    TimeWeightedStat t;
-    t.update(5, 7.0);
-    EXPECT_DOUBLE_EQ(t.average(), 7.0);
-    EXPECT_EQ(t.elapsed(), 0u);
-}
-
-TEST(TimeWeightedStat, RejectsBackwardsTime) {
-    TimeWeightedStat t;
-    t.update(10, 1.0);
-    EXPECT_THROW(t.update(5, 2.0), RequireError);
-}
-
-TEST(TimeWeightedStat, ZeroDurationUpdateKeepsAverage) {
-    TimeWeightedStat t;
-    t.update(0, 4.0);
-    t.update(10, 2.0);
-    t.update(10, 9.0);  // instantaneous change
-    t.update(20, 0.0);
-    // [0,10): 4, [10,20): 9 -> avg 6.5
-    EXPECT_DOUBLE_EQ(t.average(), 6.5);
-}
-
 }  // namespace
 }  // namespace mcs

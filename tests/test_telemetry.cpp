@@ -193,8 +193,7 @@ TEST(MetricsRegistry, CreateOnFirstUseWithStableReferences) {
 
     Gauge& g = r.gauge("system.peak_temp_c");
     g.set(71.5);
-    g.add(0.5);
-    EXPECT_DOUBLE_EQ(r.gauge("system.peak_temp_c").value(), 72.0);
+    EXPECT_DOUBLE_EQ(r.gauge("system.peak_temp_c").value(), 71.5);
 
     EXPECT_EQ(r.find_counter("system.tests_completed"), &c);
     EXPECT_EQ(r.find_counter("no.such.metric"), nullptr);
@@ -220,10 +219,38 @@ TEST(MetricsRegistry, ExportIsSortedByName) {
     EXPECT_DOUBLE_EQ(v.at("counters").at("alpha").number(), 2.0);
 }
 
-TEST(MetricsRegistry, GaugePolicyIsFixedAtFirstRegistration) {
+TEST(MetricsRegistry, LoadStateRestoresWriteJsonInPlace) {
     MetricsRegistry r;
-    r.gauge("system.peak_temp_c", GaugeMerge::Max).set(70.0);
-    EXPECT_THROW(r.gauge("system.peak_temp_c"), RequireError);  // Sum != Max
+    r.counter("system.tests_completed").inc(42);
+    r.gauge("system.mean_power_w").set(65.0 / 3.0);
+    Histogram& h = r.histogram("system.app_latency_ms", 0.0, 100.0, 10);
+    h.add(-1.0);
+    h.add(12.0);
+    h.add(250.0);
+    const std::string json = registry_json(r);
+
+    MetricsRegistry restored;
+    Counter& cached = restored.counter("system.tests_completed");
+    restored.load_state(parse_json(json));
+    EXPECT_EQ(registry_json(restored), json);
+    EXPECT_EQ(cached.value(), 42u);
+    EXPECT_EQ(&restored.counter("system.tests_completed"), &cached);
+}
+
+TEST(MetricsRegistry, LoadStateRejectsTypeMutations) {
+    const auto load = [](const std::string& counters,
+                         const std::string& gauges) {
+        MetricsRegistry r;
+        r.load_state(parse_json(R"({"counters":)" + counters +
+                                R"(,"gauges":)" + gauges +
+                                R"(,"histograms":{}})"));
+    };
+    EXPECT_NO_THROW(load(R"({"c":1})", R"({"g":70.5})"));
+    // The checkpoint form that carried a gauge merge policy.
+    EXPECT_THROW(load("{}", R"({"g":{"merge":"max","value":70,"count":1}})"),
+                 RequireError);
+    EXPECT_THROW(load("{}", R"({"g":"70.5"})"), RequireError);
+    EXPECT_THROW(load(R"({"c":"1"})", "{}"), RequireError);
 }
 
 TEST(Tracer, RingBufferWrapsAndCountsDrops) {
@@ -241,34 +268,6 @@ TEST(Tracer, RingBufferWrapsAndCountsDrops) {
     t.clear();
     EXPECT_EQ(t.size(), 0u);
     EXPECT_EQ(t.dropped(), 0u);
-}
-
-TEST(Tracer, DisabledTracerRecordsNothing) {
-    Tracer t(8);
-    t.set_enabled(false);
-    t.record(1, TraceCategory::Power, TracePhase::Instant, "cap_actuate");
-    t.instant(TraceCategory::Power, "cap_actuate");
-    EXPECT_EQ(t.size(), 0u);
-    EXPECT_EQ(t.dropped(), 0u);
-}
-
-TEST(Tracer, ScopeEmitsBeginEndWithClock) {
-    Tracer t(8);
-    SimTime now = 100;
-    t.set_clock([&now] { return now; });
-    {
-        TraceScope scope(t, TraceCategory::Session, "test_session", 3, 2);
-        now = 250;
-    }
-    std::vector<TraceEvent> events;
-    t.for_each([&](const TraceEvent& e) { events.push_back(e); });
-    ASSERT_EQ(events.size(), 2u);
-    EXPECT_EQ(events[0].phase, TracePhase::Begin);
-    EXPECT_EQ(events[0].time, 100u);
-    EXPECT_EQ(events[0].tid, 3u);
-    EXPECT_EQ(events[0].a, 2);
-    EXPECT_EQ(events[1].phase, TracePhase::End);
-    EXPECT_EQ(events[1].time, 250u);
 }
 
 TEST(Tracer, LoadStateRejectsTypeMutations) {

@@ -11,10 +11,12 @@ they may not include:
     fails when the header grows past its budget or when one of the
     deliberately-hidden headers reappears.
 
-  * src/sim/event_queue.hpp, src/sim/simulator.hpp -- the simulation
-    substrate must stay below the architecture/engine layers: the queue
-    holds (time, seq, callback, record) entries whose EventRecord is opaque
-    to it, and neither header may reach up into arch/ or core/ headers.
+  * every header and source under src/sim/ -- the simulation substrate
+    must stay below the architecture, telemetry and engine layers: the
+    queue holds (time, seq, callback, record) entries whose EventRecord is
+    opaque to it, the simulator holds no tracer (callers record events with
+    explicit times), and mcs_sim links mcs_util alone, so no file may reach
+    up into arch/, telemetry/ or core/ headers.
 
   * every header and source under the component layers (util, sim, arch,
     noc, power, thermal, aging, sbst, mapping, app, isa) -- the engines
@@ -61,6 +63,9 @@ class Rule:
 COMPONENT_LAYERS = ("util", "sim", "arch", "noc", "power", "thermal",
                     "aging", "sbst", "mapping", "app", "isa")
 
+# Layers above a component layer, besides core/, that it must not include.
+EXTRA_FORBIDDEN_PREFIXES = {"sim": ("arch/", "telemetry/")}
+
 RULES = (
     Rule(
         files="src/core/system.hpp",
@@ -77,15 +82,9 @@ RULES = (
             "telemetry/observer_adapter.hpp",
         ),
     ),
-    Rule(
-        files="src/sim/event_queue.hpp",
-        forbidden_prefixes=("arch/", "core/"),
-    ),
-    Rule(
-        files="src/sim/simulator.hpp",
-        forbidden_prefixes=("arch/", "core/"),
-    ),
-    *(Rule(files=f"src/{layer}/*.[ch]pp", forbidden_prefixes=("core/",))
+    *(Rule(files=f"src/{layer}/*.[ch]pp",
+           forbidden_prefixes=("core/",
+                               *EXTRA_FORBIDDEN_PREFIXES.get(layer, ())))
       for layer in COMPONENT_LAYERS),
 )
 
