@@ -1,14 +1,13 @@
-// H1 -- hot-path gate: event-queue pop order and patch-on-commit test
-// candidacy.
+// H1 -- hot-path gate: a full-system run's work counters and the event
+// queue's pop order.
 //
 // Two halves, matching the perf-gate split in tools/check_bench.py:
 //
 //   * "metrics" (blocking, byte-deterministic): work counters from a fixed
 //     full-system run plus a seeded event-queue mix. These pin the
-//     semantics -- the candidacy view must run on journal patches (exactly
-//     one rescan per run), cancelled events must be counted, and the
-//     queue's pop order must stay the strict (when, seq) FIFO order (hashed
-//     so any reorder trips the 1e-6 gate).
+//     semantics -- cancelled events must be counted, and the queue's pop
+//     order must stay the strict (when, seq) FIFO order (hashed so any
+//     reorder trips the 1e-6 gate).
 //
 //   * "wall" (aux, advisory): wall-clock of the epoch-quantized queue mix
 //     on EventQueue. It lands in bench/trend.jsonl without ever entering
@@ -21,7 +20,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/test_engine.hpp"
 #include "core/workload_engine.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
@@ -88,12 +86,12 @@ struct PopHash {
 int main(int argc, char** argv) {
     const BenchOptions opt = parse_options(argc, argv);
     print_header("H1 (gate): hot-path state",
-                 "event-queue order and patched candidacy keep the run's "
-                 "behaviour");
+                 "event-queue order and a full run's work counters stay "
+                 "fixed");
     BenchReport report("hot_paths", opt);
     const int kRounds = opt.quick ? 2'000 : 20'000;
 
-    // --- 1. Full-system run: patched candidacy + cancel accounting ------
+    // --- 1. Full-system run: work counters + cancel accounting ----------
     {
         SystemConfig cfg = base_config(17);
         cfg.scheduler = SchedulerKind::PowerAware;
@@ -113,15 +111,6 @@ int main(int argc, char** argv) {
                       static_cast<double>(sys.simulator().events_executed()));
         report.metric("run.events_cancelled",
                       static_cast<double>(sys.simulator().events_cancelled()));
-        // The refactor's contract: the whole run pays one boot rescan and
-        // thereafter maintains candidacy purely from the membership
-        // journal. A second rescan anywhere trips the gate.
-        report.metric(
-            "run.candidacy_rescans",
-            static_cast<double>(sys.test_engine().candidacy_rescans()));
-        report.metric(
-            "run.candidacy_patches",
-            static_cast<double>(sys.test_engine().candidacy_patches()));
         report.metric(
             "run.mapping_chip_scans",
             static_cast<double>(sys.workload_engine().chip_scans()));

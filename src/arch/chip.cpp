@@ -15,12 +15,11 @@ Chip::Chip(int width, int height, TechnologyParams params)
     vf_table_ = build_vf_table(tech_);
     const std::size_t n = static_cast<std::size_t>(width_) *
                           static_cast<std::size_t>(height_);
-    journal_ = MembershipJournal(n);
     cores_.reserve(n);
     for (int y = 0; y < height_; ++y) {
         for (int x = 0; x < width_; ++x) {
             cores_.emplace_back(static_cast<CoreId>(y * width_ + x), x, y,
-                                &vf_table_, &journal_);
+                                &vf_table_);
         }
     }
 }

@@ -55,16 +55,11 @@ public:
     std::vector<Core>& cores() noexcept { return cores_; }
     const std::vector<Core>& cores() const noexcept { return cores_; }
 
-    /// Cores whose state or reservation changed since the journal was
-    /// last cleared (see MembershipJournal).
-    MembershipJournal& journal() noexcept { return journal_; }
-
 private:
     int width_;
     int height_;
     TechnologyParams tech_;
     std::vector<VfLevel> vf_table_;
-    MembershipJournal journal_;
     std::vector<Core> cores_;
 };
 

@@ -17,13 +17,10 @@ const char* to_string(CoreState state) {
     return "?";
 }
 
-Core::Core(CoreId id, int x, int y, const std::vector<VfLevel>* vf_table,
-           MembershipJournal* journal)
-    : id_(id), x_(x), y_(y), vf_table_(vf_table), journal_(journal) {
+Core::Core(CoreId id, int x, int y, const std::vector<VfLevel>* vf_table)
+    : id_(id), x_(x), y_(y), vf_table_(vf_table) {
     MCS_REQUIRE(vf_table_ != nullptr && !vf_table_->empty(),
                 "core needs a non-empty VF table");
-    MCS_REQUIRE(journal_ != nullptr && id_ < journal_->size(),
-                "core needs a journal slot");
     // Boot at max V/F.
     s_.vf_level = static_cast<int>(vf_table_->size()) - 1;
 }
@@ -58,7 +55,6 @@ void Core::transition(SimTime now, CoreState to) {
     checkpoint(now);
     s_.state = to;
     s_.last_state_change = now;
-    journal_->note(id_);
 }
 
 void Core::start_task(SimTime now) {
@@ -120,14 +116,6 @@ void Core::set_vf_level(SimTime now, int level) {
     s_.vf_level = level;
 }
 
-void Core::set_reserved(bool reserved) {
-    if (s_.reserved == reserved) {
-        return;
-    }
-    s_.reserved = reserved;
-    journal_->note(id_);
-}
-
 double Core::busy_fraction(SimTime now) const {
     if (now <= s_.birth) {
         return 0.0;
@@ -184,7 +172,6 @@ void Core::load_state(const telemetry::JsonValue& record) {
     s_.tests_completed = f[11].u64();
     s_.tests_aborted = f[12].u64();
     s_.tasks_executed = f[13].u64();
-    journal_->note(id_);
 }
 
 }  // namespace mcs

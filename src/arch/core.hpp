@@ -23,53 +23,16 @@ enum class CoreState { Idle, Busy, Testing, Dark, Faulty };
 
 const char* to_string(CoreState state);
 
-/// Membership journal: the cores whose state or reservation changed since
-/// the last clear(), each listed once, in the order they were first noted.
-/// Owned by Chip; every Core notes itself here from transition(),
-/// set_reserved() and load_state(). Its one consumer is the test
-/// candidacy view (core/test_candidacy.hpp), which drains it each test
-/// epoch. All writers run in serial event context, so it needs no
-/// synchronization.
-class MembershipJournal {
-public:
-    explicit MembershipJournal(std::size_t cores = 0) : flag_(cores, 0) {
-        noted_.reserve(cores);
-    }
-
-    std::size_t size() const noexcept { return flag_.size(); }
-
-    void note(CoreId core) {
-        if (!flag_[core]) {
-            flag_[core] = 1;
-            noted_.push_back(core);
-        }
-    }
-    const std::vector<CoreId>& noted() const noexcept { return noted_; }
-    void clear() noexcept {
-        for (CoreId core : noted_) {
-            flag_[core] = 0;
-        }
-        noted_.clear();
-    }
-
-private:
-    std::vector<std::uint8_t> flag_;
-    std::vector<CoreId> noted_;
-};
-
 /// One processing core: a checked state machine plus time/cycle accounting.
 ///
 /// The core integrates busy cycles at every state or DVFS transition
 /// ("checkpointing"), so `busy_cycles_since_test()` is exact even when the
 /// frequency changes mid-task. Higher layers (aging, test criticality) are
-/// built on these counters. Every state or reservation change funnels
-/// through transition()/set_reserved(), which note the core in the chip's
-/// membership journal for the patch-on-commit test-candidacy view.
+/// built on these counters.
 class Core {
 public:
-    /// `vf_table` and `journal` must outlive the core (both owned by Chip).
-    Core(CoreId id, int x, int y, const std::vector<VfLevel>* vf_table,
-         MembershipJournal* journal);
+    /// `vf_table` must outlive the core (it is owned by Chip).
+    Core(CoreId id, int x, int y, const std::vector<VfLevel>* vf_table);
 
     CoreId id() const noexcept { return id_; }
     int x() const noexcept { return x_; }
@@ -106,7 +69,7 @@ public:
     /// mapped application (it may still be Idle between its tasks).
     /// Orthogonal to the execution state.
     bool reserved() const noexcept { return s_.reserved; }
-    void set_reserved(bool reserved);
+    void set_reserved(bool reserved) noexcept { s_.reserved = reserved; }
 
     /// --- stress / test accounting ---
     std::uint64_t busy_cycles_since_test() const noexcept {
@@ -147,7 +110,7 @@ public:
     /// Checkpoint record: the core's mutable state as one 14-value array
     /// (identity and the VF table stay with the constructed core).
     /// load_state checks the state enum and the V/F level against the
-    /// table, and notes the core in the membership journal.
+    /// table.
     void save_state(telemetry::JsonWriter& w) const;
     void load_state(const telemetry::JsonValue& record);
 
@@ -177,7 +140,6 @@ private:
     int x_;
     int y_;
     const std::vector<VfLevel>* vf_table_;
-    MembershipJournal* journal_;
     Fields s_;
 };
 

@@ -1,6 +1,8 @@
 #include "core/config_bridge.hpp"
 
+#include <limits>
 #include <set>
+#include <string>
 
 #include "app/graph_io.hpp"
 #include "util/require.hpp"
@@ -74,6 +76,17 @@ CriticalityMode parse_crit_mode(const std::string& name) {
     return CriticalityMode::UtilizationDriven;
 }
 
+/// `key`, a whole number of milliseconds, as a SimDuration. Rejects
+/// negative counts and counts whose nanoseconds overflow SimDuration.
+SimDuration get_ms(const Config& cfg, const std::string& key,
+                   SimDuration fallback_ms) {
+    const auto ms = cfg.get_int_as<SimDuration>(key, fallback_ms);
+    MCS_REQUIRE(ms <= std::numeric_limits<SimDuration>::max() / kMillisecond,
+                "config key '" + key + "' overflows the simulated clock: " +
+                    cfg.get_string(key, ""));
+    return ms * kMillisecond;
+}
+
 }  // namespace
 
 SystemConfig system_config_from(const Config& cfg) {
@@ -83,31 +96,25 @@ SystemConfig system_config_from(const Config& cfg) {
     }
 
     SystemConfig sys;
-    sys.width = static_cast<int>(cfg.get_int("width", 8));
-    sys.height = static_cast<int>(cfg.get_int("height", 8));
+    sys.width = cfg.get_int_as<int>("width", 8);
+    sys.height = cfg.get_int_as<int>("height", 8);
     if (cfg.has("side")) {
         // Square-chip shorthand (sweep axes set one key per axis).
         MCS_REQUIRE(!cfg.has("width") && !cfg.has("height"),
                     "side cannot be combined with width/height");
-        sys.width = static_cast<int>(cfg.get_int("side", 8));
+        sys.width = cfg.get_int_as<int>("side", 8);
         sys.height = sys.width;
     }
     sys.node = parse_node(cfg.get_string("node", "16nm"));
     sys.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 42));
     sys.tdp_scale = cfg.get_double("tdp_scale", 1.0);
 
-    sys.workload.graphs.min_tasks =
-        static_cast<int>(cfg.get_int("min_tasks", 4));
-    sys.workload.graphs.max_tasks =
-        static_cast<int>(cfg.get_int("max_tasks", 16));
-    sys.workload.graphs.min_cycles = static_cast<std::uint64_t>(
-        cfg.get_int("min_cycles",
-                    static_cast<std::int64_t>(
-                        sys.workload.graphs.min_cycles)));
-    sys.workload.graphs.max_cycles = static_cast<std::uint64_t>(
-        cfg.get_int("max_cycles",
-                    static_cast<std::int64_t>(
-                        sys.workload.graphs.max_cycles)));
+    sys.workload.graphs.min_tasks = cfg.get_int_as<int>("min_tasks", 4);
+    sys.workload.graphs.max_tasks = cfg.get_int_as<int>("max_tasks", 16);
+    sys.workload.graphs.min_cycles = cfg.get_int_as<std::uint64_t>(
+        "min_cycles", sys.workload.graphs.min_cycles);
+    sys.workload.graphs.max_cycles = cfg.get_int_as<std::uint64_t>(
+        "max_cycles", sys.workload.graphs.max_cycles);
     const double hard = cfg.get_double("hard_rt_share", 0.0);
     const double soft = cfg.get_double("soft_rt_share", 0.0);
     MCS_REQUIRE(hard >= 0.0 && soft >= 0.0 && hard + soft <= 1.0,
@@ -147,9 +154,7 @@ SystemConfig system_config_from(const Config& cfg) {
 
     sys.scheduler = parse_scheduler(
         cfg.get_string("scheduler", "power-aware"));
-    sys.periodic_test_period =
-        static_cast<SimDuration>(cfg.get_int("test_period_ms", 1000)) *
-        kMillisecond;
+    sys.periodic_test_period = get_ms(cfg, "test_period_ms", 1000);
     sys.power_aware.guard_band_fraction = cfg.get_double("guard_band", 0.04);
     sys.power_aware.criticality_threshold =
         cfg.get_double("criticality_threshold", 0.5);
@@ -193,9 +198,7 @@ SystemConfig system_config_from(const Config& cfg) {
     } else {
         MCS_REQUIRE(capping == "pid", "unknown capping mode: " + capping);
     }
-    sys.power.gate_delay =
-        static_cast<SimDuration>(cfg.get_int("gate_delay_ms", 2)) *
-        kMillisecond;
+    sys.power.gate_delay = get_ms(cfg, "gate_delay_ms", 2);
     return sys;
 }
 

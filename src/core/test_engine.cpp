@@ -58,7 +58,6 @@ TestEngine::TestEngine(SystemContext& ctx)
     test_progress_.assign(ctx_.chip.core_count(), 0);
     last_test_done_.assign(ctx_.chip.core_count(), 0);
     last_test_abort_.assign(ctx_.chip.core_count(), 0);
-    candidacy_.bind(ctx_.chip);
     ctx_.link_tester = link_tester_ ? &*link_tester_ : nullptr;
     ctx_.test = this;
 }
@@ -73,20 +72,21 @@ void TestEngine::test_epoch() {
     sctx.power_slack_w = ctx_.power_mgr->headroom_w();
     sctx.tests_running = tests_running_;
     sctx.vf_table = &ctx_.chip.vf_table();
-    // Candidate ids come from the journal-patched candidacy view (no chip
-    // rescan; equivalence argument in core/test_candidacy.hpp), in member
-    // (= core) order, minus cores still inside the retry backoff of their
-    // last abort (t == 0 means never aborted).
-    const std::vector<CoreId>& members = candidacy_.members();
+    // Candidates: the unreserved Idle or Dark cores in core-id order, minus
+    // cores still inside the retry backoff of their last abort (t == 0
+    // means never aborted).
     const std::span<const double> temps = ctx_.thermal->temps_c();
     const SimDuration backoff = ctx_.cfg.test_retry_backoff;
-    sctx.candidates.reserve(members.size());
-    for (const CoreId id : members) {
+    for (const Core& c : ctx_.chip.cores()) {
+        if (c.reserved() || (c.state() != CoreState::Idle &&
+                             c.state() != CoreState::Dark)) {
+            continue;
+        }
+        const CoreId id = c.id();
         const SimTime abort = last_test_abort_[id];
         if (abort != 0 && now - abort < backoff) {
             continue;
         }
-        const Core& c = ctx_.chip.cores()[id];
         sctx.candidates.push_back(TestCandidate{
             id, crit[id], c.state() == CoreState::Dark,
             now - c.last_state_change(), temps[id],
@@ -423,9 +423,6 @@ void TestEngine::load_state(const telemetry::JsonValue& doc) {
         link_tests_running_ = active_links;
         link_tester_->load_state(link);
     }
-    // Core::load_state rewrote every core's state wholesale; rebuild the
-    // candidate view from scratch.
-    candidacy_.invalidate();
 }
 
 void TestEngine::schedule_restored_session(std::uint64_t core,

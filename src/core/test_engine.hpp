@@ -15,7 +15,6 @@
 
 #include "core/snapshot.hpp"
 #include "core/system_context.hpp"
-#include "core/test_candidacy.hpp"
 #include "core/test_scheduler.hpp"
 #include "noc/link_test.hpp"
 
@@ -30,10 +29,9 @@ public:
     TestEngine& operator=(const TestEngine&) = delete;
 
     /// One test epoch: refresh criticality, assemble the SchedulerContext
-    /// from the candidacy view (unreserved idle/dark cores, patched from
-    /// the chip's membership journal with no per-epoch chip rescan) minus
-    /// cores inside the abort backoff, run the policy, then schedule link
-    /// tests on overdue idle links.
+    /// from one scan of the chip (unreserved idle/dark cores outside the
+    /// abort backoff, in core-id order), run the policy, then schedule
+    /// link tests on overdue idle links.
     void test_epoch();
 
     /// Starts an SBST session on `core` at `vf_level` (wakes a dark core,
@@ -67,14 +65,9 @@ public:
     const LinkTester* link_tester() const noexcept {
         return link_tester_ ? &*link_tester_ : nullptr;
     }
-    /// Candidacy maintenance counters (full chip rescans vs journal
-    /// patches); accessor-only, gated by the hot-path bench.
-    std::uint64_t candidacy_rescans() const noexcept {
-        return candidacy_.rescans();
-    }
-    std::uint64_t candidacy_patches() const noexcept {
-        return candidacy_.patches();
-    }
+    /// Always 0: candidates come from a plain scan. Kept only because
+    /// perfbench's traced window reads it.
+    std::uint64_t candidacy_patches() const noexcept { return 0; }
 
     /// Writes the test-owned slice of the end-of-run metrics (coverage
     /// gaps, per-core test rates, link-test results) and exports the
@@ -138,11 +131,6 @@ private:
     std::vector<SimTime> last_test_done_;
     std::vector<SimTime> last_test_abort_;
     int tests_running_ = 0;
-
-    /// Unreserved idle/dark cores (sorted by core id); the per-epoch work
-    /// is draining the chip's membership journal instead of rescanning
-    /// the chip. Mutable through members() only.
-    TestCandidacyView candidacy_;
 };
 
 }  // namespace mcs

@@ -165,9 +165,9 @@ void WorkloadEngine::on_arrival(std::size_t app_index) {
 //     last_test_end, and aging damage only moves at wear epochs;
 //   * temperature: the thermal model only steps at thermal epochs.
 //
-// So the patched view is byte-identical to a full rescan. It is not a
-// membership-journal consumer because utilization and criticality move
-// with the clock between rounds.
+// So the patched view is byte-identical to a full rescan. Each round
+// rescans because utilization and criticality move with the clock between
+// rounds.
 void WorkloadEngine::scan_view() {
     const SimTime now = ctx_.sim.now();
     for (const Core& c : ctx_.chip.cores()) {

@@ -43,13 +43,13 @@ CampaignSpec CampaignSpec::from_file(const std::string& path) {
 
 CampaignSpec CampaignSpec::from_config(const Config& cfg) {
     CampaignSpec spec;
-    spec.replicas = static_cast<int>(cfg.get_int("replicas", 1));
+    spec.replicas = cfg.get_int_as<int>("replicas", 1);
     MCS_REQUIRE(spec.replicas > 0, "replicas must be positive");
     spec.campaign_seed =
         static_cast<std::uint64_t>(cfg.get_int("campaign_seed", 42));
     spec.seconds = cfg.get_double("seconds", 10.0);
     MCS_REQUIRE(spec.seconds > 0.0, "seconds must be positive");
-    spec.default_jobs = static_cast<int>(cfg.get_int("jobs", 0));
+    spec.default_jobs = cfg.get_int_as<int>("jobs", 0);
 
     for (const auto& [key, value] : cfg.entries()) {
         if (key.rfind(kSweepPrefix, 0) == 0) {

@@ -2,11 +2,33 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <fstream>
+#include <string_view>
 
 #include "util/require.hpp"
 
 namespace mcs {
+
+namespace {
+
+/// Parses all of `text` as a T with std::from_chars, which ignores the
+/// locale. One leading '+' is accepted (from_chars takes none).
+template <typename T>
+std::optional<T> parse_number(std::string_view text) {
+    if (text.starts_with('+') && !text.substr(1).starts_with('-')) {
+        text.remove_prefix(1);
+    }
+    T value{};
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc{} || ptr != end) {
+        return std::nullopt;
+    }
+    return value;
+}
+
+}  // namespace
 
 Config Config::from_args(std::span<const char* const> args) {
     Config cfg;
@@ -84,17 +106,10 @@ std::int64_t Config::get_int(const std::string& key,
     if (!v) {
         return fallback;
     }
-    try {
-        std::size_t pos = 0;
-        const std::int64_t parsed = std::stoll(*v, &pos);
-        MCS_REQUIRE(pos == v->size(), "trailing characters in integer");
-        return parsed;
-    } catch (const RequireError&) {
-        throw;
-    } catch (const std::exception&) {
-        MCS_REQUIRE(false, "config key '" + key + "' is not an integer: " + *v);
-    }
-    return fallback;  // unreachable
+    const auto parsed = parse_number<std::int64_t>(*v);
+    MCS_REQUIRE(parsed.has_value(),
+                "config key '" + key + "' is not an integer: " + *v);
+    return *parsed;
 }
 
 double Config::get_double(const std::string& key, double fallback) const {
@@ -102,17 +117,10 @@ double Config::get_double(const std::string& key, double fallback) const {
     if (!v) {
         return fallback;
     }
-    try {
-        std::size_t pos = 0;
-        const double parsed = std::stod(*v, &pos);
-        MCS_REQUIRE(pos == v->size(), "trailing characters in double");
-        return parsed;
-    } catch (const RequireError&) {
-        throw;
-    } catch (const std::exception&) {
-        MCS_REQUIRE(false, "config key '" + key + "' is not a number: " + *v);
-    }
-    return fallback;  // unreachable
+    const auto parsed = parse_number<double>(*v);
+    MCS_REQUIRE(parsed.has_value(),
+                "config key '" + key + "' is not a number: " + *v);
+    return *parsed;
 }
 
 bool Config::get_bool(const std::string& key, bool fallback) const {

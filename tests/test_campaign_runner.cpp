@@ -121,6 +121,20 @@ TEST(CampaignSpec, RejectsKeyBothSweptAndFixed) {
     EXPECT_THROW(CampaignSpec::from_config(cfg), RequireError);
 }
 
+TEST(CampaignSpec, ReplicasOutOfIntRangeRejected) {
+    // 4294967297 = 2^32 + 1 used to narrow to 1 replica.
+    Config cfg;
+    cfg.set("replicas", "4294967297");
+    try {
+        (void)CampaignSpec::from_config(cfg);
+        FAIL() << "replicas=4294967297 was accepted";
+    } catch (const RequireError& e) {
+        EXPECT_NE(std::string(e.what()).find("'replicas'"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(CampaignSpec, ReplicaSeedsAreStableAndDistinct) {
     CampaignSpec spec;
     spec.campaign_seed = 42;

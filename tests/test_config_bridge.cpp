@@ -1,7 +1,11 @@
 #include "core/config_bridge.hpp"
 
+#include <clocale>
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -11,6 +15,31 @@
 
 namespace mcs {
 namespace {
+
+/// Expects `parse(cfg)` to throw a RequireError whose message names `key`.
+template <typename Parse>
+void expect_rejects_naming(const Config& cfg, const std::string& key,
+                           Parse&& parse) {
+    try {
+        (void)parse(cfg);
+        ADD_FAILURE() << key << "=" << cfg.get_string(key, "")
+                      << " was accepted";
+    } catch (const RequireError& e) {
+        EXPECT_NE(std::string(e.what()).find("'" + key + "'"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+void expect_bridge_rejects(
+    const std::vector<std::pair<std::string, std::string>>& entries,
+    const std::string& key) {
+    Config c;
+    for (const auto& [k, v] : entries) {
+        c.set(k, v);
+    }
+    expect_rejects_naming(c, key, system_config_from);
+}
 
 TEST(ConfigBridge, DefaultsMatchSystemConfig) {
     const SystemConfig sys = system_config_from(Config{});
@@ -101,6 +130,38 @@ TEST(ConfigBridge, BadEnumValuesRejected) {
     }
 }
 
+// Each of these used to narrow silently to its low 32 bits (or wrap to a
+// huge unsigned count) and run a different configuration.
+TEST(ConfigBridge, SideOutOfIntRangeRejected) {
+    expect_bridge_rejects({{"side", "4294967300"}}, "side");  // was 4x4
+}
+
+TEST(ConfigBridge, WidthOutOfIntRangeRejected) {
+    expect_bridge_rejects({{"width", "4294967297"}, {"height", "2"}},
+                          "width");  // was 1x2
+}
+
+TEST(ConfigBridge, TaskCountsOutOfIntRangeRejected) {
+    expect_bridge_rejects(
+        {{"min_tasks", "4294967298"}, {"max_tasks", "4294967299"}},
+        "min_tasks");  // was 2-3 tasks
+    expect_bridge_rejects({{"max_tasks", "4294967299"}}, "max_tasks");
+}
+
+TEST(ConfigBridge, MillisecondKeysRejectNegativeAndOverflow) {
+    // gate_delay_ms=-1 wrapped to a delay no core ever reached: nothing
+    // was power-gated.
+    expect_bridge_rejects({{"gate_delay_ms", "-1"}}, "gate_delay_ms");
+    expect_bridge_rejects({{"test_period_ms", "-1"}}, "test_period_ms");
+    // 2^64 ns is about 18446744073709.6 ms.
+    for (const char* key : {"gate_delay_ms", "test_period_ms"}) {
+        expect_bridge_rejects({{key, "18446744073710"}}, key);
+        Config c;
+        c.set(key, "18446744073709");
+        EXPECT_NO_THROW((void)system_config_from(c)) << key;
+    }
+}
+
 TEST(ConfigBridge, GraphFileFeedsLibrary) {
     const std::string path = ::testing::TempDir() + "/bridge_graph.tg";
     {
@@ -145,6 +206,36 @@ TEST(ConfigFile, ParsesAndMerges) {
     EXPECT_EQ(file.get_int("width", 0), 6);
     std::remove(path.c_str());
     EXPECT_THROW(Config::from_file("/no/such/file.cfg"), RequireError);
+}
+
+TEST(ConfigFile, GetDoubleAcceptsPlainNumbersOnly) {
+    for (const auto& [text, value] :
+         std::vector<std::pair<std::string, double>>{
+             {"0.5", 0.5}, {"+0.25", 0.25}, {"-2", -2.0}, {"1e-3", 1e-3}}) {
+        Config c;
+        c.set("occupancy", text);
+        EXPECT_EQ(c.get_double("occupancy", 0.0), value) << text;
+    }
+    for (const char* text : {"0,5", "0.5x", "", "+-1"}) {
+        Config c;
+        c.set("occupancy", text);
+        expect_rejects_naming(c, "occupancy", [](const Config& cfg) {
+            return cfg.get_double("occupancy", 0.0);
+        });
+    }
+}
+
+TEST(ConfigFile, GetDoubleIsLocaleIndependent) {
+    // strtod honours LC_NUMERIC; charconv must not.
+    if (std::setlocale(LC_NUMERIC, "de_DE.UTF-8") == nullptr) {
+        GTEST_SKIP() << "de_DE.UTF-8 locale not installed";
+    }
+    Config c;
+    c.set("occupancy", "0.5");
+    double parsed = 0.0;
+    EXPECT_NO_THROW(parsed = c.get_double("occupancy", 0.0));
+    std::setlocale(LC_NUMERIC, "C");
+    EXPECT_EQ(parsed, 0.5);
 }
 
 TEST(Report, FormatMentionsKeyNumbers) {

@@ -1,10 +1,7 @@
 #include "arch/core.hpp"
 
-#include <sstream>
-
 #include <gtest/gtest.h>
 
-#include "telemetry/json.hpp"
 #include "util/require.hpp"
 
 namespace mcs {
@@ -13,11 +10,9 @@ namespace {
 class CoreTest : public ::testing::Test {
 protected:
     CoreTest() : table_(build_vf_table(technology(TechNode::nm16))),
-                 journal_(8),
-                 core_(7, 3, 1, &table_, &journal_) {}
+                 core_(7, 3, 1, &table_) {}
 
     std::vector<VfLevel> table_;
-    MembershipJournal journal_;
     Core core_;
 };
 
@@ -149,58 +144,10 @@ TEST_F(CoreTest, StateNames) {
     EXPECT_STREQ(to_string(CoreState::Faulty), "Faulty");
 }
 
-TEST_F(CoreTest, JournalNotesEachMembershipChangeOnce) {
-    // The test-candidacy view patches exactly the journaled cores, so
-    // every state or reservation change must note the core, and nothing
-    // else may.
-    const std::vector<CoreId> once{7};
-    SimTime t = 0;
-    const auto notes_once = [&](const char* what, auto&& change) {
-        journal_.clear();
-        change();
-        EXPECT_EQ(journal_.noted(), once) << what;
-    };
-    notes_once("start_task", [&] { core_.start_task(++t); });
-    notes_once("finish_task", [&] { core_.finish_task(++t); });
-    notes_once("start_test", [&] { core_.start_test(++t); });
-    notes_once("finish_test", [&] { core_.finish_test(++t, true); });
-    notes_once("power_gate", [&] { core_.power_gate(++t); });
-    notes_once("wake", [&] { core_.wake(++t); });
-    notes_once("set_reserved(true)", [&] { core_.set_reserved(true); });
-    notes_once("set_reserved(false)", [&] { core_.set_reserved(false); });
-    notes_once("load_state", [&] {
-        std::ostringstream record;
-        telemetry::JsonWriter w(record);
-        core_.save_state(w);
-        core_.load_state(telemetry::parse_json(record.str()));
-    });
-    notes_once("repeated changes", [&] {
-        core_.start_task(++t);
-        core_.finish_task(++t);
-        core_.set_reserved(true);
-    });
-
-    journal_.clear();
-    core_.set_vf_level(++t, 0);
-    core_.checkpoint(++t);
-    core_.set_reserved(true);  // already reserved: no change
-    EXPECT_TRUE(journal_.noted().empty());
-
-    notes_once("mark_faulty", [&] { core_.mark_faulty(++t); });
-}
-
 TEST(CoreCtor, RejectsMissingTable) {
-    MembershipJournal journal(1);
-    EXPECT_THROW(Core(0, 0, 0, nullptr, &journal), RequireError);
+    EXPECT_THROW(Core(0, 0, 0, nullptr), RequireError);
     std::vector<VfLevel> empty;
-    EXPECT_THROW(Core(0, 0, 0, &empty, &journal), RequireError);
-}
-
-TEST(CoreCtor, RejectsMissingJournalSlot) {
-    std::vector<VfLevel> table = build_vf_table(technology(TechNode::nm16));
-    EXPECT_THROW(Core(0, 0, 0, &table, nullptr), RequireError);
-    MembershipJournal journal(2);
-    EXPECT_THROW(Core(2, 0, 0, &table, &journal), RequireError);
+    EXPECT_THROW(Core(0, 0, 0, &empty), RequireError);
 }
 
 }  // namespace

@@ -306,12 +306,11 @@ TEST(TestEngineSeams, AbortBackoffFiltersCandidates) {
     EXPECT_EQ(probe->seen, (std::vector<CoreId>{0, 1, 2, 3}));
 }
 
-// Differential for the journal-patched candidacy view: under a real
-// workload plus randomized test-session churn (starts and aborts driven
-// from inside the scheduler hook), the candidate set offered to the policy
-// every epoch must equal a fresh whole-chip predicate scan, while the
-// maintenance counters prove the engine never rescanned after boot.
-TEST(TestEngineSeams, PatchedCandidacyMatchesFreshScan) {
+// Differential for the test candidates: under a real workload plus
+// randomized test-session churn (starts and aborts driven from inside the
+// scheduler hook), the candidate set offered to the policy every epoch
+// must equal an independent whole-chip predicate scan, in core-id order.
+TEST(TestEngineSeams, CandidatesMatchFreshScan) {
     SystemConfig cfg;
     cfg.width = 4;
     cfg.height = 4;
@@ -349,12 +348,12 @@ TEST(TestEngineSeams, PatchedCandidacyMatchesFreshScan) {
                 if (ab != 0 && sctx.now - ab < backoff) continue;
                 fresh.push_back(i);
             }
-            std::vector<CoreId> patched;
+            std::vector<CoreId> offered;
             for (const TestCandidate& c : sctx.candidates) {
-                patched.push_back(c.core);
+                offered.push_back(c.core);
             }
             ++checks;
-            if (patched != fresh) {
+            if (offered != fresh) {
                 ++mismatches;
             }
             // Randomized churn: sometimes abort the in-flight session,
@@ -394,15 +393,10 @@ TEST(TestEngineSeams, PatchedCandidacyMatchesFreshScan) {
     probe->sys = &sys;
     sys.run(400 * kMillisecond);
 
-    const TestEngine& te = sys.test_engine();
     EXPECT_GT(probe->checks, 10u);
     EXPECT_EQ(probe->mismatches, 0u);
     EXPECT_GT(probe->started, 0u);
     EXPECT_GT(probe->aborted, 0u);  // abort backoff path exercised
-    // The whole run performed exactly the boot rescan; every epoch after
-    // ran on journal patches alone.
-    EXPECT_EQ(te.candidacy_rescans(), 1u);
-    EXPECT_GT(te.candidacy_patches(), 0u);
 }
 
 TEST(WorkloadEngineSeams, QosQueuesServeHardRealTimeFirst) {

@@ -47,6 +47,7 @@
 
 #include <csignal>
 #include <cstdio>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -103,21 +104,21 @@ int serve_main(int argc, char** argv) {
 
     mcs::serve::ServerOptions opts;
     opts.listen = args.get_string("listen", "127.0.0.1");
-    opts.port = static_cast<int>(args.get_int("port", 8077));
-    opts.workers = static_cast<int>(args.get_int("workers", 0));
-    opts.queue_limit =
-        static_cast<std::size_t>(args.get_int("queue", 64));
-    opts.idle_timeout_ms =
-        static_cast<int>(args.get_int("idle_timeout_ms", 10'000));
+    opts.port = args.get_int_as<int>("port", 8077);
+    opts.workers = args.get_int_as<int>("workers", 0);
+    opts.queue_limit = args.get_int_as<std::size_t>("queue", 64);
+    opts.idle_timeout_ms = args.get_int_as<int>("idle_timeout_ms", 10'000);
     opts.max_requests_per_conn =
-        static_cast<int>(args.get_int("max_requests_per_conn", 1000));
-    opts.http.max_body_bytes =
-        static_cast<std::size_t>(args.get_int("max_body_kib", 1024)) * 1024;
+        args.get_int_as<int>("max_requests_per_conn", 1000);
+    const auto body_kib = args.get_int_as<std::size_t>("max_body_kib", 1024);
+    MCS_REQUIRE(body_kib <= std::numeric_limits<std::size_t>::max() / 1024,
+                "config key 'max_body_kib' is out of range");
+    opts.http.max_body_bytes = body_kib * 1024;
     opts.quiet = args.get_bool("quiet", false);
 
     mcs::serve::ServiceOptions service_opts;
     service_opts.cache_entries =
-        static_cast<std::size_t>(args.get_int("cache_entries", 256));
+        args.get_int_as<std::size_t>("cache_entries", 256);
     service_opts.cache_file = args.get_string("cache_file", "");
 
     mcs::telemetry::MetricsRegistry registry;

@@ -121,7 +121,7 @@ int run_sweep(const Config& args) {
     const std::string spec_path = args.get_string("sweep", "");
     Config merged = Config::from_file(spec_path);
     merged.merge(args);  // command line wins
-    const int jobs = static_cast<int>(merged.get_int("jobs", 0));
+    const int jobs = merged.get_int_as<int>("jobs", 0);
     const std::string out_dir = merged.get_string("out_dir", "build/out");
     const std::string out = resolve_out(out_dir, merged.get_string("out", ""));
     const std::string replica_out =
@@ -197,9 +197,8 @@ int run_single(const Config& args) {
         resolve_out(out_dir, args.get_string("report", ""));
     const std::string power_trace =
         resolve_out(out_dir, args.get_string("power_trace", ""));
-    const auto trace_capacity = static_cast<std::size_t>(args.get_int(
-        "trace_capacity",
-        static_cast<std::int64_t>(telemetry::Tracer::kDefaultCapacity)));
+    const auto trace_capacity = args.get_int_as<std::size_t>(
+        "trace_capacity", telemetry::Tracer::kDefaultCapacity);
     const bool quiet = args.get_bool("quiet", false);
 
     const SystemConfig cfg = system_config_from(args);
