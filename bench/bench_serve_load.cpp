@@ -38,9 +38,8 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/config_bridge.hpp"
-#include "core/system.hpp"
 #include "core/system_factory.hpp"
+#include "scenario/scenario_runner.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
 #include "serve/snapshot_pool.hpp"
@@ -197,9 +196,9 @@ int main(int argc, char** argv) {
     const std::string snap_path =
         mcs::bench::out_path(opt, "serve_load_snapshot.json");
     {
-        mcs::ManycoreSystem sys(mcs::system_config_from(base));
-        sys.checkpoint_at(horizon * 2 / 5, snap_path);
-        sys.run(horizon);
+        const auto sys = mcs::make_system(base);
+        sys->checkpoint_at(horizon * 2 / 5, snap_path);
+        sys->run(horizon);
     }
 
     mcs::telemetry::MetricsRegistry registry;

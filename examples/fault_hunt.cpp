@@ -5,12 +5,14 @@
 //
 // Usage: fault_hunt [seconds=15] [fault_rate=0.05] [occupancy=0.6]
 //                   [seed=7] [scheduler=power-aware|periodic|greedy|
-//                   deadline|none] [any other core/config_bridge.hpp key]
+//                   deadline|none] [scenario=<spec.json>]
+//                   [restore=<snapshot.json>] [any other
+//                   core/config_bridge.hpp key]
 
 #include <cstdio>
+#include <memory>
 
-#include "core/config_bridge.hpp"
-#include "core/system.hpp"
+#include "scenario/scenario_runner.hpp"
 #include "util/config.hpp"
 #include "util/require.hpp"
 #include "util/table.hpp"
@@ -26,7 +28,8 @@ int run(int argc, char** argv) {
     args.merge(Config::from_args(
         std::span<const char* const>(argv + 1,
                                      static_cast<std::size_t>(argc - 1))));
-    const SystemConfig cfg = system_config_from(args);
+    const std::unique_ptr<ManycoreSystem> sys = make_system(args);
+    const SystemConfig& cfg = sys->config();
     MCS_REQUIRE(cfg.enable_fault_injection, "fault_hunt needs faults=true");
 
     const double seconds = args.get_double("seconds", 15.0);
@@ -35,12 +38,11 @@ int run(int argc, char** argv) {
                 to_string(cfg.scheduler), cfg.faults.base_rate_per_core_s,
                 seconds);
 
-    ManycoreSystem sys(cfg);
-    const RunMetrics m = sys.run(from_seconds(seconds));
+    const RunMetrics m = sys->run(from_seconds(seconds));
 
     TablePrinter timeline({"core", "unit", "injected [s]", "status",
                            "detected [s]", "latency [s]"});
-    const FaultInjector* injector = sys.fault_injector();
+    const FaultInjector* injector = sys->fault_injector();
     for (const Fault& f : injector->history()) {
         timeline.add_row(
             {fmt(static_cast<std::uint64_t>(f.core)),

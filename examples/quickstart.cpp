@@ -3,12 +3,14 @@
 //
 // Usage: quickstart [width=8] [height=8] [seconds=10] [occupancy=0.6]
 //                   [seed=42] [scheduler=power-aware|periodic|greedy|
-//                   deadline|none] [any other core/config_bridge.hpp key]
+//                   deadline|none] [scenario=<spec.json>]
+//                   [restore=<snapshot.json>] [any other
+//                   core/config_bridge.hpp key]
 
 #include <cstdio>
+#include <memory>
 
-#include "core/config_bridge.hpp"
-#include "core/system.hpp"
+#include "scenario/scenario_runner.hpp"
 #include "util/config.hpp"
 
 int run(int argc, char** argv) {
@@ -16,8 +18,10 @@ int run(int argc, char** argv) {
         std::span<const char* const>(argv + 1, static_cast<std::size_t>(
                                                    argc - 1)));
     // The bridge rejects unknown keys and values (scheduler=typo fails)
-    // and turns occupancy into a Poisson arrival rate.
-    const mcs::SystemConfig cfg = mcs::system_config_from(args);
+    // and turns occupancy into a Poisson arrival rate; make_system also
+    // attaches scenario= and restores restore=.
+    const std::unique_ptr<mcs::ManycoreSystem> sys = mcs::make_system(args);
+    const mcs::SystemConfig& cfg = sys->config();
     const double occupancy = args.get_double("occupancy", 0.6);
     const double seconds = args.get_double("seconds", 10.0);
 
@@ -29,8 +33,7 @@ int run(int argc, char** argv) {
                 cfg.workload.arrival_rate_hz);
     std::printf("  horizon     : %.1f s\n\n", seconds);
 
-    mcs::ManycoreSystem sys(cfg);
-    const mcs::RunMetrics m = sys.run(mcs::from_seconds(seconds));
+    const mcs::RunMetrics m = sys->run(mcs::from_seconds(seconds));
 
     std::printf("results\n");
     std::printf("  TDP                  : %.1f W\n", m.tdp_w);

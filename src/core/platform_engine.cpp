@@ -25,7 +25,8 @@ PlatformEngine::PlatformEngine(SystemContext& ctx)
     : ctx_(ctx),
       power_model_(ctx.chip.tech(), ctx.chip.vf_table(),
                    activity_with_suite(ctx.cfg.activity, ctx.suite)),
-      power_mgr_(ctx.chip, power_model_, ctx.budget, ctx.cfg.power),
+      power_mgr_(ctx.chip, power_model_, ctx.budget, ctx.registry,
+                 ctx.cfg.power),
       thermal_(ctx.cfg.width, ctx.cfg.height, ctx.cfg.thermal),
       aging_(ctx.chip.core_count(), ctx.cfg.aging),
       crit_eval_(ctx.cfg.criticality),
@@ -36,7 +37,6 @@ PlatformEngine::PlatformEngine(SystemContext& ctx)
         faults_.emplace(ctx_.chip.core_count(), ctx_.cfg.faults,
                         ctx_.cfg.seed ^ 0x94d049bb133111ebULL);
     }
-    power_mgr_.set_telemetry(nullptr, &ctx_.registry);
     ctx_.power_model = &power_model_;
     ctx_.power_mgr = &power_mgr_;
     ctx_.thermal = &thermal_;

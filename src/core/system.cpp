@@ -62,7 +62,7 @@ void ManycoreSystem::set_trace_sink(TraceSink sink) {
 void ManycoreSystem::set_tracer(telemetry::Tracer* tracer) {
     MCS_REQUIRE(!ran_, "set_tracer must precede run()");
     ctx_->tracer = tracer;
-    ctx_->power_mgr->set_telemetry(tracer, &ctx_->registry);
+    ctx_->power_mgr->set_tracer(tracer);
     telemetry_obs_->set_tracer(tracer);
 }
 

@@ -17,13 +17,4 @@ telemetry::JsonValue load_snapshot_file(const std::string& path) {
     return telemetry::parse_json(text.str());
 }
 
-void apply_restore(ManycoreSystem& sys, const Config& cfg) {
-    if (!cfg.has("restore")) {
-        return;
-    }
-    RestoreOptions opts;
-    opts.relax_config = cfg.get_bool("restore_relax", false);
-    sys.restore(load_snapshot_file(cfg.get_string("restore", "")), opts);
-}
-
 }  // namespace mcs

@@ -10,12 +10,18 @@
 namespace mcs {
 
 PowerManager::PowerManager(Chip& chip, const PowerModel& model,
-                           PowerBudget& budget, PowerManagerParams params)
+                           PowerBudget& budget,
+                           telemetry::MetricsRegistry& registry,
+                           PowerManagerParams params)
     : chip_(chip),
       model_(model),
       budget_(budget),
       params_(params),
       pid_(params.pid),
+      throttle_(registry.counter("power.dvfs_throttle_steps")),
+      boost_(registry.counter("power.dvfs_boost_steps")),
+      gated_(registry.counter("power.cores_gated")),
+      actuations_(registry.counter("power.capping_actuations")),
       last_active_(chip.core_count(), 0) {
     MCS_REQUIRE(params_.deadband >= 0.0, "deadband must be non-negative");
     MCS_REQUIRE(params_.setpoint_fraction > 0.0 &&
@@ -57,20 +63,8 @@ void PowerManager::set_priority_lookup(std::function<int(CoreId)> lookup) {
     priority_lookup_ = std::move(lookup);
 }
 
-void PowerManager::set_telemetry(telemetry::Tracer* tracer,
-                                 telemetry::MetricsRegistry* registry) {
+void PowerManager::set_tracer(telemetry::Tracer* tracer) {
     tracer_ = tracer;
-    if (registry != nullptr) {
-        c_throttle_ = &registry->counter("power.dvfs_throttle_steps");
-        c_boost_ = &registry->counter("power.dvfs_boost_steps");
-        c_gated_ = &registry->counter("power.cores_gated");
-        c_actuations_ = &registry->counter("power.capping_actuations");
-    } else {
-        c_throttle_ = nullptr;
-        c_boost_ = nullptr;
-        c_gated_ = nullptr;
-        c_actuations_ = nullptr;
-    }
 }
 
 double PowerManager::setpoint_w() const {
@@ -119,9 +113,7 @@ void PowerManager::control_epoch(SimTime now, double measured_power_w,
             (setpoint_w() - measured_power_w_) / budget_.tdp_w();
         const double signal = pid_.update(error, dt_s);
         if (std::abs(signal) > params_.deadband) {
-            if (c_actuations_ != nullptr) {
-                c_actuations_->inc();
-            }
+            actuations_.inc();
             if (tracer_ != nullptr) {
                 // a/b carry the signed control signal and the measured
                 // power, both in milli-units (the trace stores integers).
@@ -150,17 +142,7 @@ void PowerManager::bang_step(SimTime now, int direction) {
             continue;
         }
         change_vf(now, c, target);
-        if (direction < 0) {
-            ++throttle_steps_;
-            if (c_throttle_ != nullptr) {
-                c_throttle_->inc();
-            }
-        } else {
-            ++boost_steps_;
-            if (c_boost_ != nullptr) {
-                c_boost_->inc();
-            }
-        }
+        (direction < 0 ? throttle_ : boost_).inc();
     }
 }
 
@@ -218,10 +200,7 @@ void PowerManager::actuate(SimTime now, double signal,
             Core& c = *busy_[i].core;
             if (c.vf_level() > 0) {
                 change_vf(now, c, c.vf_level() - 1);
-                ++throttle_steps_;
-                if (c_throttle_ != nullptr) {
-                    c_throttle_->inc();
-                }
+                throttle_.inc();
                 ++done;
             }
         }
@@ -249,10 +228,7 @@ void PowerManager::actuate(SimTime now, double signal,
             }
             committed_power_w_ += delta;
             change_vf(now, c, c.vf_level() + 1);
-            ++boost_steps_;
-            if (c_boost_ != nullptr) {
-                c_boost_->inc();
-            }
+            boost_.inc();
             ++done;
         }
     }
@@ -297,10 +273,7 @@ void PowerManager::apply_power_gating(SimTime now) {
         if (c.is_idle() && !c.reserved()) {
             if (now - last_active_[c.id()] >= params_.gate_delay) {
                 c.power_gate(now);
-                ++cores_gated_;
-                if (c_gated_ != nullptr) {
-                    c_gated_->inc();
-                }
+                gated_.inc();
                 if (tracer_ != nullptr) {
                     tracer_->record(now, telemetry::TraceCategory::Power,
                                     telemetry::TracePhase::Instant,
@@ -356,9 +329,9 @@ void PowerManager::save_state(telemetry::JsonWriter& w) const {
     w.field("has_epoch", has_epoch_);
     w.field("measured", measured_power_w_);
     w.field("committed", committed_power_w_);
-    w.field("throttle", throttle_steps_);
-    w.field("boost", boost_steps_);
-    w.field("gated", cores_gated_);
+    w.field("throttle", throttle_.value());
+    w.field("boost", boost_.value());
+    w.field("gated", gated_.value());
     w.field("rotate", static_cast<std::uint64_t>(rotate_));
     w.key("pid");
     pid_.save_state(w);
@@ -374,9 +347,9 @@ void PowerManager::load_state(const telemetry::JsonValue& doc) {
     has_epoch_ = doc.at("has_epoch").boolean();
     measured_power_w_ = doc.at("measured").number();
     committed_power_w_ = doc.at("committed").number();
-    throttle_steps_ = doc.at("throttle").u64();
-    boost_steps_ = doc.at("boost").u64();
-    cores_gated_ = doc.at("gated").u64();
+    throttle_.restore(doc.at("throttle").u64());
+    boost_.restore(doc.at("boost").u64());
+    gated_.restore(doc.at("gated").u64());
     rotate_ = static_cast<std::size_t>(doc.at("rotate").u64());
     pid_.load_state(doc.at("pid"));
 }

@@ -52,8 +52,11 @@ struct PowerManagerParams {
 ///    dark-silicon fraction physically shows up.
 class PowerManager {
 public:
-    /// All references must outlive the manager.
+    /// All references must outlive the manager. The "power.*" counters
+    /// are registered in `registry` and are the one record of the DVFS
+    /// steps, gatings and actuations.
     PowerManager(Chip& chip, const PowerModel& model, PowerBudget& budget,
+                 telemetry::MetricsRegistry& registry,
                  PowerManagerParams params = {});
 
     /// Observer invoked as (core, old_level, new_level) whenever the manager
@@ -62,11 +65,9 @@ public:
     void set_vf_change_listener(
         std::function<void(CoreId, int, int)> listener);
 
-    /// Attaches run telemetry (both optional, non-owning, may be null):
-    /// DVFS transitions, capping actuations, and power gating are traced,
-    /// and the "power.*" counters are registered and incremented live.
-    void set_telemetry(telemetry::Tracer* tracer,
-                       telemetry::MetricsRegistry* registry);
+    /// Attaches the event tracer (non-owning; null = tracing off): DVFS
+    /// transitions, capping actuations, and power gating are traced.
+    void set_tracer(telemetry::Tracer* tracer);
 
     /// Optional QoS hook (ICCD'14: hard/soft/best-effort priorities):
     /// returns the priority of the work on a busy core (higher = more
@@ -119,16 +120,20 @@ public:
     double setpoint_w() const;
     double measured_power_w() const noexcept { return measured_power_w_; }
     double committed_power_w() const noexcept { return committed_power_w_; }
-    std::uint64_t throttle_steps() const noexcept { return throttle_steps_; }
-    std::uint64_t boost_steps() const noexcept { return boost_steps_; }
-    std::uint64_t cores_gated() const noexcept { return cores_gated_; }
+    std::uint64_t throttle_steps() const noexcept {
+        return throttle_.value();
+    }
+    std::uint64_t boost_steps() const noexcept { return boost_.value(); }
+    std::uint64_t cores_gated() const noexcept { return gated_.value(); }
 
     // ---- snapshot support ----
     /// Complete mutable control state as one object, the PID's included
-    /// (the cached telemetry pointers, the listeners, and the
-    /// chip/model/budget references are rebuilt by the owning system and
-    /// stay out of the snapshot). load_state checks the per-core idle
-    /// stamps against the core count.
+    /// (the tracer, the listeners, and the chip/model/budget/registry
+    /// references are rebuilt by the owning system and stay out of the
+    /// snapshot). The step and gating counts are written as "throttle",
+    /// "boost" and "gated", and load_state restores the counters from
+    /// them. load_state checks the per-core idle stamps against the core
+    /// count.
     void save_state(telemetry::JsonWriter& w) const;
     void load_state(const telemetry::JsonValue& doc);
 
@@ -143,11 +148,11 @@ private:
     PowerBudget& budget_;
     PowerManagerParams params_;
     PidController pid_;
+    telemetry::Counter& throttle_;
+    telemetry::Counter& boost_;
+    telemetry::Counter& gated_;
+    telemetry::Counter& actuations_;
     telemetry::Tracer* tracer_ = nullptr;
-    telemetry::Counter* c_throttle_ = nullptr;
-    telemetry::Counter* c_boost_ = nullptr;
-    telemetry::Counter* c_gated_ = nullptr;
-    telemetry::Counter* c_actuations_ = nullptr;
     std::function<void(CoreId, int, int)> vf_listener_;
     std::function<int(CoreId)> priority_lookup_;
     std::vector<SimTime> last_active_;
@@ -155,9 +160,6 @@ private:
     bool has_epoch_ = false;
     double measured_power_w_ = 0.0;
     double committed_power_w_ = 0.0;
-    std::uint64_t throttle_steps_ = 0;
-    std::uint64_t boost_steps_ = 0;
-    std::uint64_t cores_gated_ = 0;
     std::size_t rotate_ = 0;
 
     /// A busy core's place in the capping order, computed once per

@@ -1,7 +1,9 @@
 #include "runner/campaign_runner.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <exception>
 #include <mutex>
 #include <utility>
 
@@ -94,33 +96,51 @@ CampaignResult CampaignRunner::run(int jobs) {
 
     std::atomic<std::size_t> done{0};
     std::mutex progress_mutex;
+    std::exception_ptr progress_error;  // first throw; under progress_mutex
     const auto start = std::chrono::steady_clock::now();
-
-    parallel_for_sharded(
-        result.replicas.size(), jobs, [&](std::size_t i) {
-            const auto per_cell = static_cast<std::size_t>(spec_.replicas);
-            ReplicaResult r;
-            r.cell = i / per_cell;
-            r.replica = static_cast<int>(i % per_cell);
-            r.seed = spec_.replica_seed(r.replica);
+    const auto run_replica = [&](std::size_t i) {
+        const auto per_cell = static_cast<std::size_t>(spec_.replicas);
+        ReplicaResult r;
+        r.cell = i / per_cell;
+        r.replica = static_cast<int>(i % per_cell);
+        r.seed = spec_.replica_seed(r.replica);
+        try {
+            const Config cfg = spec_.replica_config(r.cell, r.replica);
+            r.metrics = replica_fn_(cfg, spec_.seconds);
+            r.ok = true;
+        } catch (const std::exception& e) {
+            r.error = e.what();
+        } catch (...) {
+            r.error = "unknown error";
+        }
+        // Committed by replica index: slot i is this replica's forever,
+        // regardless of which worker ran it or when it finished.
+        result.replicas[i] = std::move(r);
+        const std::size_t finished = done.fetch_add(1) + 1;
+        if (progress_) {
+            const std::lock_guard<std::mutex> lock(progress_mutex);
             try {
-                const Config cfg = spec_.replica_config(r.cell, r.replica);
-                r.metrics = replica_fn_(cfg, spec_.seconds);
-                r.ok = true;
-            } catch (const std::exception& e) {
-                r.error = e.what();
-            } catch (...) {
-                r.error = "unknown error";
-            }
-            // Committed by replica index: slot i is this replica's forever,
-            // regardless of which worker ran it or when it finished.
-            result.replicas[i] = std::move(r);
-            const std::size_t finished = done.fetch_add(1) + 1;
-            if (progress_) {
-                const std::lock_guard<std::mutex> lock(progress_mutex);
                 progress_(finished, result.replicas.size());
+            } catch (...) {
+                if (!progress_error) {
+                    progress_error = std::current_exception();
+                }
             }
-        });
+        }
+    };
+    {
+        // Workers take replicas from one queue in index order; the pool's
+        // destructor drains the queue and joins them. An open pool with an
+        // unbounded queue accepts every task.
+        TaskPool pool(static_cast<int>(std::clamp<std::size_t>(
+            result.replicas.size(), 1, static_cast<std::size_t>(jobs))));
+        for (std::size_t i = 0; i < result.replicas.size(); ++i) {
+            pool.submit([&run_replica, i] { run_replica(i); });
+        }
+    }
+    if (progress_error) {
+        std::rethrow_exception(progress_error);
+    }
 
     result.wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -

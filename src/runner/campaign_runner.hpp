@@ -55,9 +55,9 @@ struct CampaignResult {
         std::span<const std::pair<std::string, std::string>> match) const;
 };
 
-/// Shard-based parallel campaign executor. Replicas are independent, so
-/// they fan out over a fixed thread pool (util/thread_pool.hpp); each
-/// result is committed to its grid slot by index, never by completion
+/// Parallel campaign executor. Replicas are independent, so they run on a
+/// TaskPool (util/thread_pool.hpp) whose workers take them from one queue;
+/// each result is committed to its grid slot by index, never by completion
 /// order, which keeps the aggregate bit-identical for any `jobs`.
 class CampaignRunner {
 public:
@@ -67,7 +67,9 @@ public:
     /// replicas here.
     using ReplicaFn =
         std::function<RunMetrics(const Config& cfg, double seconds)>;
-    /// Called after each replica finishes (any thread, serialized).
+    /// Called after each replica finishes (any thread, serialized). The
+    /// first exception it throws is rethrown by run() once every replica
+    /// has finished.
     using ProgressFn =
         std::function<void(std::size_t done, std::size_t total)>;
 
@@ -76,10 +78,11 @@ public:
     void set_replica_fn(ReplicaFn fn);
     void set_progress(ProgressFn fn);
 
-    /// Executes the whole grid on `jobs` threads (0 = spec.default_jobs,
-    /// which itself defaults to the hardware concurrency) and returns the
-    /// aggregated result. A replica that throws is recorded as failed;
-    /// run() itself only throws on spec-level errors.
+    /// Executes the whole grid on min(`jobs`, replica count) worker
+    /// threads (`jobs` 0 = spec.default_jobs, which itself defaults to the
+    /// hardware concurrency) and returns the aggregated result. A replica
+    /// that throws is recorded as failed; run() itself only throws on
+    /// spec-level errors.
     CampaignResult run(int jobs = 0);
 
     const CampaignSpec& spec() const { return spec_; }

@@ -1,25 +1,29 @@
 #include "scenario/scenario_runner.hpp"
 
 #include "core/config_bridge.hpp"
+#include "core/system_factory.hpp"
 #include "scenario/scenario_player.hpp"
 #include "util/require.hpp"
 
 namespace mcs {
 
-bool attach_scenario_from(ManycoreSystem& sys, const Config& cfg) {
-    if (!cfg.has("scenario")) {
-        return false;
-    }
-    const std::string path = cfg.get_string("scenario", "");
-    MCS_REQUIRE(!path.empty(), "scenario= needs a file path");
-    sys.attach_scenario(make_scenario_player(path));
-    return true;
-}
-
-std::unique_ptr<ManycoreSystem> make_system(const Config& cfg) {
+std::unique_ptr<ManycoreSystem> make_system(const Config& cfg,
+                                            telemetry::Tracer* tracer) {
     auto sys = std::make_unique<ManycoreSystem>(system_config_from(cfg));
-    attach_scenario_from(*sys, cfg);
-    apply_restore(*sys, cfg);
+    if (tracer != nullptr) {
+        sys->set_tracer(tracer);
+    }
+    if (cfg.has("scenario")) {
+        const std::string path = cfg.get_string("scenario", "");
+        MCS_REQUIRE(!path.empty(), "scenario= needs a file path");
+        sys->attach_scenario(make_scenario_player(path));
+    }
+    if (cfg.has("restore")) {
+        RestoreOptions opts;
+        opts.relax_config = cfg.get_bool("restore_relax", false);
+        sys->restore(load_snapshot_file(cfg.get_string("restore", "")),
+                     opts);
+    }
     return sys;
 }
 

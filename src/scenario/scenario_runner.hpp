@@ -1,34 +1,35 @@
 #pragma once
 
-// Config-level glue for scenarios: the `scenario=<path>` key attaches a
-// ScenarioPlayer to a system built from the same key=value configuration
-// that drives everything else, so scenarios compose with --sweep cells,
-// restore= forks, and the serve/bench harnesses without new plumbing.
+// The one system factory: every path that runs a system from key=value
+// configuration (mcs_sim, campaign replicas, what-if forks, the examples,
+// the serve benches) builds it here, so `scenario=` and `restore=` mean
+// the same thing everywhere and the build order lives in one place.
 
 #include <memory>
 
-#include "core/system_factory.hpp"
+#include "core/system.hpp"
+#include "util/config.hpp"
 
 namespace mcs {
 
-/// If `cfg` carries `scenario=<path>`, loads the spec and attaches a
-/// player to `sys`; otherwise does nothing. Must be called before
-/// restore()/run() (the façade enforces this). Returns whether a scenario
-/// was attached.
-bool attach_scenario_from(ManycoreSystem& sys, const Config& cfg);
-
-/// Constructs a fresh ManycoreSystem from generic key=value configuration
-/// (core/config_bridge.hpp keys), attaches `scenario=<path>` when present,
-/// then restores from `restore=<path>` when present (attach first, so a
-/// snapshot captured mid-scenario can reload its replay position). The
-/// build path touches no global mutable state, so factories may run
-/// concurrently from any number of threads -- this is the campaign
-/// runner's default replica body (fork-from-checkpoint sweeps pass the
-/// same snapshot to every cell).
-std::unique_ptr<ManycoreSystem> make_system(const Config& cfg);
+/// Constructs a ManycoreSystem from generic key=value configuration
+/// (core/config_bridge.hpp keys), then, in this order:
+///   1. attaches `tracer` when non-null (before restore, so a snapshot's
+///      captured trace ring reloads into it);
+///   2. attaches a ScenarioPlayer for `scenario=<path>` when present
+///      (before restore, so a snapshot captured mid-scenario reloads its
+///      replay position);
+///   3. restores from `restore=<path>` when present (`restore_relax=true`
+///      relaxes the full-config fingerprint check so a fork may vary
+///      policy knobs).
+/// The build path touches no global mutable state, so factories may run
+/// concurrently from any number of threads (campaign replicas, serve
+/// workers).
+std::unique_ptr<ManycoreSystem> make_system(
+    const Config& cfg, telemetry::Tracer* tracer = nullptr);
 
 /// Builds and runs one system for `horizon` simulated time and returns its
-/// metrics; the convenience form of make_system for one-shot replicas.
+/// metrics; the campaign runner's default replica body.
 RunMetrics run_system(const Config& cfg, SimDuration horizon);
 
 }  // namespace mcs

@@ -2,10 +2,10 @@
 
 #include <array>
 #include <cctype>
+#include <memory>
 #include <sstream>
 
-#include "core/config_bridge.hpp"
-#include "core/system.hpp"
+#include "scenario/scenario_runner.hpp"
 #include "telemetry/run_report.hpp"
 #include "telemetry/schema.hpp"
 #include "util/require.hpp"
@@ -106,18 +106,15 @@ WhatIfQuery parse_whatif_query(std::string_view body) {
 }
 
 std::string cache_key(const SnapshotEntry& entry, const WhatIfQuery& query) {
-    // The fingerprints pin the snapshot identity (its captured config AND
-    // structure), the tick count pins the horizon, and the sorted
-    // canonical overrides pin the fork. '\x1f' (unit separator) cannot
-    // appear in canonical values' config grammar, keeping the key
-    // injective.
+    // The entry's prefix pins the captured state and the fork's base
+    // config, the tick count pins the horizon, and the sorted canonical
+    // overrides pin the fork. '\x1f' (unit separator) cannot appear in
+    // canonical values' config grammar, keeping the key injective.
     const SimDuration horizon =
         query.horizon.value_or(entry.captured_horizon);
     std::string key;
-    key.reserve(128);
-    key += entry.config_fingerprint;
-    key += '+';
-    key += entry.structural_fingerprint;
+    key.reserve(256);
+    key += entry.key_prefix;
     key += "|h=";
     key += std::to_string(horizon);
     for (const auto& [name, value] : query.overrides) {
@@ -147,13 +144,16 @@ std::string compute_whatif(const SnapshotEntry& entry,
     for (const auto& [key, value] : query.overrides) {
         merged.set(key, value);
     }
-    ManycoreSystem sys(system_config_from(merged));
+    // The base holds no restore= (the pool checks), so make_system only
+    // builds and attaches the scenario; the fork restores the pooled
+    // document itself.
+    const std::unique_ptr<ManycoreSystem> sys = make_system(merged);
     RestoreOptions opts;
     opts.relax_config = true;  // forks vary policy knobs by design
-    sys.restore(entry.doc, opts);
-    const RunMetrics m = sys.run(horizon);
+    sys->restore(entry.doc, opts);
+    const RunMetrics m = sys->run(horizon);
     std::ostringstream os;
-    telemetry::write_run_report(m, &sys.registry(), os);
+    telemetry::write_run_report(m, &sys->registry(), os);
     return os.str();
 }
 

@@ -10,8 +10,8 @@
 // queries that mean the same thing -- overrides in any order, numbers
 // spelled 0.80 vs 8e-1, strings with stray whitespace -- canonicalize to
 // the same cache key, and the report bytes are a pure function of
-// (snapshot fingerprints, canonical overrides, horizon), so a cache hit is
-// byte-identical to a fresh computation.
+// (captured state, base config, canonical overrides, horizon), so a cache
+// hit is byte-identical to a fresh computation.
 //
 // Request schema ("mcs.whatif_query.v1", POST /whatif):
 //   {"schema":"mcs.whatif_query.v1","snapshot":"<name>",
@@ -50,14 +50,15 @@ bool is_allowed_override(std::string_view key);
 /// non-scalar override values.
 WhatIfQuery parse_whatif_query(std::string_view body);
 
-/// Deterministic cache key: snapshot config+structural fingerprints, the
-/// resolved horizon in ticks, and the canonical override list. Equal keys
-/// imply byte-identical responses.
+/// Deterministic cache key: the entry's key_prefix (captured state, base
+/// config, scenario), the resolved horizon in ticks, and the canonical
+/// override list. Equal keys imply byte-identical responses.
 std::string cache_key(const SnapshotEntry& entry, const WhatIfQuery& query);
 
-/// Evaluates the query against the entry: forks the warmed snapshot under
-/// the overridden policy (restore_relax semantics) and runs it to the
-/// requested horizon. Returns the mcs.run_report.v1 bytes. Throws
+/// Evaluates the query against the entry: builds the base config plus the
+/// overrides through make_system (which attaches the entry's scenario),
+/// forks the warmed snapshot under the overridden policy (restore_relax
+/// semantics) and runs it to the requested horizon. Returns the mcs.run_report.v1 bytes. Throws
 /// RequireError for an invalid horizon or a structurally incompatible
 /// override (both map to HTTP 400 in the service layer).
 std::string compute_whatif(const SnapshotEntry& entry,

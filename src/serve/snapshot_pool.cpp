@@ -4,7 +4,9 @@
 #include <cctype>
 
 #include "core/config_bridge.hpp"
+#include "core/snapshot.hpp"
 #include "core/system_factory.hpp"
+#include "scenario/scenario_spec.hpp"
 #include "telemetry/schema.hpp"
 #include "util/require.hpp"
 
@@ -40,13 +42,43 @@ SnapshotEntry SnapshotPool::make_entry(std::string name, std::string path,
     MCS_REQUIRE(e.captured_now > 0 && e.captured_now < e.captured_horizon,
                 "snapshot '" + e.name + "': captured clock/horizon invalid");
 
-    // Fail fast: the base config must rebuild the captured structure, or
-    // every query against this entry would 400 at restore time.
+    // Fail fast: every fork builds from the base through make_system and
+    // restores this document, so whatever would make that fail (or quietly
+    // differ) fails here instead of as a 400 on every query.
+    for (const char* key : {"restore", "checkpoint", "checkpoint_at"}) {
+        MCS_REQUIRE(!base.has(key),
+                    "snapshot '" + e.name + "': the base config must not " +
+                        "hold " + key +
+                        "= (forks restore from the pooled snapshot)");
+    }
+    MCS_REQUIRE(base.has("scenario") == doc.has("scenario"),
+                "snapshot '" + e.name +
+                    (doc.has("scenario")
+                         ? "' was captured with a scenario attached; serve "
+                           "it with the same scenario="
+                         : "' was captured without a scenario, but the base "
+                           "config sets scenario="));
     const SystemConfig cfg = system_config_from(base);
     MCS_REQUIRE(structural_fingerprint(cfg) == e.structural_fingerprint,
                 "snapshot '" + e.name +
                     "': base config does not match the captured structure "
                     "(structural fingerprint mismatch)");
+
+    e.key_prefix = e.config_fingerprint + '+' + e.structural_fingerprint +
+                   '@' + std::to_string(e.captured_now) + '/' +
+                   std::to_string(doc.at("executed").u64()) + '/' +
+                   std::to_string(doc.at("cancelled").u64()) +
+                   "|base=" + config_fingerprint(cfg);
+    if (doc.has("scenario")) {
+        const std::string& captured =
+            doc.at("scenario").at("fingerprint").string();
+        MCS_REQUIRE(scenario_fingerprint(load_scenario_file(
+                        base.get_string("scenario", ""))) == captured,
+                    "snapshot '" + e.name +
+                        "': scenario= names a spec whose fingerprint differs "
+                        "from the captured scenario's");
+        e.key_prefix += "|scenario=" + captured;
+    }
     e.doc = std::move(doc);
     e.base = std::move(base);
     return e;

@@ -1,50 +1,8 @@
 #include "util/thread_pool.hpp"
 
-#include <algorithm>
-#include <exception>
 #include <thread>
-#include <vector>
 
 namespace mcs {
-
-void parallel_for_sharded(std::size_t n, int jobs,
-                          const std::function<void(std::size_t)>& fn) {
-    if (n == 0) {
-        return;
-    }
-    const auto workers =
-        jobs <= 1 ? std::size_t{1}
-                  : std::min(static_cast<std::size_t>(jobs), n);
-    if (workers == 1) {
-        for (std::size_t i = 0; i < n; ++i) {
-            fn(i);
-        }
-        return;
-    }
-
-    std::vector<std::exception_ptr> errors(workers);
-    std::vector<std::thread> threads;
-    threads.reserve(workers);
-    for (std::size_t t = 0; t < workers; ++t) {
-        threads.emplace_back([&, t] {
-            try {
-                for (std::size_t i = t; i < n; i += workers) {
-                    fn(i);
-                }
-            } catch (...) {
-                errors[t] = std::current_exception();
-            }
-        });
-    }
-    for (auto& thread : threads) {
-        thread.join();
-    }
-    for (const auto& error : errors) {
-        if (error) {
-            std::rethrow_exception(error);
-        }
-    }
-}
 
 int hardware_jobs() noexcept {
     const unsigned n = std::thread::hardware_concurrency();

@@ -11,26 +11,17 @@
 
 namespace mcs {
 
-/// Runs `fn(i)` for every i in [0, n) across `jobs` worker threads using
-/// static sharding: worker t executes i = t, t + jobs, t + 2*jobs, ...
-/// There is no shared queue and no work stealing, so the thread that runs a
-/// given index is a pure function of (i, jobs) — callers that commit
-/// results by index get identical output for any job count.
-///
-/// jobs <= 1 (or n <= 1) runs everything inline on the calling thread.
-/// If any invocation throws, the remaining indices of that worker's shard
-/// are skipped, all workers are joined, and the first exception (lowest
-/// worker id) is rethrown.
-void parallel_for_sharded(std::size_t n, int jobs,
-                          const std::function<void(std::size_t)>& fn);
-
 /// Number of hardware threads, never less than 1 (the fallback when the
 /// runtime cannot tell).
 int hardware_jobs() noexcept;
 
 /// Long-lived worker pool with a bounded FIFO queue and an explicit
-/// shutdown/drain protocol -- the serving-side counterpart to
-/// parallel_for_sharded (which is for one-shot data-parallel loops).
+/// shutdown/drain protocol, the repo's one thread pool: the serve daemon's
+/// workers run what-if queries on it, and the campaign runner submits one
+/// task per replica and lets the destructor's drain join them. Workers
+/// take tasks in submission order; which worker runs a task, and when, is
+/// not specified, so callers that need deterministic output commit results
+/// by their own index.
 ///
 /// Admission: submit() enqueues a task unless the queue is at capacity or
 /// shutdown has begun; both rejections are reported by the return value so

@@ -21,7 +21,6 @@
 #include "telemetry/run_report.hpp"
 #include "util/require.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace mcs {
 namespace {
@@ -35,34 +34,6 @@ std::string read_file(const std::string& path) {
 
 std::string temp_path(const std::string& name) {
     return testing::TempDir() + name;
-}
-
-// --- parallel_for_sharded -------------------------------------------------
-
-TEST(ParallelForSharded, CoversEveryIndexExactlyOnce) {
-    for (int jobs : {1, 2, 3, 8, 100}) {
-        std::vector<std::atomic<int>> hits(37);
-        parallel_for_sharded(hits.size(), jobs,
-                             [&](std::size_t i) { hits[i]++; });
-        for (const auto& h : hits) {
-            EXPECT_EQ(h.load(), 1) << "jobs=" << jobs;
-        }
-    }
-}
-
-TEST(ParallelForSharded, EmptyRangeIsANoop) {
-    parallel_for_sharded(0, 4, [](std::size_t) { FAIL(); });
-}
-
-TEST(ParallelForSharded, PropagatesExceptions) {
-    EXPECT_THROW(
-        parallel_for_sharded(16, 4,
-                             [](std::size_t i) {
-                                 if (i == 7) {
-                                     throw std::runtime_error("boom");
-                                 }
-                             }),
-        std::runtime_error);
 }
 
 // --- sweep spec -----------------------------------------------------------
@@ -175,7 +146,9 @@ TEST(CampaignRunner, ParallelEqualsSequential) {
     write_campaign_csv(seq, seq_csv);
     write_replica_csv(seq, seq_rep);
 
-    for (int jobs : {2, 8}) {
+    // 3 does not divide the four replicas; 8 and 100 exceed them, so the
+    // pool runs one worker per replica.
+    for (int jobs : {2, 3, 8, 100}) {
         const CampaignResult par = CampaignRunner(small_system_spec())
                                        .run(jobs);
         ASSERT_EQ(par.replicas.size(), seq.replicas.size());
@@ -353,6 +326,23 @@ TEST(CampaignRunner, ProgressReachesTotal) {
     runner.run(3);
     EXPECT_EQ(calls, 6u);
     EXPECT_EQ(last_done, 6u);
+}
+
+TEST(CampaignRunner, ProgressExceptionIsRethrownAfterEveryReplica) {
+    Config cfg;
+    cfg.set("sweep.x", "a, b");
+    cfg.set("replicas", "3");
+    CampaignRunner runner(CampaignSpec::from_config(cfg));
+    std::atomic<int> ran{0};
+    runner.set_replica_fn([&ran](const Config&, double) {
+        ++ran;
+        return RunMetrics{};
+    });
+    runner.set_progress([](std::size_t, std::size_t) {
+        throw std::runtime_error("progress failed");
+    });
+    EXPECT_THROW(runner.run(2), std::runtime_error);
+    EXPECT_EQ(ran.load(), 6);
 }
 
 TEST(CampaignRunner, ForksReplicasFromWarmCheckpoint) {

@@ -18,7 +18,7 @@ protected:
           budget_(chip_.tdp_w()) {}
 
     PowerManager make(PowerManagerParams p = {}) {
-        return PowerManager(chip_, model_, budget_, p);
+        return PowerManager(chip_, model_, budget_, registry_, p);
     }
 
     /// One control epoch on the measurement the platform would pass: the
@@ -36,6 +36,7 @@ protected:
     Chip chip_;
     PowerModel model_;
     PowerBudget budget_;
+    telemetry::MetricsRegistry registry_;
 };
 
 TEST_F(PowerManagerTest, MeasuresChipPower) {
@@ -269,8 +270,6 @@ TEST_F(PowerManagerTest, PriorityLookupOncePerBusyCore) {
     PowerManagerParams p;
     p.enable_power_gating = false;
     auto mgr = make(p);
-    telemetry::MetricsRegistry registry;
-    mgr.set_telemetry(nullptr, &registry);
     make_busy(12);  // cores 12..15 stay idle
     std::vector<std::uint64_t> calls(chip_.core_count(), 0);
     mgr.set_priority_lookup([&calls](CoreId id) {
@@ -278,7 +277,7 @@ TEST_F(PowerManagerTest, PriorityLookupOncePerBusyCore) {
         return id % 3 == 0 ? 1 : 0;
     });
     const telemetry::Counter& actuations =
-        registry.counter("power.capping_actuations");
+        registry_.counter("power.capping_actuations");
     for (int e = 0; e < 50; ++e) {
         const std::uint64_t before = actuations.value();
         const std::vector<std::uint64_t> calls_before = calls;

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 
@@ -24,6 +25,7 @@
 #include "core/config_bridge.hpp"
 #include "core/system.hpp"
 #include "core/system_factory.hpp"
+#include "scenario/scenario_runner.hpp"
 #include "serve/http.hpp"
 #include "serve/query.hpp"
 #include "serve/result_cache.hpp"
@@ -32,6 +34,7 @@
 #include "serve/snapshot_pool.hpp"
 #include "support/differential.hpp"
 #include "telemetry/metrics_registry.hpp"
+#include "telemetry/run_report.hpp"
 #include "util/config.hpp"
 #include "util/require.hpp"
 
@@ -225,8 +228,7 @@ TEST(WhatIfQuery, OverrideOrderAndNumberSpellingCanonicalize) {
 
 TEST(WhatIfQuery, DifferentValuesProduceDifferentCacheKeys) {
     serve::SnapshotEntry entry;
-    entry.config_fingerprint = "cfgfp";
-    entry.structural_fingerprint = "structfp";
+    entry.key_prefix = "cfgfp+structfp@400000000/0/0|base=cfgfp";
     entry.captured_now = 400 * kMillisecond;
     entry.captured_horizon = kSecond;
 
@@ -249,7 +251,7 @@ TEST(WhatIfQuery, DifferentValuesProduceDifferentCacheKeys) {
 
     // The key also pins the snapshot identity itself.
     serve::SnapshotEntry other = entry;
-    other.config_fingerprint = "othercfg";
+    other.key_prefix = "othercfg+structfp@400000000/0/0|base=othercfg";
     EXPECT_NE(serve::cache_key(entry, q1), serve::cache_key(other, q1));
 }
 
@@ -440,6 +442,78 @@ TEST(SnapshotPool, StructuralMismatchIsRejectedAtLoad) {
     ASSERT_EQ(pool.size(), 1u);
     EXPECT_EQ(pool.entries()[0].captured_now, 400 * kMillisecond);
     EXPECT_EQ(pool.entries()[0].captured_horizon, kSecond);
+}
+
+/// A spec from the committed scenario corpus.
+std::string corpus_scenario(const std::string& file) {
+    return std::string(MCS_SOURCE_DIR) + "/examples/scenarios/" + file;
+}
+
+/// serve_base_config() under budget_cut.json, which cuts the budget at
+/// 0.4 s and lifts it again at 1.2 s.
+Config scenario_base_config() {
+    Config cfg = serve_base_config();
+    cfg.set("scenario", corpus_scenario("budget_cut.json"));
+    return cfg;
+}
+
+/// Runs `sys` to `horizon` and returns its run report bytes.
+std::string report_of(ManycoreSystem& sys, SimDuration horizon) {
+    const RunMetrics m = sys.run(horizon);
+    std::ostringstream os;
+    telemetry::write_run_report(m, &sys.registry(), os);
+    return os.str();
+}
+
+/// Runs scenario_base_config() to 2 s with a capture at 0.8 s, between
+/// the scenario's two directives, into `path`; returns the uninterrupted
+/// run's report bytes.
+std::string capture_mid_scenario(const std::string& path) {
+    const auto sys = make_system(scenario_base_config());
+    sys->checkpoint_at(800 * kMillisecond, path);
+    return report_of(*sys, 2 * kSecond);
+}
+
+/// Expects from_document to throw a RequireError whose text holds
+/// `needle`.
+void expect_load_error(const telemetry::JsonValue& doc, const Config& base,
+                       const std::string& needle) {
+    try {
+        (void)serve::SnapshotPool::from_document("s", doc, base);
+        ADD_FAILURE() << "loaded; expected an error containing: " << needle;
+    } catch (const RequireError& e) {
+        EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(SnapshotPool, ForkPreconditionsAreCheckedAtLoad) {
+    const Config plain = serve_base_config();
+    const telemetry::JsonValue plain_doc = make_snapshot_doc(plain);
+    const TempFile mid("serve_mid_scenario");
+    capture_mid_scenario(mid.path());
+    const telemetry::JsonValue scenario_doc = load_snapshot_file(mid.path());
+    const Config with_scenario = scenario_base_config();
+
+    // scenario= must be present exactly when the document holds a
+    // scenario, and name the captured spec.
+    expect_load_error(scenario_doc, plain, "captured with a scenario");
+    expect_load_error(plain_doc, with_scenario, "captured without a scenario");
+    Config other_spec = with_scenario;
+    other_spec.set("scenario", corpus_scenario("vf_throttle_step.json"));
+    expect_load_error(scenario_doc, other_spec, "fingerprint differs");
+
+    // Forks restore from the pooled document, so these keys conflict with
+    // it or would be ignored.
+    for (const char* key : {"restore", "checkpoint", "checkpoint_at"}) {
+        Config extra = plain;
+        extra.set(key, "x");
+        expect_load_error(plain_doc, extra, std::string(key) + "=");
+    }
+
+    EXPECT_NO_THROW(
+        (void)serve::SnapshotPool::from_document("s", scenario_doc,
+                                                 with_scenario));
 }
 
 HttpRequest whatif_request(const std::string& body) {
@@ -661,6 +735,97 @@ TEST_F(ServeServiceTest, MetricsCountHitsAndMisses) {
     EXPECT_EQ(counters.at("serve.cache_misses").number(), 1.0);
     EXPECT_EQ(counters.at("serve.cache_hits").number(), 1.0);
     EXPECT_EQ(counters.at("serve.whatif_requests").number(), 2.0);
+}
+
+/// A /whatif body for `snapshot` with the given overrides object.
+std::string whatif_body(const std::string& snapshot,
+                        const std::string& overrides) {
+    return "{\"schema\":\"mcs.whatif_query.v1\",\"snapshot\":\"" +
+           snapshot + "\",\"overrides\":" + overrides + "}";
+}
+
+TEST(ServeScenario, MidScenarioSnapshotForksLikeARelaxedRestore) {
+    const TempFile mid("serve_mid_scenario");
+    const std::string uninterrupted = capture_mid_scenario(mid.path());
+    const Config base = scenario_base_config();
+    telemetry::MetricsRegistry registry;
+    serve::ServeService service(
+        serve::SnapshotPool::from_document(
+            "mid", load_snapshot_file(mid.path()), base),
+        serve::ServiceOptions{}, registry);
+
+    // mcs_sim restore=<mid> restore_relax=true scenario=... [scheduler=]
+    const auto relaxed_restore = [&](const char* scheduler) {
+        Config cfg = base;
+        cfg.set("restore", mid.path());
+        cfg.set("restore_relax", "true");
+        if (scheduler != nullptr) {
+            cfg.set("scheduler", scheduler);
+        }
+        const auto sys = make_system(cfg);
+        return report_of(*sys, sys->restored_horizon());
+    };
+
+    const HttpResponse identity =
+        service.handle(whatif_request(whatif_body("mid", "{}")));
+    ASSERT_EQ(identity.status, 200) << identity.body;
+    EXPECT_EQ(identity.body, relaxed_restore(nullptr));
+    EXPECT_EQ(identity.body, uninterrupted);
+
+    const HttpResponse greedy = service.handle(
+        whatif_request(whatif_body("mid", "{\"scheduler\":\"greedy\"}")));
+    ASSERT_EQ(greedy.status, 200) << greedy.body;
+    EXPECT_EQ(greedy.body, relaxed_restore("greedy"));
+    EXPECT_NE(greedy.body, identity.body);
+}
+
+TEST(ServeCacheKey, PinsTheCapturePointAndTheBaseConfig) {
+    // Two captures of one run share both document fingerprints; only the
+    // capture point tells them apart. A third entry serves the later
+    // capture under another base config.
+    Config base;
+    base.set("occupancy", "0.7");
+    const TempFile early("serve_capture_early");
+    const TempFile late("serve_capture_late");
+    {
+        const auto sys = make_system(base);
+        sys->checkpoint_at(500 * kMillisecond, early.path());
+        sys->checkpoint_at(kSecond, late.path());
+        sys->run(2 * kSecond);
+    }
+    const TempFile greedy_cfg("serve_greedy_cfg");
+    testsupport::write_file(greedy_cfg.path(), "scheduler = greedy\n");
+    Config serve_cfg;
+    serve_cfg.set("snapshot.a", early.path());
+    serve_cfg.set("snapshot.b", late.path());
+    serve_cfg.set("snapshot.g", late.path());
+    serve_cfg.set("snapshot.g.config", greedy_cfg.path());
+    telemetry::MetricsRegistry registry;
+    serve::ServeService service(serve::SnapshotPool::load(serve_cfg, base),
+                                serve::ServiceOptions{}, registry);
+
+    // Every query misses and equals a fresh computation on its own entry.
+    const auto ask = [&](const std::string& snapshot,
+                         const std::string& overrides) {
+        const std::string body = whatif_body(snapshot, overrides);
+        const HttpResponse resp = service.handle(whatif_request(body));
+        EXPECT_EQ(resp.status, 200) << resp.body;
+        EXPECT_EQ(header(resp, "X-Cache"), "miss") << body;
+        EXPECT_EQ(resp.body, serve::compute_whatif(
+                                 *service.pool()->find(snapshot),
+                                 serve::parse_whatif_query(body)))
+            << body;
+        return resp.body;
+    };
+    const std::string greedy = "{\"scheduler\":\"greedy\"}";
+    const std::string a_greedy = ask("a", greedy);
+    const std::string b_greedy = ask("b", greedy);
+    EXPECT_NE(a_greedy, b_greedy);
+    const std::string b_identity = ask("b", "{}");
+    const std::string g_identity = ask("g", "{}");
+    EXPECT_NE(g_identity, b_identity);
+    // The same effective config gives the same bytes under either key.
+    EXPECT_EQ(g_identity, b_greedy);
 }
 
 // ------------------------------------------------- the socket front end --

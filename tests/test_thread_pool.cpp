@@ -6,22 +6,11 @@
 #include <mutex>
 #include <stdexcept>
 #include <thread>
-#include <vector>
 
 #include <gtest/gtest.h>
 
 namespace mcs {
 namespace {
-
-TEST(ParallelForSharded, CoversEveryIndexOnce) {
-    std::vector<std::atomic<int>> hits(101);
-    parallel_for_sharded(hits.size(), 4, [&](std::size_t i) {
-        hits[i].fetch_add(1);
-    });
-    for (const auto& h : hits) {
-        EXPECT_EQ(h.load(), 1);
-    }
-}
 
 TEST(TaskPool, RunsSubmittedTasks) {
     TaskPool pool(3);

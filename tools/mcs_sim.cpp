@@ -55,9 +55,7 @@
 #include <string>
 #include <vector>
 
-#include "core/config_bridge.hpp"
 #include "core/report.hpp"
-#include "core/system_factory.hpp"
 #include "runner/campaign_runner.hpp"
 #include "runner/result_sink.hpp"
 #include "scenario/scenario_runner.hpp"
@@ -201,7 +199,15 @@ int run_single(const Config& args) {
         "trace_capacity", telemetry::Tracer::kDefaultCapacity);
     const bool quiet = args.get_bool("quiet", false);
 
-    const SystemConfig cfg = system_config_from(args);
+    std::optional<telemetry::Tracer> tracer;
+    if (!trace.empty()) {
+        tracer.emplace(trace_capacity);
+    }
+    // Restores before the checkpoint below is registered.
+    const std::unique_ptr<ManycoreSystem> built =
+        make_system(args, tracer ? &*tracer : nullptr);
+    ManycoreSystem& sys = *built;
+    const SystemConfig& cfg = sys.config();
     if (!quiet) {
         std::printf("mcs_sim: %dx%d @ %s | scheduler %s | mapper %s | "
                     "%.1f apps/s | %.1f s\n\n",
@@ -209,19 +215,6 @@ int run_single(const Config& args) {
                     to_string(cfg.scheduler), to_string(cfg.mapper),
                     cfg.workload.arrival_rate_hz, seconds);
     }
-
-    ManycoreSystem sys(cfg);
-    std::optional<telemetry::Tracer> tracer;
-    if (!trace.empty()) {
-        tracer.emplace(trace_capacity);
-        sys.set_tracer(&*tracer);
-    }
-    // Scenario before restore (a snapshot captured mid-scenario reloads
-    // its replay position into the attached player); restore after the
-    // tracer is attached (reloads the captured ring) and before any
-    // checkpoint registration.
-    attach_scenario_from(sys, args);
-    apply_restore(sys, args);
     SimDuration horizon = from_seconds(seconds);
     if (sys.restored() && !args.has("seconds")) {
         horizon = sys.restored_horizon();  // default to the captured run
