@@ -3,7 +3,8 @@
 // the cores. Prints a per-fault timeline and the detection-latency
 // distribution.
 //
-// Usage: fault_hunt [seconds=15] [fault_rate=0.05] [occupancy=0.6]
+// Usage: fault_hunt [seconds=15, or the captured horizon with restore=]
+//                   [fault_rate=0.05] [occupancy=0.6]
 //                   [seed=7] [scheduler=power-aware|periodic|greedy|
 //                   deadline|none] [scenario=<spec.json>]
 //                   [restore=<snapshot.json>] [any other
@@ -32,13 +33,13 @@ int run(int argc, char** argv) {
     const SystemConfig& cfg = sys->config();
     MCS_REQUIRE(cfg.enable_fault_injection, "fault_hunt needs faults=true");
 
-    const double seconds = args.get_double("seconds", 15.0);
+    const SimDuration horizon = run_horizon(args, *sys, 15.0);
     std::printf("fault hunt: %s scheduler, fault rate %.3f /core-s, "
-                "%.0f s horizon\n\n",
+                "%g s horizon\n\n",
                 to_string(cfg.scheduler), cfg.faults.base_rate_per_core_s,
-                seconds);
+                to_seconds(horizon));
 
-    const RunMetrics m = sys->run(from_seconds(seconds));
+    const RunMetrics m = sys->run(horizon);
 
     TablePrinter timeline({"core", "unit", "injected [s]", "status",
                            "detected [s]", "latency [s]"});

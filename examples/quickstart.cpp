@@ -1,7 +1,8 @@
 // Quickstart: simulate an 8x8 16nm manycore running a dynamic workload with
 // power-aware online testing, and print the headline numbers.
 //
-// Usage: quickstart [width=8] [height=8] [seconds=10] [occupancy=0.6]
+// Usage: quickstart [width=8] [height=8] [seconds=10, or the captured
+//                   horizon with restore=] [occupancy=0.6]
 //                   [seed=42] [scheduler=power-aware|periodic|greedy|
 //                   deadline|none] [scenario=<spec.json>]
 //                   [restore=<snapshot.json>] [any other
@@ -23,7 +24,7 @@ int run(int argc, char** argv) {
     const std::unique_ptr<mcs::ManycoreSystem> sys = mcs::make_system(args);
     const mcs::SystemConfig& cfg = sys->config();
     const double occupancy = args.get_double("occupancy", 0.6);
-    const double seconds = args.get_double("seconds", 10.0);
+    const mcs::SimDuration horizon = mcs::run_horizon(args, *sys, 10.0);
 
     std::printf("manycore online-test quickstart\n");
     std::printf("  chip        : %dx%d @ %s, TDP-capped\n", cfg.width,
@@ -31,9 +32,9 @@ int run(int argc, char** argv) {
     std::printf("  scheduler   : %s\n", mcs::to_string(cfg.scheduler));
     std::printf("  occupancy   : %.2f (%.1f apps/s)\n", occupancy,
                 cfg.workload.arrival_rate_hz);
-    std::printf("  horizon     : %.1f s\n\n", seconds);
+    std::printf("  horizon     : %.1f s\n\n", mcs::to_seconds(horizon));
 
-    const mcs::RunMetrics m = sys->run(mcs::from_seconds(seconds));
+    const mcs::RunMetrics m = sys->run(horizon);
 
     std::printf("results\n");
     std::printf("  TDP                  : %.1f W\n", m.tdp_w);

@@ -1,7 +1,6 @@
 #include "app/task_graph.hpp"
 
 #include <algorithm>
-#include <queue>
 
 #include "util/require.hpp"
 
@@ -20,6 +19,8 @@ TaskGraph::TaskGraph(std::vector<Task> tasks) : tasks_(std::move(tasks)) {
             ++edge_count_;
         }
     }
+    sources_.reserve(static_cast<std::size_t>(
+        std::count(pred_counts_.begin(), pred_counts_.end(), 0u)));
     for (TaskIndex i = 0; i < n; ++i) {
         if (pred_counts_[i] == 0) {
             sources_.push_back(i);
@@ -28,28 +29,28 @@ TaskGraph::TaskGraph(std::vector<Task> tasks) : tasks_(std::move(tasks)) {
     MCS_REQUIRE(!sources_.empty(), "task graph has no source (cyclic)");
 
     // Kahn's algorithm: verifies acyclicity and computes the critical path.
+    // `order` is the FIFO: tasks enter it once their inputs are all
+    // visited, and `head` walks it.
     std::vector<std::uint32_t> remaining = pred_counts_;
     std::vector<std::uint64_t> finish_cycles(n, 0);
-    std::queue<TaskIndex> ready;
+    std::vector<TaskIndex> order;
+    order.reserve(n);
     for (TaskIndex s : sources_) {
-        ready.push(s);
+        order.push_back(s);
         finish_cycles[s] = tasks_[s].cycles;
     }
-    std::size_t visited = 0;
-    while (!ready.empty()) {
-        const TaskIndex u = ready.front();
-        ready.pop();
-        ++visited;
+    for (std::size_t head = 0; head < order.size(); ++head) {
+        const TaskIndex u = order[head];
         for (const TaskEdge& e : tasks_[u].successors) {
             finish_cycles[e.dst] =
                 std::max(finish_cycles[e.dst],
                          finish_cycles[u] + tasks_[e.dst].cycles);
             if (--remaining[e.dst] == 0) {
-                ready.push(e.dst);
+                order.push_back(e.dst);
             }
         }
     }
-    MCS_REQUIRE(visited == n, "task graph contains a cycle");
+    MCS_REQUIRE(order.size() == n, "task graph contains a cycle");
     critical_path_cycles_ =
         *std::max_element(finish_cycles.begin(), finish_cycles.end());
 }

@@ -1,6 +1,8 @@
 #include "app/workload.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "util/require.hpp"
 
@@ -43,32 +45,27 @@ TaskGraph TaskGraphGenerator::generate(Rng& rng) const {
 
     // Layered DAG, 2..4 layers with tasks spread evenly (wide, shallow
     // graphs: most tasks run in parallel, as in the streaming workloads the
-    // paper family maps). Each task in layer k >= 1 connects from
-    // 1..max_fanin distinct tasks of layer k-1 (edges stored on the
-    // predecessor side).
+    // paper family maps). Layer k holds the ids [first(k), first(k + 1)):
+    // n / depth tasks, plus one for each of the first n % depth layers.
+    // Each task in layer k >= 1 connects from 1..max_fanin distinct tasks
+    // of layer k-1 (edges stored on the predecessor side).
     const int depth = n == 1 ? 1
                              : static_cast<int>(rng.uniform_int(
                                    2, std::min<std::int64_t>(4, n)));
-    std::vector<std::vector<TaskIndex>> layers(
-        static_cast<std::size_t>(depth));
-    int placed = 0;
-    for (int k = 0; k < depth; ++k) {
-        const int width = n / depth + (k < n % depth ? 1 : 0);
-        for (int i = 0; i < width; ++i) {
-            layers[static_cast<std::size_t>(k)].push_back(
-                static_cast<TaskIndex>(placed++));
-        }
-    }
-    MCS_REQUIRE(placed == n, "layer distribution lost tasks");
-    for (std::size_t k = 1; k < layers.size(); ++k) {
-        const auto& prev = layers[k - 1];
-        for (TaskIndex t : layers[k]) {
+    const auto first = [&](int k) {
+        return static_cast<TaskIndex>(k * (n / depth) + std::min(k, n % depth));
+    };
+    std::vector<TaskIndex> pool;
+    for (int k = 1; k < depth; ++k) {
+        const TaskIndex prev = first(k - 1);
+        const TaskIndex prev_width = first(k) - prev;
+        for (TaskIndex t = first(k); t < first(k + 1); ++t) {
             const int fanin = static_cast<int>(rng.uniform_int(
-                1, std::min<std::int64_t>(params_.max_fanin,
-                                          static_cast<std::int64_t>(
-                                              prev.size()))));
-            // Sample distinct predecessors by shuffling a copy.
-            std::vector<TaskIndex> pool = prev;
+                1, std::min<std::int64_t>(params_.max_fanin, prev_width)));
+            // Sample distinct predecessors by shuffling the previous
+            // layer's ids, in order.
+            pool.resize(prev_width);
+            std::iota(pool.begin(), pool.end(), prev);
             rng.shuffle(std::span<TaskIndex>(pool));
             for (int i = 0; i < fanin; ++i) {
                 tasks[pool[static_cast<std::size_t>(i)]].successors.push_back(

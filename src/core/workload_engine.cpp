@@ -463,25 +463,31 @@ void WorkloadEngine::load_state(const telemetry::JsonValue& doc) {
         app.done = a.at("done").boolean();
         app.corrupted = a.at("corrupted").boolean();
         app.tasks_done = static_cast<std::size_t>(a.at("tasks_done").u64());
-        const std::vector<std::uint64_t> task_core = a.at("task_core").u64s();
-        for (const std::uint64_t id : task_core) {
+        // Both arrays are read straight into the app's vectors; each value
+        // is range-checked as a u64 before it narrows.
+        const auto& task_core = a.at("task_core").array();
+        app.task_core.resize(task_core.size());
+        for (std::size_t t = 0; t < task_core.size(); ++t) {
+            const std::uint64_t id = task_core[t].u64();
             MCS_REQUIRE(id < ctx_.chip.core_count(),
                         "snapshot workload: mapped core out of range");
+            app.task_core[t] = static_cast<CoreId>(id);
         }
-        app.task_core.assign(task_core.begin(), task_core.end());
         MCS_REQUIRE(app.task_core.empty() ||
                         app.task_core.size() == app.spec.graph.size(),
                     "snapshot workload: mapping size mismatch");
-        const std::vector<std::uint64_t> waiting = a.at("waiting").u64s();
+        const auto& waiting = a.at("waiting").array();
         MCS_REQUIRE(waiting.size() == app.task_core.size(),
                     "snapshot workload: waiting size mismatch");
+        app.waiting.resize(waiting.size());
         for (std::size_t t = 0; t < waiting.size(); ++t) {
-            MCS_REQUIRE(waiting[t] <= app.spec.graph.pred_count(
-                                          static_cast<TaskIndex>(t)),
+            const std::uint64_t count = waiting[t].u64();
+            MCS_REQUIRE(count <= app.spec.graph.pred_count(
+                                     static_cast<TaskIndex>(t)),
                         "snapshot workload: waiting count exceeds the "
                         "task's inputs");
+            app.waiting[t] = static_cast<std::uint32_t>(count);
         }
-        app.waiting.assign(waiting.begin(), waiting.end());
         MCS_REQUIRE(app.tasks_done <= app.spec.graph.size(),
                     "snapshot workload: tasks_done out of range");
     }

@@ -27,6 +27,14 @@ std::unique_ptr<ManycoreSystem> make_system(const Config& cfg,
     return sys;
 }
 
+SimDuration run_horizon(const Config& cfg, const ManycoreSystem& sys,
+                        double default_seconds) {
+    if (sys.restored() && !cfg.has("seconds")) {
+        return sys.restored_horizon();
+    }
+    return from_seconds(cfg.get_double("seconds", default_seconds));
+}
+
 RunMetrics run_system(const Config& cfg, SimDuration horizon) {
     return make_system(cfg)->run(horizon);
 }

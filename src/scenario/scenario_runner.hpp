@@ -28,6 +28,11 @@ namespace mcs {
 std::unique_ptr<ManycoreSystem> make_system(
     const Config& cfg, telemetry::Tracer* tracer = nullptr);
 
+/// The horizon a key=value run of `sys` goes to: `seconds=` when set, else
+/// the captured horizon when `sys` was restored, else `default_seconds`.
+SimDuration run_horizon(const Config& cfg, const ManycoreSystem& sys,
+                        double default_seconds);
+
 /// Builds and runs one system for `horizon` simulated time and returns its
 /// metrics; the campaign runner's default replica body.
 RunMetrics run_system(const Config& cfg, SimDuration horizon);

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "scenario/scenario_runner.hpp"
+#include "scenario/scenario_spec.hpp"
 #include "telemetry/run_report.hpp"
 #include "telemetry/schema.hpp"
 #include "util/require.hpp"
@@ -90,6 +91,21 @@ WhatIfQuery parse_query_doc(const telemetry::JsonValue& doc) {
     return q;
 }
 
+/// Whether the spec file a scenario entry's forks re-read still loads to
+/// the captured scenario (trivially true for an entry without one).
+bool scenario_spec_unchanged(const SnapshotEntry& entry) {
+    if (!entry.doc.has("scenario")) {
+        return true;
+    }
+    try {
+        return scenario_fingerprint(load_scenario_file(entry.base.get_string(
+                   "scenario", ""))) ==
+               entry.doc.at("scenario").at("fingerprint").string();
+    } catch (const RequireError&) {
+        return false;  // removed or no longer a valid spec
+    }
+}
+
 }  // namespace
 
 bool is_allowed_override(std::string_view key) {
@@ -147,10 +163,20 @@ std::string compute_whatif(const SnapshotEntry& entry,
     // The base holds no restore= (the pool checks), so make_system only
     // builds and attaches the scenario; the fork restores the pooled
     // document itself.
-    const std::unique_ptr<ManycoreSystem> sys = make_system(merged);
-    RestoreOptions opts;
-    opts.relax_config = true;  // forks vary policy knobs by design
-    sys->restore(entry.doc, opts);
+    std::unique_ptr<ManycoreSystem> sys;
+    try {
+        sys = make_system(merged);
+        RestoreOptions opts;
+        opts.relax_config = true;  // forks vary policy knobs by design
+        sys->restore(entry.doc, opts);
+    } catch (const RequireError&) {
+        if (!scenario_spec_unchanged(entry)) {
+            throw ScenarioSpecChanged(
+                "scenario spec changed since the pool loaded: " +
+                entry.base.get_string("scenario", ""));
+        }
+        throw;
+    }
     const RunMetrics m = sys->run(horizon);
     std::ostringstream os;
     telemetry::write_run_report(m, &sys->registry(), os);

@@ -24,6 +24,7 @@
 
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 
@@ -55,12 +56,22 @@ WhatIfQuery parse_whatif_query(std::string_view body);
 /// override list. Equal keys imply byte-identical responses.
 std::string cache_key(const SnapshotEntry& entry, const WhatIfQuery& query);
 
+/// Thrown by compute_whatif when a scenario snapshot's fork fails because
+/// the spec file it re-reads no longer holds the captured scenario (edited
+/// or removed since the pool loaded). That is a state of the host, not an
+/// answer to the query: the service layer maps it to an uncached 503.
+class ScenarioSpecChanged : public std::runtime_error {
+public:
+    using std::runtime_error::runtime_error;
+};
+
 /// Evaluates the query against the entry: builds the base config plus the
 /// overrides through make_system (which attaches the entry's scenario),
 /// forks the warmed snapshot under the overridden policy (restore_relax
-/// semantics) and runs it to the requested horizon. Returns the mcs.run_report.v1 bytes. Throws
-/// RequireError for an invalid horizon or a structurally incompatible
-/// override (both map to HTTP 400 in the service layer).
+/// semantics) and runs it to the requested horizon. Returns the
+/// mcs.run_report.v1 bytes. Throws RequireError for an invalid horizon or
+/// a structurally incompatible override (both map to HTTP 400 in the
+/// service layer), and ScenarioSpecChanged as described above.
 std::string compute_whatif(const SnapshotEntry& entry,
                            const WhatIfQuery& query);
 

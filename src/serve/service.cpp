@@ -167,16 +167,25 @@ HttpResponse ServeService::handle_whatif(const HttpRequest& request) {
         // queries on different snapshots/overrides proceed in parallel.
         // Deterministic failures (invalid horizon, incompatible override)
         // are answers too: the error envelope is cached under the same
-        // canonical key so repeat offenders stop paying the restore.
+        // canonical key so repeat offenders stop paying the restore. A
+        // changed scenario spec is not: its 503 is never cached, so the
+        // query answers again once the file is back.
         CachedResponse result;
+        bool cacheable = true;
         try {
             result.body = compute_whatif(*entry, query);
+        } catch (const ScenarioSpecChanged& e) {
+            result.status = 503;
+            result.body = error_response(503, e.what()).body;
+            cacheable = false;
         } catch (const RequireError& e) {
             result.status = 400;
             result.body = error_response(400, e.what()).body;
         }
         cached = std::make_shared<const CachedResponse>(std::move(result));
-        cache_.insert(key, cached);
+        if (cacheable) {
+            cache_.insert(key, cached);
+        }
     }
     {
         std::lock_guard<std::mutex> lock(metrics_mutex_);

@@ -1,9 +1,12 @@
 #include "telemetry/json.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
+#include <limits>
 #include <system_error>
 
 #include "util/require.hpp"
@@ -142,16 +145,19 @@ const char* kind_name(JsonValue::Kind k) {
     return "?";
 }
 
-/// Exact integer value of a number token; `error` prefixes the token in
-/// the RequireError for negatives (when unsigned), fractions or overflow.
-template <typename Int>
-Int parse_integer(const std::string& raw, const char* error) {
-    Int v = 0;
-    const char* end = raw.data() + raw.size();
-    const auto res = std::from_chars(raw.data(), end, v);
-    MCS_REQUIRE(res.ec == std::errc{} && res.ptr == end, error + raw);
-    return v;
+/// The member named `name` in a key-sorted object, or end().
+JsonValue::Object::const_iterator find_member(const JsonValue::Object& obj,
+                                              std::string_view name) {
+    const auto it = std::lower_bound(
+        obj.begin(), obj.end(), name,
+        [](const JsonValue::Member& m, std::string_view key) {
+            return std::string_view(m.first) < key;
+        });
+    return it != obj.end() && it->first == name ? it : obj.end();
 }
+
+/// Objects up to this many members sort by insertion (see parse_object).
+constexpr std::ptrdiff_t kInsertionSortMax = 16;
 
 /// Copies an array of scalars, reading each element through `read`.
 template <typename T>
@@ -170,30 +176,41 @@ std::vector<T> copy_scalars(const JsonValue::Array& items,
 void JsonValue::kind_mismatch(Kind expected) const {
     require_failed("kind() == expected", __FILE__, __LINE__,
                    std::string("JSON: expected ") + kind_name(expected) +
-                       ", found " + kind_name(kind_));
+                       ", found " + kind_name(kind()));
 }
 
-const JsonValue& JsonValue::at(const std::string& name) const {
+const JsonValue& JsonValue::at(std::string_view name) const {
     const Object& members = object();
-    const auto it = members.find(name);
-    MCS_REQUIRE(it != members.end(), "missing JSON member: " + name);
+    const auto it = find_member(members, name);
+    MCS_REQUIRE(it != members.end(),
+                "missing JSON member: " + std::string(name));
     return it->second;
 }
 
-bool JsonValue::has(const std::string& name) const {
-    return kind_ == Kind::Object && object_.find(name) != object_.end();
+bool JsonValue::has(std::string_view name) const {
+    const Object* members = std::get_if<Object>(&value_);
+    return members != nullptr &&
+           find_member(*members, name) != members->end();
 }
 
 std::uint64_t JsonValue::u64() const {
-    expect(Kind::Number);
-    return parse_integer<std::uint64_t>(
-        raw_, "JsonValue::u64: not an unsigned 64-bit integer: ");
+    const Number& n = get<Number>(Kind::Number);
+    MCS_REQUIRE(n.exact == Number::Exact::Unsigned,
+                "JsonValue::u64: not an unsigned 64-bit integer: " +
+                    json_number(n.value));
+    return n.bits;
 }
 
 std::int64_t JsonValue::i64() const {
-    expect(Kind::Number);
-    return parse_integer<std::int64_t>(
-        raw_, "JsonValue::i64: not a signed 64-bit integer: ");
+    const Number& n = get<Number>(Kind::Number);
+    const bool fits =
+        n.exact == Number::Exact::Negative ||
+        (n.exact == Number::Exact::Unsigned &&
+         n.bits <= static_cast<std::uint64_t>(
+                       std::numeric_limits<std::int64_t>::max()));
+    MCS_REQUIRE(fits, "JsonValue::i64: not a signed 64-bit integer: " +
+                          json_number(n.value));
+    return static_cast<std::int64_t>(n.bits);
 }
 
 std::vector<double> JsonValue::numbers() const {
@@ -254,19 +271,14 @@ private:
         switch (c) {
             case '{': return parse_object();
             case '[': return parse_array();
-            case '"':
-                v.kind_ = Kind::String;
-                v.string_ = parse_string();
-                return v;
+            case '"': v.value_ = parse_string(); return v;
             case 't':
                 MCS_REQUIRE(consume_literal("true"), "bad JSON literal");
-                v.kind_ = Kind::Bool;
-                v.boolean_ = true;
+                v.value_ = true;
                 return v;
             case 'f':
                 MCS_REQUIRE(consume_literal("false"), "bad JSON literal");
-                v.kind_ = Kind::Bool;
-                v.boolean_ = false;
+                v.value_ = false;
                 return v;
             case 'n':
                 MCS_REQUIRE(consume_literal("null"), "bad JSON literal");
@@ -292,61 +304,104 @@ private:
         Parser& p;
     };
 
+    /// Moves the entries of `stack` above `mark` into an exactly sized
+    /// container and pops them.
+    template <typename Container>
+    static Container take(Container& stack, std::size_t mark) {
+        const auto first = stack.begin() + static_cast<std::ptrdiff_t>(mark);
+        Container out(std::make_move_iterator(first),
+                      std::make_move_iterator(stack.end()));
+        stack.erase(first, stack.end());
+        return out;
+    }
+
     JsonValue parse_object() {
         const DepthGuard guard(*this);
         expect('{');
-        JsonValue v;
-        v.kind_ = Kind::Object;
+        const std::size_t mark = members_.size();
         if (peek() == '}') {
             ++pos_;
-            return v;
-        }
-        while (true) {
-            MCS_REQUIRE(peek() == '"', "JSON object key must be a string");
-            std::string key = parse_string();
-            expect(':');
-            v.object_.emplace(std::move(key), parse_value());
-            const char c = peek();
-            ++pos_;
-            if (c == '}') {
-                return v;
+        } else {
+            while (true) {
+                MCS_REQUIRE(peek() == '"', "JSON object key must be a string");
+                std::string key = parse_string();
+                expect(':');
+                JsonValue value = parse_value();
+                members_.emplace_back(std::move(key), std::move(value));
+                const char c = peek();
+                ++pos_;
+                if (c == '}') {
+                    break;
+                }
+                MCS_REQUIRE(c == ',', "expected ',' or '}' in JSON object");
             }
-            MCS_REQUIRE(c == ',', "expected ',' or '}' in JSON object");
         }
+        // Key order; both sorts are stable, so of a repeated key unique()
+        // keeps the first value. Insertion sort allocates nothing and
+        // suits the small objects that dominate; stable_sort bounds the
+        // rest at n log n.
+        const auto first =
+            members_.begin() + static_cast<std::ptrdiff_t>(mark);
+        const auto by_key = [](const Member& a, const Member& b) {
+            return a.first < b.first;
+        };
+        if (members_.end() - first <= kInsertionSortMax) {
+            for (auto it = first; it != members_.end(); ++it) {
+                for (auto j = it; j != first && by_key(*j, *(j - 1)); --j) {
+                    std::iter_swap(j, j - 1);
+                }
+            }
+        } else {
+            std::stable_sort(first, members_.end(), by_key);
+        }
+        members_.erase(std::unique(first, members_.end(),
+                                   [](const Member& a, const Member& b) {
+                                       return a.first == b.first;
+                                   }),
+                       members_.end());
+        JsonValue v;
+        v.value_ = take(members_, mark);
+        return v;
     }
 
     JsonValue parse_array() {
         const DepthGuard guard(*this);
         expect('[');
-        JsonValue v;
-        v.kind_ = Kind::Array;
+        const std::size_t mark = items_.size();
         if (peek() == ']') {
             ++pos_;
-            return v;
-        }
-        while (true) {
-            v.array_.push_back(parse_value());
-            const char c = peek();
-            ++pos_;
-            if (c == ']') {
-                return v;
+        } else {
+            while (true) {
+                JsonValue item = parse_value();
+                items_.push_back(std::move(item));
+                const char c = peek();
+                ++pos_;
+                if (c == ']') {
+                    break;
+                }
+                MCS_REQUIRE(c == ',', "expected ',' or ']' in JSON array");
             }
-            MCS_REQUIRE(c == ',', "expected ',' or ']' in JSON array");
         }
+        JsonValue v;
+        v.value_ = take(items_, mark);
+        return v;
     }
 
     std::string parse_string() {
         expect('"');
         std::string out;
         while (true) {
-            MCS_REQUIRE(pos_ < text_.size(), "unterminated JSON string");
-            const char c = text_[pos_++];
-            if (c == '"') {
-                return out;
+            // Copy the run up to the next quote or escape in one piece.
+            std::size_t stop = pos_;
+            while (stop < text_.size() && text_[stop] != '"' &&
+                   text_[stop] != '\\') {
+                ++stop;
             }
-            if (c != '\\') {
-                out += c;
-                continue;
+            out.append(text_.substr(pos_, stop - pos_));
+            pos_ = stop;
+            MCS_REQUIRE(pos_ < text_.size(), "unterminated JSON string");
+            if (text_[pos_++] == '"') {
+                return out;
             }
             MCS_REQUIRE(pos_ < text_.size(), "unterminated JSON escape");
             const char e = text_[pos_++];
@@ -381,16 +436,32 @@ private:
         skip_ws();
         const char* begin = text_.data() + pos_;
         const char* end = text_.data() + text_.size();
-        double d = 0.0;
+        Number n;
         // std::from_chars is locale-independent, unlike strtod, which
         // would misparse "1.5" under a comma-decimal LC_NUMERIC.
-        const auto res = std::from_chars(begin, end, d);
+        const auto res = std::from_chars(begin, end, n.value);
         MCS_REQUIRE(res.ec == std::errc{}, "malformed JSON number");
         pos_ += static_cast<std::size_t>(res.ptr - begin);
+        // An integer token (-?[0-9]+) in 64-bit range also keeps its exact
+        // value, which a double loses past 2^53.
+        const bool negative = *begin == '-';
+        const char* digits = begin + (negative ? 1 : 0);
+        if (digits != res.ptr &&
+            std::all_of(digits, res.ptr,
+                        [](char c) { return c >= '0' && c <= '9'; })) {
+            if (negative) {
+                std::int64_t exact = 0;
+                if (std::from_chars(begin, res.ptr, exact).ec == std::errc{}) {
+                    n.bits = static_cast<std::uint64_t>(exact);
+                    n.exact = Number::Exact::Negative;
+                }
+            } else if (std::from_chars(begin, res.ptr, n.bits).ec ==
+                       std::errc{}) {
+                n.exact = Number::Exact::Unsigned;
+            }
+        }
         JsonValue v;
-        v.kind_ = Kind::Number;
-        v.number_ = d;
-        v.raw_.assign(begin, res.ptr);
+        v.value_ = n;
         return v;
     }
 
@@ -398,6 +469,10 @@ private:
     JsonLimits limits_;
     std::size_t pos_ = 0;
     std::size_t depth_ = 0;
+    /// Members and items of the containers still open, innermost last;
+    /// a container moves its own out when it closes.
+    Object members_;
+    Array items_;
 };
 
 JsonValue parse_json(std::string_view text, const JsonLimits& limits) {
@@ -419,7 +494,7 @@ void write_rng(JsonWriter& w, std::string_view key, const Rng& rng) {
     w.end_array();
 }
 
-Rng read_rng(const JsonValue& doc, const std::string& key) {
+Rng read_rng(const JsonValue& doc, std::string_view key) {
     const std::vector<std::uint64_t> words = doc.at(key).u64s();
     MCS_REQUIRE(words.size() == 4, "snapshot: RNG state must have 4 words");
     Rng rng;
@@ -443,7 +518,7 @@ void write_latent_slots(
 }
 
 std::vector<std::optional<std::size_t>> read_latent_slots(
-    const JsonValue& doc, const std::string& key, std::size_t history_size) {
+    const JsonValue& doc, std::string_view key, std::size_t history_size) {
     std::vector<std::optional<std::size_t>> latent;
     for (const auto& v : doc.at(key).array()) {
         const std::int64_t slot = v.i64();

@@ -14,12 +14,13 @@
 // untrusted bytes should pass a JsonLimits tightened to their use case.
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -95,47 +96,43 @@ JsonValue parse_json(std::string_view text, const JsonLimits& limits = {});
 /// naming the expected and the found kind ("JSON: expected bool, found
 /// number"), so a document with a mutated field type fails at the first
 /// read of that field instead of reading a default.
+///
+/// Representation: one std::variant whose index is the Kind. A number
+/// holds its double and, for an integer token (`-?[0-9]+`) in 64-bit
+/// range, the exact integer, decoded once at parse time. An object is one
+/// vector of (key, value) members sorted by key; when a key repeats, the
+/// first value is kept and the later ones are dropped (std::map::emplace's
+/// rule), and at()/has() binary-search it.
 class JsonValue {
 public:
     enum class Kind { Null, Bool, Number, String, Array, Object };
     using Array = std::vector<JsonValue>;
-    using Object = std::map<std::string, JsonValue>;
+    using Member = std::pair<std::string, JsonValue>;
+    using Object = std::vector<Member>;
 
-    Kind kind() const { return kind_; }
+    Kind kind() const { return static_cast<Kind>(value_.index()); }
 
-    bool boolean() const {
-        expect(Kind::Bool);
-        return boolean_;
-    }
-    double number() const {
-        expect(Kind::Number);
-        return number_;
-    }
+    bool boolean() const { return get<bool>(Kind::Bool); }
+    double number() const { return get<Number>(Kind::Number).value; }
     const std::string& string() const {
-        expect(Kind::String);
-        return string_;
+        return get<std::string>(Kind::String);
     }
-    const Array& array() const {
-        expect(Kind::Array);
-        return array_;
-    }
-    const Object& object() const {
-        expect(Kind::Object);
-        return object_;
-    }
+    const Array& array() const { return get<Array>(Kind::Array); }
+    /// Members in key order, one per key.
+    const Object& object() const { return get<Object>(Kind::Object); }
 
     /// Object member access; throws RequireError if absent or not an
     /// object.
-    const JsonValue& at(const std::string& name) const;
+    const JsonValue& at(std::string_view name) const;
     /// True iff this is an object with a member `name`.
-    bool has(const std::string& name) const;
+    bool has(std::string_view name) const;
 
     /// Exact unsigned 64-bit value of a non-negative integer number token.
     /// A double cannot represent every 64-bit integer (precision ends at
-    /// 2^53), so this reparses the number's token text: checkpoint fields
-    /// like RNG state words and event sequence numbers round-trip
-    /// exactly. Throws RequireError for non-numbers, negatives, or
-    /// fractions.
+    /// 2^53), so checkpoint fields like RNG state words and event sequence
+    /// numbers read the exact value the parser decoded from the token.
+    /// Throws RequireError for non-numbers, negatives, fractions or
+    /// exponents, and integers past 2^64 - 1.
     std::uint64_t u64() const;
 
     /// Exact signed 64-bit value of an integer number token.
@@ -151,22 +148,29 @@ private:
     friend JsonValue parse_json(std::string_view, const JsonLimits&);
     class Parser;
 
-    void expect(Kind k) const {
-        if (kind_ != k) {
+    struct Number {
+        /// Which exact integer the token spelled, if any.
+        enum class Exact : std::uint8_t { None, Unsigned, Negative };
+        double value = 0.0;
+        /// The integer: a u64 when Unsigned, an i64's bits when Negative.
+        std::uint64_t bits = 0;
+        Exact exact = Exact::None;
+    };
+
+    template <typename T>
+    const T& get(Kind k) const {
+        if (kind() != k) {
             kind_mismatch(k);
         }
+        return *std::get_if<T>(&value_);
     }
     [[noreturn]] void kind_mismatch(Kind expected) const;
 
-    Kind kind_ = Kind::Null;
-    bool boolean_ = false;
-    double number_ = 0.0;
-    /// Token text of a number, reparsed by u64()/i64().
-    std::string raw_;
-    std::string string_;
-    Array array_;
-    Object object_;
+    std::variant<std::monostate, bool, Number, std::string, Array, Object>
+        value_;
 };
+
+static_assert(sizeof(JsonValue) <= 48, "a parsed value stays compact");
 
 // ------------------------------------------------------ snapshot codecs
 // Exact round-trips for value types that several components persist in
@@ -174,7 +178,7 @@ private:
 
 /// RNG engine state as an array of its 4 raw words under `key`.
 void write_rng(JsonWriter& w, std::string_view key, const Rng& rng);
-Rng read_rng(const JsonValue& doc, const std::string& key);
+Rng read_rng(const JsonValue& doc, std::string_view key);
 
 /// Per-entity latent fault slots of an injector under `key`: the index of
 /// the entity's latent fault in the injector's history, -1 for none.
@@ -182,7 +186,7 @@ void write_latent_slots(JsonWriter& w, std::string_view key,
                         const std::vector<std::optional<std::size_t>>& slots);
 /// Every stored slot must index into a history of `history_size` entries.
 std::vector<std::optional<std::size_t>> read_latent_slots(
-    const JsonValue& doc, const std::string& key, std::size_t history_size);
+    const JsonValue& doc, std::string_view key, std::size_t history_size);
 
 /// Welford accumulator state as one object (n, mean, m2, sum, min, max).
 void write_running_stats(JsonWriter& w, const RunningStats& s);

@@ -231,11 +231,11 @@ TEST(MetricCatalog, EveryNameReachesEverySerializer) {
     std::ostringstream report;
     telemetry::write_run_report(m, nullptr, report);
     const telemetry::JsonValue doc = telemetry::parse_json(report.str());
-    const auto& report_metrics = doc.at("metrics").object();
+    const telemetry::JsonValue& report_metrics = doc.at("metrics");
 
     for (const MetricDef& def : metric_catalog()) {
         EXPECT_TRUE(csv_rows.count(def.name)) << def.name << " not in out=";
-        EXPECT_TRUE(report_metrics.count(def.name))
+        EXPECT_TRUE(report_metrics.has(def.name))
             << def.name << " not in the run report";
     }
 

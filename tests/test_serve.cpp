@@ -14,6 +14,7 @@
 #include <cctype>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -777,6 +778,61 @@ TEST(ServeScenario, MidScenarioSnapshotForksLikeARelaxedRestore) {
     ASSERT_EQ(greedy.status, 200) << greedy.body;
     EXPECT_EQ(greedy.body, relaxed_restore("greedy"));
     EXPECT_NE(greedy.body, identity.body);
+}
+
+TEST(ServeScenario, ChangedSpecIsAnsweredUncachedUntilItIsBack) {
+    // Serve a mid-scenario capture from a copy of the spec, so the test can
+    // edit the file the forks re-read.
+    const TempFile spec("serve_spec_copy");
+    const std::string original =
+        testsupport::read_file(corpus_scenario("budget_cut.json"));
+    testsupport::write_file(spec.path(), original);
+    Config base = serve_base_config();
+    base.set("scenario", spec.path());
+    const TempFile mid("serve_mid_scenario_copy");
+    {
+        const auto sys = make_system(base);
+        sys->checkpoint_at(800 * kMillisecond, mid.path());
+        sys->run(2 * kSecond);
+    }
+    telemetry::MetricsRegistry registry;
+    serve::ServeService service(
+        serve::SnapshotPool::from_document(
+            "mid", load_snapshot_file(mid.path()), base),
+        serve::ServiceOptions{}, registry);
+    const std::string body = whatif_body("mid", "{}");
+    const auto expect_unavailable = [&](const char* what) {
+        const HttpResponse resp = service.handle(whatif_request(body));
+        EXPECT_EQ(resp.status, 503) << what << ": " << resp.body;
+        EXPECT_EQ(header(resp, "X-Cache"), "miss") << what;
+        EXPECT_NE(resp.body.find("scenario spec changed since the pool "
+                                 "loaded"),
+                  std::string::npos)
+            << resp.body;
+    };
+
+    std::string edited = original;
+    const std::string cut = "\"tdp_scale\":0.6";
+    ASSERT_NE(edited.find(cut), std::string::npos);
+    edited.replace(edited.find(cut), cut.size(), "\"tdp_scale\":0.5");
+    testsupport::write_file(spec.path(), edited);
+    expect_unavailable("edited");
+    expect_unavailable("edited, asked again");  // nothing was cached
+    std::remove(spec.path().c_str());
+    expect_unavailable("removed");
+
+    // Put the file back: the same query now forks, still as a miss, and
+    // answers with the bytes of the relaxed restore.
+    testsupport::write_file(spec.path(), original);
+    const HttpResponse back = service.handle(whatif_request(body));
+    ASSERT_EQ(back.status, 200) << back.body;
+    EXPECT_EQ(header(back, "X-Cache"), "miss");
+    Config relaxed = base;
+    relaxed.set("restore", mid.path());
+    relaxed.set("restore_relax", "true");
+    const auto sys = make_system(relaxed);
+    EXPECT_EQ(back.body, report_of(*sys, sys->restored_horizon()));
+    EXPECT_EQ(header(service.handle(whatif_request(body)), "X-Cache"), "hit");
 }
 
 TEST(ServeCacheKey, PinsTheCapturePointAndTheBaseConfig) {

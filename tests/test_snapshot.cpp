@@ -5,6 +5,7 @@
 #include <optional>
 #include <regex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "core/system_factory.hpp"
 #include "scenario/scenario_player.hpp"
 #include "support/differential.hpp"
+#include "support/mutation.hpp"
 #include "telemetry/json.hpp"
 #include "util/require.hpp"
 
@@ -288,6 +290,43 @@ TEST_F(SnapshotGuards, TruncatedSnapshotFailsCleanly) {
                      RequireError)
             << "cut at " << cut;
     }
+}
+
+TEST_F(SnapshotGuards, EveryTruncationAndSeededEditFailsCleanly) {
+    // The fixture's configuration captured early and without a tracer:
+    // parsing every prefix costs the square of the size, and restore_text
+    // attaches no tracer, so a trace ring would only be parsed.
+    std::string text;
+    {
+        const TempFile file("snapshot_sweep");
+        ManycoreSystem sys(cfg_);
+        sys.checkpoint_at(50 * kMillisecond, file.path());
+        sys.run(100 * kMillisecond);
+        text = testsupport::read_file(file.path());
+    }
+    // The file ends in a newline after the document; every strict prefix
+    // of the document itself is incomplete.
+    const std::string_view json =
+        std::string_view(text).substr(0, text.find_last_not_of('\n') + 1);
+    testsupport::for_each_truncation(json, [](std::string_view prefix) {
+        EXPECT_THROW(telemetry::parse_json(prefix), RequireError)
+            << "prefix of " << prefix.size() << " bytes";
+    });
+    // An edited document either restores or fails with a RequireError from
+    // the parse or the restore; any other exception escapes and fails the
+    // test, and a crash fails the process.
+    int restored = 0;
+    testsupport::for_each_mutation(
+        text, 20261020, 6000, [&](const std::string& edited) {
+            try {
+                restore_text(cfg_, edited);
+                ++restored;
+            } catch (const RequireError&) {
+            }
+        });
+    // Most edits break the document; some (a digit of a double) restore.
+    EXPECT_GT(restored, 0);
+    EXPECT_LT(restored, 3000);
 }
 
 TEST_F(SnapshotGuards, CorruptedJsonFailsCleanly) {

@@ -1,6 +1,8 @@
 #include <clocale>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -162,6 +164,60 @@ TEST(JsonValue, AccessorsRejectOtherKinds) {
     EXPECT_EQ(&doc.object(), &doc.object());
     EXPECT_EQ(&doc.at("s").string(), &doc.at("s").string());
     EXPECT_EQ(&doc.at("a").array(), &doc.at("a").array());
+}
+
+TEST(JsonValue, ObjectsKeepTheFirstRepeatedKeyInKeyOrder) {
+    const JsonValue doc = parse_json(R"({"b":1,"a":2,"b":3,"abc":4})");
+    EXPECT_EQ(doc.at("b").u64(), 1u);
+    EXPECT_EQ(doc.at("a").u64(), 2u);
+    EXPECT_EQ(doc.at("abc").u64(), 4u);
+    std::string order;
+    for (const auto& [key, value] : doc.object()) {
+        order += (order.empty() ? "" : " ") + key;
+    }
+    EXPECT_EQ(order, "a abc b");
+    EXPECT_EQ(doc.object().size(), 3u);
+    EXPECT_FALSE(doc.has("ab"));
+    EXPECT_FALSE(doc.has(""));
+    EXPECT_THROW(doc.at("ab"), RequireError);
+}
+
+TEST(JsonValue, IntegerReadsAcceptExactlyTheIntegerTokensInRange) {
+    struct Row {
+        const char* token;
+        std::optional<std::uint64_t> u64;
+        std::optional<std::int64_t> i64;
+    };
+    constexpr auto kI64Min = std::numeric_limits<std::int64_t>::min();
+    const Row rows[] = {
+        {"0", 0, 0},
+        {"007", 7, 7},
+        {"18446744073709551615", std::numeric_limits<std::uint64_t>::max(),
+         std::nullopt},
+        {"9223372036854775808", std::uint64_t{1} << 63, std::nullopt},
+        {"18446744073709551616", std::nullopt, std::nullopt},
+        {"-9223372036854775809", std::nullopt, std::nullopt},
+        {"-9223372036854775808", std::nullopt, kI64Min},
+        {"-0", std::nullopt, 0},
+        {"-1", std::nullopt, -1},
+        {"1.0", std::nullopt, std::nullopt},
+        {"1e3", std::nullopt, std::nullopt},
+        {"1E2", std::nullopt, std::nullopt},
+        {"0.5", std::nullopt, std::nullopt},
+    };
+    for (const Row& row : rows) {
+        const JsonValue v = parse_json(row.token);
+        if (row.u64) {
+            EXPECT_EQ(v.u64(), *row.u64) << row.token;
+        } else {
+            EXPECT_THROW(v.u64(), RequireError) << row.token;
+        }
+        if (row.i64) {
+            EXPECT_EQ(v.i64(), *row.i64) << row.token;
+        } else {
+            EXPECT_THROW(v.i64(), RequireError) << row.token;
+        }
+    }
 }
 
 TEST(JsonWriter, EscapesAndNests) {

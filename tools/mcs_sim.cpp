@@ -215,10 +215,7 @@ int run_single(const Config& args) {
                     to_string(cfg.scheduler), to_string(cfg.mapper),
                     cfg.workload.arrival_rate_hz, seconds);
     }
-    SimDuration horizon = from_seconds(seconds);
-    if (sys.restored() && !args.has("seconds")) {
-        horizon = sys.restored_horizon();  // default to the captured run
-    }
+    const SimDuration horizon = run_horizon(args, sys, 10.0);
     const std::string checkpoint =
         resolve_out(out_dir, args.get_string("checkpoint", ""));
     if (!checkpoint.empty()) {
