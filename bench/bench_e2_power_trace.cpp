@@ -10,7 +10,8 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "util/csv.hpp"
+#include "core/report.hpp"
+#include "core/system_observer.hpp"
 
 using namespace mcs;
 using namespace mcs::bench;
@@ -27,23 +28,19 @@ int main(int argc, char** argv) {
     cfg.scheduler = SchedulerKind::PowerAware;
     cfg.trace_epoch = 5 * kMillisecond;
 
-    std::vector<TraceSample> samples;
-    ManycoreSystem sys(cfg);
-    sys.set_trace_sink([&](const TraceSample& s) { samples.push_back(s); });
-    const RunMetrics m = sys.run(horizon(opt, 6.0, 1.5));
-
+    struct SampleLog final : SystemObserver {
+        std::vector<TraceSample> samples;
+        void on_trace_sample(const TraceSample& s) override {
+            samples.push_back(s);
+        }
+    } log;
     const std::string csv_path = out_path(opt, "e2_power_trace.csv");
-    CsvWriter csv(csv_path,
-                  {"t_s", "workload_w", "test_w", "other_w", "total_w",
-                   "tdp_w", "busy", "testing", "dark", "max_temp_c"});
-    for (const TraceSample& s : samples) {
-        csv.write_row(std::vector<double>{
-            to_seconds(s.time), s.workload_power_w, s.test_power_w,
-            s.other_power_w, s.total_power_w, s.tdp_w,
-            static_cast<double>(s.cores_busy),
-            static_cast<double>(s.cores_testing),
-            static_cast<double>(s.cores_dark), s.max_temp_c});
-    }
+    PowerTraceCsv csv(csv_path);
+    ManycoreSystem sys(cfg);
+    sys.add_observer(&csv);
+    sys.add_observer(&log);
+    const RunMetrics m = sys.run(horizon(opt, 6.0, 1.5));
+    const std::vector<TraceSample>& samples = log.samples;
 
     TablePrinter table({"t [s]", "workload [W]", "test [W]", "other [W]",
                         "total [W]", "TDP [W]", "busy", "testing", "dark"});

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -120,8 +119,5 @@ struct RunMetrics {
     std::uint64_t dvfs_throttle_steps = 0;
     std::uint64_t dvfs_boost_steps = 0;
 };
-
-/// Optional observer receiving trace samples during a run.
-using TraceSink = std::function<void(const TraceSample&)>;
 
 }  // namespace mcs

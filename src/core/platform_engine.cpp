@@ -26,7 +26,7 @@ PlatformEngine::PlatformEngine(SystemContext& ctx)
       power_model_(ctx.chip.tech(), ctx.chip.vf_table(),
                    activity_with_suite(ctx.cfg.activity, ctx.suite)),
       power_mgr_(ctx.chip, power_model_, ctx.budget, ctx.registry,
-                 ctx.cfg.power),
+                 ctx.tracer, ctx.cfg.power),
       thermal_(ctx.cfg.width, ctx.cfg.height, ctx.cfg.thermal),
       aging_(ctx.chip.core_count(), ctx.cfg.aging),
       crit_eval_(ctx.cfg.criticality),

@@ -4,7 +4,6 @@
 
 #include "app/workload.hpp"
 #include "core/metric_catalog.hpp"
-#include "util/csv.hpp"
 #include "util/table.hpp"
 
 namespace mcs {
@@ -94,6 +93,19 @@ void write_metrics_csv(const RunMetrics& m, const std::string& path) {
     rows("apps_completed_class", m.apps_completed_by_class);
     rows("deadlines_met_class", m.deadlines_met_by_class);
     rows("deadlines_missed_class", m.deadlines_missed_by_class);
+}
+
+PowerTraceCsv::PowerTraceCsv(const std::string& path)
+    : csv_(path, {"t_s", "workload_w", "test_w", "other_w", "total_w",
+                  "tdp_w", "busy", "testing", "dark", "max_temp_c"}) {}
+
+void PowerTraceCsv::on_trace_sample(const TraceSample& s) {
+    csv_.write_row(std::vector<double>{
+        to_seconds(s.time), s.workload_power_w, s.test_power_w,
+        s.other_power_w, s.total_power_w, s.tdp_w,
+        static_cast<double>(s.cores_busy),
+        static_cast<double>(s.cores_testing),
+        static_cast<double>(s.cores_dark), s.max_temp_c});
 }
 
 }  // namespace mcs

@@ -9,7 +9,6 @@
 #include "core/system_context.hpp"
 #include "core/test_engine.hpp"
 #include "core/workload_engine.hpp"
-#include "telemetry/observer_adapter.hpp"
 #include "util/require.hpp"
 
 namespace mcs {
@@ -38,32 +37,21 @@ const char* to_string(MapperKind kind) {
     return "?";
 }
 
-// Composition order matters: the context owns the substrate, the platform
-// engine registers the power/thermal/aging components the other two
-// engines resolve through the context, and the telemetry adapter joins the
-// observer hub last (it is the first -- and usually only -- observer).
+// Composition order matters: the context owns the substrate, and the
+// platform engine registers the power/thermal/aging components the other
+// two engines resolve through the context.
 ManycoreSystem::ManycoreSystem(SystemConfig cfg)
     : cfg_(std::move(cfg)),
       ctx_(std::make_unique<SystemContext>(cfg_)),
       platform_(std::make_unique<PlatformEngine>(*ctx_)),
       workload_(std::make_unique<WorkloadEngine>(*ctx_)),
-      test_(std::make_unique<TestEngine>(*ctx_)),
-      telemetry_obs_(std::make_unique<telemetry::TelemetryObserver>(
-          ctx_->registry)) {
-    ctx_->observers.add(telemetry_obs_.get());
-}
+      test_(std::make_unique<TestEngine>(*ctx_)) {}
 
 ManycoreSystem::~ManycoreSystem() = default;
-
-void ManycoreSystem::set_trace_sink(TraceSink sink) {
-    telemetry_obs_->set_trace_sink(std::move(sink));
-}
 
 void ManycoreSystem::set_tracer(telemetry::Tracer* tracer) {
     MCS_REQUIRE(!ran_, "set_tracer must precede run()");
     ctx_->tracer = tracer;
-    ctx_->power_mgr->set_tracer(tracer);
-    telemetry_obs_->set_tracer(tracer);
 }
 
 void ManycoreSystem::attach_scenario(std::unique_ptr<ScenarioDriver> driver) {

@@ -36,10 +36,6 @@ class PlatformEngine;
 class WorkloadEngine;
 class TestEngine;
 
-namespace telemetry {
-class TelemetryObserver;
-}  // namespace telemetry
-
 enum class SchedulerKind { PowerAware, Periodic, Greedy, None, DeadlineAware };
 enum class MapperKind {
     TestAware,
@@ -167,18 +163,16 @@ public:
         return restored_horizon_;
     }
 
-    /// Streams power/state trace samples during run() (E2's figure).
-    void set_trace_sink(TraceSink sink);
-
     /// Attaches an (optional, non-owning) event tracer recording the run's
     /// discrete events: app arrival/mapping/completion, test session
     /// begin/end/abort, DVFS transitions, capping actuations and power
     /// gating. Must be called before run(); pass nullptr to detach.
     void set_tracer(telemetry::Tracer* tracer);
 
-    /// Registers an additional (non-owning) SystemObserver on the hook
-    /// layer; it receives the run's typed events after the built-in
-    /// telemetry adapter. The observer must outlive the system.
+    /// Registers a (non-owning) SystemObserver on the hook layer; it
+    /// receives the run's typed events, and the periodic power/state trace
+    /// samples when it wants them, after the run's own telemetry has
+    /// recorded each one. The observer must outlive the system.
     void add_observer(SystemObserver* observer);
 
     /// Attaches a declarative scenario driver (timed directives replayed
@@ -246,7 +240,6 @@ private:
     std::unique_ptr<PlatformEngine> platform_;
     std::unique_ptr<WorkloadEngine> workload_;
     std::unique_ptr<TestEngine> test_;
-    std::unique_ptr<telemetry::TelemetryObserver> telemetry_obs_;
     std::unique_ptr<ScenarioDriver> scenario_;
     std::vector<Checkpoint> checkpoints_;
     /// Which of the five epochs are registered, by slot.

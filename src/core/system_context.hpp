@@ -55,15 +55,16 @@ struct SystemContext {
     PowerBudget budget;
     RunMetrics metrics;
     telemetry::MetricsRegistry registry;
+    /// The run's event tracer (optional, non-owning): the one slot the
+    /// observer hub and the power manager read. Declared before the hub,
+    /// which binds a reference to it.
+    telemetry::Tracer* tracer = nullptr;
     SystemObserverHub observers;
     /// Dedicated RNG stream for mapping decisions (seeded off cfg.seed so
     /// mapper randomness is independent of workload/fault streams).
     Rng map_rng;
     /// When set, capping and admission ignore QoS classes.
     bool priority_blind = false;
-
-    // --- run telemetry (optional, non-owning) ---
-    telemetry::Tracer* tracer = nullptr;
 
     // --- components registered by PlatformEngine ---
     PowerModel* power_model = nullptr;

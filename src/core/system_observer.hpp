@@ -1,12 +1,10 @@
 #pragma once
 
 // SystemObserver: the one typed hook layer for run-time events of a
-// ManycoreSystem. It unifies what used to be three ad-hoc sinks (the
-// TraceSink sample callback, a raw telemetry::Tracer* and cached registry
-// counter pointers) behind a single narrow interface; the engines emit
-// typed events and adapters translate them into whatever backend they
-// serve (telemetry/observer_adapter.hpp bridges to tracer + registry +
-// trace sink).
+// ManycoreSystem. The engines emit each event into the SystemObserverHub,
+// which records it in the run's tracer and "system.*" metrics and then
+// hands it to the registered observers (user scenario hooks, the power
+// trace CSV, benchmark probes).
 //
 // Contract: events fire synchronously from inside the simulation event
 // that caused them, in deterministic order. Observers must not mutate
@@ -22,6 +20,12 @@
 #include "util/require.hpp"
 
 namespace mcs {
+
+namespace telemetry {
+class Counter;
+class MetricsRegistry;
+class Tracer;
+}  // namespace telemetry
 
 class SystemObserver {
 public:
@@ -71,12 +75,18 @@ public:
     virtual bool wants_trace_samples() const { return true; }
 };
 
-/// Fan-out dispatcher the engines emit into, with one named method per
-/// event so call sites stay grep-able. Observers are non-owning pointers,
-/// notified in registration order (deterministic dispatch); an empty hub
-/// costs one loop test per event.
+/// The one path a run event takes. Each event method records the event
+/// in the run's tracer (when one is attached) and in the "system.*"
+/// metrics, then notifies the observers in registration order
+/// (deterministic dispatch). Trace samples reach the observers only.
 class SystemObserverHub {
 public:
+    /// Registers the "system.*" metrics in `registry` (unconditionally, so
+    /// reports always carry them) and binds `tracer`, the run's tracer
+    /// slot, which every event reads. Both must outlive the hub.
+    SystemObserverHub(telemetry::MetricsRegistry& registry,
+                      telemetry::Tracer* const& tracer);
+
     void add(SystemObserver* observer) {
         MCS_REQUIRE(observer != nullptr, "observer must not be null");
         MCS_REQUIRE(std::find(observers_.begin(), observers_.end(),
@@ -85,38 +95,14 @@ public:
         observers_.push_back(observer);
     }
 
-    void app_arrival(SimTime now, std::size_t app, std::size_t tasks) const {
-        for (SystemObserver* o : observers_) {
-            o->on_app_arrival(now, app, tasks);
-        }
-    }
+    void app_arrival(SimTime now, std::size_t app, std::size_t tasks);
     void app_mapped(SimTime now, std::size_t app, CoreId first,
-                    std::size_t cores) const {
-        for (SystemObserver* o : observers_) {
-            o->on_app_mapped(now, app, first, cores);
-        }
-    }
+                    std::size_t cores);
     void app_complete(SimTime now, std::size_t app, bool corrupted,
-                      double latency_ms) const {
-        for (SystemObserver* o : observers_) {
-            o->on_app_complete(now, app, corrupted, latency_ms);
-        }
-    }
-    void test_session_begin(SimTime now, CoreId core, int vf) const {
-        for (SystemObserver* o : observers_) {
-            o->on_test_session_begin(now, core, vf);
-        }
-    }
-    void test_session_complete(SimTime now, CoreId core, int vf) const {
-        for (SystemObserver* o : observers_) {
-            o->on_test_session_complete(now, core, vf);
-        }
-    }
-    void test_session_abort(SimTime now, CoreId core, int vf) const {
-        for (SystemObserver* o : observers_) {
-            o->on_test_session_abort(now, core, vf);
-        }
-    }
+                      double latency_ms);
+    void test_session_begin(SimTime now, CoreId core, int vf);
+    void test_session_complete(SimTime now, CoreId core, int vf);
+    void test_session_abort(SimTime now, CoreId core, int vf);
     void trace_sample(const TraceSample& sample) const {
         for (SystemObserver* o : observers_) {
             o->on_trace_sample(sample);
@@ -129,6 +115,13 @@ public:
     }
 
 private:
+    telemetry::Tracer* const& tracer_;
+    telemetry::Counter& tests_started_;
+    telemetry::Counter& tests_completed_;
+    telemetry::Counter& tests_aborted_;
+    telemetry::Counter& apps_mapped_;
+    telemetry::Counter& apps_completed_;
+    Histogram& app_latency_ms_;
     std::vector<SystemObserver*> observers_;
 };
 

@@ -12,6 +12,7 @@ namespace mcs {
 PowerManager::PowerManager(Chip& chip, const PowerModel& model,
                            PowerBudget& budget,
                            telemetry::MetricsRegistry& registry,
+                           telemetry::Tracer* const& tracer,
                            PowerManagerParams params)
     : chip_(chip),
       model_(model),
@@ -22,6 +23,7 @@ PowerManager::PowerManager(Chip& chip, const PowerModel& model,
       boost_(registry.counter("power.dvfs_boost_steps")),
       gated_(registry.counter("power.cores_gated")),
       actuations_(registry.counter("power.capping_actuations")),
+      tracer_(tracer),
       last_active_(chip.core_count(), 0) {
     MCS_REQUIRE(params_.deadband >= 0.0, "deadband must be non-negative");
     MCS_REQUIRE(params_.setpoint_fraction > 0.0 &&
@@ -61,10 +63,6 @@ void PowerManager::set_vf_change_listener(
 
 void PowerManager::set_priority_lookup(std::function<int(CoreId)> lookup) {
     priority_lookup_ = std::move(lookup);
-}
-
-void PowerManager::set_tracer(telemetry::Tracer* tracer) {
-    tracer_ = tracer;
 }
 
 double PowerManager::setpoint_w() const {

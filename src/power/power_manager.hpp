@@ -54,9 +54,12 @@ class PowerManager {
 public:
     /// All references must outlive the manager. The "power.*" counters
     /// are registered in `registry` and are the one record of the DVFS
-    /// steps, gatings and actuations.
+    /// steps, gatings and actuations. `tracer` is the run's tracer slot
+    /// (null = tracing off), read at every DVFS transition, capping
+    /// actuation and power gating.
     PowerManager(Chip& chip, const PowerModel& model, PowerBudget& budget,
                  telemetry::MetricsRegistry& registry,
+                 telemetry::Tracer* const& tracer,
                  PowerManagerParams params = {});
 
     /// Observer invoked as (core, old_level, new_level) whenever the manager
@@ -64,10 +67,6 @@ public:
     /// task completions.
     void set_vf_change_listener(
         std::function<void(CoreId, int, int)> listener);
-
-    /// Attaches the event tracer (non-owning; null = tracing off): DVFS
-    /// transitions, capping actuations, and power gating are traced.
-    void set_tracer(telemetry::Tracer* tracer);
 
     /// Optional QoS hook (ICCD'14: hard/soft/best-effort priorities):
     /// returns the priority of the work on a busy core (higher = more
@@ -128,7 +127,7 @@ public:
 
     // ---- snapshot support ----
     /// Complete mutable control state as one object, the PID's included
-    /// (the tracer, the listeners, and the chip/model/budget/registry
+    /// (the listeners and the chip/model/budget/registry/tracer
     /// references are rebuilt by the owning system and stay out of the
     /// snapshot). The step and gating counts are written as "throttle",
     /// "boost" and "gated", and load_state restores the counters from
@@ -152,7 +151,7 @@ private:
     telemetry::Counter& boost_;
     telemetry::Counter& gated_;
     telemetry::Counter& actuations_;
-    telemetry::Tracer* tracer_ = nullptr;
+    telemetry::Tracer* const& tracer_;
     std::function<void(CoreId, int, int)> vf_listener_;
     std::function<int(CoreId)> priority_lookup_;
     std::vector<SimTime> last_active_;

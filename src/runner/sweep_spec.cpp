@@ -2,6 +2,7 @@
 
 #include <string_view>
 
+#include "sim/time.hpp"
 #include "util/require.hpp"
 #include "util/rng.hpp"
 
@@ -48,7 +49,8 @@ CampaignSpec CampaignSpec::from_config(const Config& cfg) {
     spec.campaign_seed =
         static_cast<std::uint64_t>(cfg.get_int("campaign_seed", 42));
     spec.seconds = cfg.get_double("seconds", 10.0);
-    MCS_REQUIRE(spec.seconds > 0.0, "seconds must be positive");
+    // Checked here so a bad horizon fails before any replica runs.
+    checked_from_seconds(spec.seconds, "seconds");
     spec.default_jobs = cfg.get_int_as<int>("jobs", 0);
 
     for (const auto& [key, value] : cfg.entries()) {

@@ -32,7 +32,8 @@ SimDuration run_horizon(const Config& cfg, const ManycoreSystem& sys,
     if (sys.restored() && !cfg.has("seconds")) {
         return sys.restored_horizon();
     }
-    return from_seconds(cfg.get_double("seconds", default_seconds));
+    return checked_from_seconds(cfg.get_double("seconds", default_seconds),
+                                "seconds");
 }
 
 RunMetrics run_system(const Config& cfg, SimDuration horizon) {

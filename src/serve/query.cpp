@@ -1,6 +1,5 @@
 #include "serve/query.hpp"
 
-#include <array>
 #include <cctype>
 #include <memory>
 #include <sstream>
@@ -14,20 +13,6 @@
 namespace mcs::serve {
 
 namespace {
-
-/// Policy knobs a fork may vary. Structural keys (geometry, node,
-/// occupancy / arrival rate, task-graph shape, QoS mix, subsystem
-/// enables) are absent on purpose: they change the meaning of the
-/// captured state vectors and the restore would reject them anyway --
-/// rejecting here gives the client a precise error instead of a
-/// fingerprint mismatch.
-constexpr std::array<std::string_view, 13> kAllowedOverrides = {
-    "abort_tests",   "capping",      "criticality_mode",
-    "criticality_threshold", "gate_delay_ms", "guard_band",
-    "mapper",        "scheduler",    "segmented",
-    "sessions",      "tdp_scale",    "test_period_ms",
-    "vf_policy",
-};
 
 /// Request-body limits: a what-if query is a small flat object; anything
 /// deeper or larger is hostile or confused.
@@ -79,9 +64,8 @@ WhatIfQuery parse_query_doc(const telemetry::JsonValue& doc) {
         }
     }
     if (doc.has("seconds")) {
-        const double s = doc.at("seconds").number();
-        MCS_REQUIRE(s > 0.0, "query 'seconds' must be positive");
-        q.horizon = from_seconds(s);
+        q.horizon = checked_from_seconds(doc.at("seconds").number(),
+                                         "seconds");
     }
     for (const auto& [key, value] : doc.object()) {
         MCS_REQUIRE(key == "schema" || key == "snapshot" ||

@@ -22,6 +22,7 @@
 // `seconds` (optional) must land in (captured_now, captured_horizon];
 // omitted means the captured horizon.
 
+#include <array>
 #include <map>
 #include <optional>
 #include <stdexcept>
@@ -41,8 +42,21 @@ struct WhatIfQuery {
     std::optional<SimDuration> horizon;
 };
 
-/// Override keys a query may vary: exactly the policy knobs a relaxed
-/// restore supports (the structural fingerprint still has to match).
+/// Policy knobs a fork may vary: none of them enters the structural
+/// fingerprint a relaxed restore still checks. Structural keys (geometry,
+/// node, occupancy / arrival rate, task-graph shape, QoS mix, subsystem
+/// enables, segmented sessions) are absent on purpose: they change the
+/// meaning of the captured state vectors and the restore would reject
+/// them anyway -- rejecting here gives the client a precise error instead
+/// of a fingerprint mismatch.
+inline constexpr std::array<std::string_view, 11> kAllowedOverrides = {
+    "abort_tests",      "capping",   "criticality_mode",
+    "criticality_threshold", "gate_delay_ms", "guard_band",
+    "mapper",           "scheduler", "tdp_scale",
+    "test_period_ms",   "vf_policy",
+};
+
+/// Whether `key` is one of kAllowedOverrides.
 bool is_allowed_override(std::string_view key);
 
 /// Parses and canonicalizes a request body. Throws RequireError on

@@ -265,6 +265,7 @@ void HttpServer::enqueue_response(Conn& conn, const HttpResponse& response,
                                   bool keep_alive) {
     const bool keep = keep_alive && !conn.close_after_write;
     conn.out += serialize_response(response, keep);
+    service_.note_response(response.status);
     ++conn.served;
     conn.last_activity = Clock::now();
     if (!keep) {

@@ -141,7 +141,6 @@ HttpResponse ServeService::handle(const HttpRequest& request) {
                        kLatencyBins)
             .add(elapsed_us(start));
     }
-    count_response(response);
     return response;
 }
 
@@ -281,11 +280,11 @@ HttpResponse ServeService::handle_reload() {
     return r;
 }
 
-void ServeService::count_response(const HttpResponse& response) {
+void ServeService::note_response(int status) {
     std::lock_guard<std::mutex> lock(metrics_mutex_);
-    if (response.status < 300) {
+    if (status < 300) {
         registry_.counter("serve.responses_2xx").inc();
-    } else if (response.status < 500) {
+    } else if (status < 500) {
         registry_.counter("serve.responses_4xx").inc();
     } else {
         registry_.counter("serve.responses_5xx").inc();
@@ -305,7 +304,6 @@ void ServeService::note_queue_depth(std::size_t depth) {
 void ServeService::note_rejected() {
     std::lock_guard<std::mutex> lock(metrics_mutex_);
     registry_.counter("serve.queue_rejections").inc();
-    registry_.counter("serve.responses_4xx").inc();
 }
 
 }  // namespace mcs::serve

@@ -72,10 +72,14 @@ public:
     /// Writes the result cache to opts.cache_file (no-op when unset).
     void save_cache() const;
 
-    /// Server-side hooks: admission-queue telemetry lives in the same
-    /// registry so /metrics shows one coherent picture.
+    /// Server-side hooks: admission-queue telemetry and the response
+    /// counters live in the same registry so /metrics shows one coherent
+    /// picture. The server calls note_response once for every response it
+    /// writes, whoever produced it (handle(), the parser's rejections, the
+    /// 429/408/503 paths); handle() itself counts none.
     void note_queue_depth(std::size_t depth);
     void note_rejected();
+    void note_response(int status);
 
     /// The currently published pool (shared: holding the pointer keeps a
     /// reloaded-away generation alive until the last query drops it).
@@ -89,7 +93,6 @@ private:
     HttpResponse handle_metrics();
     HttpResponse handle_snapshots() const;
     HttpResponse handle_reload();
-    void count_response(const HttpResponse& response);
 
     mutable std::mutex pool_mutex_;  ///< guards the published pool pointer
     std::shared_ptr<const SnapshotPool> pool_;

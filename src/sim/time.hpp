@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string_view>
 
 namespace mcs {
 
@@ -35,6 +36,11 @@ constexpr double to_microseconds(SimDuration d) {
 constexpr SimDuration from_seconds(double s) {
     return static_cast<SimDuration>(s * static_cast<double>(kSecond) + 0.5);
 }
+
+/// from_seconds for a duration from outside the program (a config key, a
+/// query member): throws RequireError naming `key` unless `s` is positive
+/// and its nanoseconds fit SimDuration.
+SimDuration checked_from_seconds(double s, std::string_view key);
 
 /// Number of clock cycles executed in `d` at frequency `hz`, rounded down.
 constexpr std::uint64_t cycles_in(SimDuration d, double hz) {

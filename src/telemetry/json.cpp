@@ -156,6 +156,20 @@ JsonValue::Object::const_iterator find_member(const JsonValue::Object& obj,
     return it != obj.end() && it->first == name ? it : obj.end();
 }
 
+/// Whether a token std::from_chars took is also a JSON number,
+/// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?. from_chars has matched
+/// the sign and the exponent already, but it also takes inf, nan, .5, 1.
+/// and 007.
+bool is_json_number(std::string_view token) {
+    const std::string_view t = token.substr(token[0] == '-' ? 1 : 0);
+    const auto digit = [t](std::size_t i) {
+        return i < t.size() && t[i] >= '0' && t[i] <= '9';
+    };
+    const std::size_t dot = t.find('.');
+    return digit(0) && !(t[0] == '0' && digit(1)) &&
+           (dot == std::string_view::npos || digit(dot + 1));
+}
+
 /// Objects up to this many members sort by insertion (see parse_object).
 constexpr std::ptrdiff_t kInsertionSortMax = 16;
 
@@ -440,8 +454,10 @@ private:
         // std::from_chars is locale-independent, unlike strtod, which
         // would misparse "1.5" under a comma-decimal LC_NUMERIC.
         const auto res = std::from_chars(begin, end, n.value);
-        MCS_REQUIRE(res.ec == std::errc{}, "malformed JSON number");
-        pos_ += static_cast<std::size_t>(res.ptr - begin);
+        const auto len = static_cast<std::size_t>(res.ptr - begin);
+        MCS_REQUIRE(res.ec == std::errc{} && is_json_number({begin, len}),
+                    "malformed JSON number");
+        pos_ += len;
         // An integer token (-?[0-9]+) in 64-bit range also keeps its exact
         // value, which a double loses past 2^53.
         const bool negative = *begin == '-';

@@ -71,7 +71,7 @@ public:
 
     /// Restores a write_json() document by mutating metrics IN PLACE:
     /// references and pointers cached by hot paths (PowerManager,
-    /// TelemetryObserver) stay valid. Metrics absent from the document are
+    /// SystemObserverHub) stay valid. Metrics absent from the document are
     /// left untouched; layout conflicts throw RequireError.
     void load_state(const JsonValue& doc);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <string_view>
 
@@ -118,8 +119,8 @@ double Config::get_double(const std::string& key, double fallback) const {
         return fallback;
     }
     const auto parsed = parse_number<double>(*v);
-    MCS_REQUIRE(parsed.has_value(),
-                "config key '" + key + "' is not a number: " + *v);
+    MCS_REQUIRE(parsed.has_value() && std::isfinite(*parsed),
+                "config key '" + key + "' is not a finite number: " + *v);
     return *parsed;
 }
 

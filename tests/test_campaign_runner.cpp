@@ -106,6 +106,45 @@ TEST(CampaignSpec, ReplicasOutOfIntRangeRejected) {
     }
 }
 
+/// Expects `fn` to throw a RequireError whose message names `key`.
+template <typename Fn>
+void expect_rejects_naming(const std::string& key, const std::string& value,
+                           Fn&& fn) {
+    try {
+        fn();
+        ADD_FAILURE() << key << "=" << value << " was accepted";
+    } catch (const RequireError& e) {
+        EXPECT_NE(std::string(e.what()).find("'" + key + "'"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(CampaignSpec, SecondsMustFitTheSimulatedClock) {
+    for (const char* text : {"inf", "nan", "1e300", "-1", "0"}) {
+        Config cfg;
+        cfg.set("seconds", text);
+        expect_rejects_naming("seconds", text,
+                              [&] { (void)CampaignSpec::from_config(cfg); });
+    }
+}
+
+TEST(RunHorizon, SecondsMustFitTheSimulatedClock) {
+    // Nothing runs: run_horizon only reads the configuration and whether
+    // the system was restored.
+    const ManycoreSystem sys(SystemConfig{});
+    for (const char* text : {"-1", "1e300", "0", "18446744074"}) {
+        Config cfg;
+        cfg.set("seconds", text);
+        expect_rejects_naming("seconds", text,
+                              [&] { (void)run_horizon(cfg, sys, 10.0); });
+    }
+    Config cfg;
+    cfg.set("seconds", "2.5");
+    EXPECT_EQ(run_horizon(cfg, sys, 10.0), 2500 * kMillisecond);
+    EXPECT_EQ(run_horizon(Config{}, sys, 10.0), 10 * kSecond);
+}
+
 TEST(CampaignSpec, ReplicaSeedsAreStableAndDistinct) {
     CampaignSpec spec;
     spec.campaign_seed = 42;

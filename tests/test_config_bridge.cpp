@@ -216,7 +216,8 @@ TEST(ConfigFile, GetDoubleAcceptsPlainNumbersOnly) {
         c.set("occupancy", text);
         EXPECT_EQ(c.get_double("occupancy", 0.0), value) << text;
     }
-    for (const char* text : {"0,5", "0.5x", "", "+-1"}) {
+    for (const char* text :
+         {"0,5", "0.5x", "", "+-1", "inf", "nan", "infinity", "-inf"}) {
         Config c;
         c.set("occupancy", text);
         expect_rejects_naming(c, "occupancy", [](const Config& cfg) {

@@ -18,7 +18,7 @@ protected:
           budget_(chip_.tdp_w()) {}
 
     PowerManager make(PowerManagerParams p = {}) {
-        return PowerManager(chip_, model_, budget_, registry_, p);
+        return PowerManager(chip_, model_, budget_, registry_, tracer_, p);
     }
 
     /// One control epoch on the measurement the platform would pass: the
@@ -37,6 +37,7 @@ protected:
     PowerModel model_;
     PowerBudget budget_;
     telemetry::MetricsRegistry registry_;
+    telemetry::Tracer* tracer_ = nullptr;  ///< the tracer slot, left empty
 };
 
 TEST_F(PowerManagerTest, MeasuresChipPower) {

@@ -34,6 +34,7 @@
 #include "serve/service.hpp"
 #include "serve/snapshot_pool.hpp"
 #include "support/differential.hpp"
+#include "support/mutation.hpp"
 #include "telemetry/metrics_registry.hpp"
 #include "telemetry/run_report.hpp"
 #include "util/config.hpp"
@@ -211,6 +212,59 @@ TEST(HttpParser, SerializeResponseCarriesFraming) {
               std::string::npos);
 }
 
+/// Feeds `bytes` to a fresh parser in two segments and takes each parsed
+/// request off it, as the event loop does. Returns how many requests
+/// parsed and the state the parser was left in.
+std::pair<int, HttpRequestParser::State> drive_pipeline(
+    std::string_view bytes) {
+    using State = HttpRequestParser::State;
+    HttpRequestParser p;
+    int parsed = 0;
+    State s = State::NeedMore;
+    const std::size_t half = bytes.size() / 2;
+    for (const std::string_view segment :
+         {bytes.substr(0, half), bytes.substr(half)}) {
+        s = p.feed(segment);
+        while (s == State::Done) {
+            ++parsed;
+            s = p.next_request();
+        }
+        if (s == State::Error) {
+            EXPECT_GE(p.error_status(), 400);
+            EXPECT_LT(p.error_status(), 600);
+            break;
+        }
+    }
+    EXPECT_EQ(p.state(), s);
+    return {parsed, s};
+}
+
+TEST(HttpParser, EveryTruncationAndSeededEditOfAPipelineEndsCleanly) {
+    using State = HttpRequestParser::State;
+    const std::string stream =
+        "POST /whatif HTTP/1.1\r\nHost: t\r\nContent-Length: 5\r\n\r\n"
+        "hello"
+        "GET /healthz?x=1 HTTP/1.1\r\nConnection: keep-alive\r\n\r\n"
+        "GET /metrics HTTP/1.0\r\nHost: t\r\n\r\n";
+    ASSERT_EQ(drive_pipeline(stream), std::make_pair(3, State::NeedMore));
+    // A strict prefix is a pipeline still arriving, never an error.
+    testsupport::for_each_truncation(stream, [](std::string_view prefix) {
+        const auto [parsed, state] = drive_pipeline(prefix);
+        EXPECT_EQ(state, State::NeedMore) << prefix.size() << " bytes";
+        EXPECT_LT(parsed, 3) << prefix.size() << " bytes";
+    });
+    // An edited stream parses some requests and then waits or fails with
+    // a 4xx/5xx status; a crash or an exception fails the test.
+    int failed = 0;
+    testsupport::for_each_mutation(
+        stream, 20261027, 3000, [&](const std::string& edited) {
+            const auto [parsed, state] = drive_pipeline(edited);
+            EXPECT_LE(parsed, 4);
+            failed += state == State::Error ? 1 : 0;
+        });
+    EXPECT_GT(failed, 0);
+}
+
 // ----------------------------------------------------- canonicalization --
 
 TEST(WhatIfQuery, OverrideOrderAndNumberSpellingCanonicalize) {
@@ -284,6 +338,20 @@ TEST(WhatIfQuery, RejectsBadInput) {
             "{\"schema\":\"mcs.whatif_query.v1\",\"snapshot\":\"w\","
             "\"seconds\":-1}"),
         RequireError);
+    // A horizon past the simulated clock's range.
+    for (const char* seconds : {"1e300", "18446744074"}) {
+        try {
+            (void)serve::parse_whatif_query(
+                std::string("{\"schema\":\"mcs.whatif_query.v1\","
+                            "\"snapshot\":\"w\",\"seconds\":") +
+                seconds + "}");
+            ADD_FAILURE() << "seconds " << seconds << " was accepted";
+        } catch (const RequireError& e) {
+            EXPECT_NE(std::string(e.what()).find("'seconds'"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
     // Members of the wrong JSON kind.
     EXPECT_THROW(
         serve::parse_whatif_query(
@@ -298,6 +366,33 @@ TEST(WhatIfQuery, RejectsBadInput) {
     EXPECT_THROW(serve::parse_whatif_query("{\"schema\":"), RequireError);
     EXPECT_THROW(serve::parse_whatif_query(std::string(64, '[')),
                  RequireError);
+}
+
+TEST(WhatIfQuery, EveryTruncationAndSeededEditFailsCleanly) {
+    const std::string body =
+        "{\"schema\":\"mcs.whatif_query.v1\",\"snapshot\":\"warm\","
+        "\"overrides\":{\"scheduler\":\"greedy\",\"tdp_scale\":0.8,"
+        "\"abort_tests\":true},\"seconds\":1.5}";
+    const auto parses = [](std::string_view text) {
+        try {
+            (void)serve::parse_whatif_query(text);
+            return true;
+        } catch (const RequireError&) {
+            return false;
+        }
+    };
+    ASSERT_TRUE(parses(body));
+    testsupport::for_each_truncation(body, [&](std::string_view prefix) {
+        EXPECT_FALSE(parses(prefix)) << prefix;
+    });
+    // An edited body gives a WhatIfQuery or a RequireError; any other
+    // exception escapes and fails the test, and a crash fails the process.
+    int parsed = 0;
+    testsupport::for_each_mutation(
+        body, 20261026, 4000,
+        [&](const std::string& edited) { parsed += parses(edited) ? 1 : 0; });
+    EXPECT_GT(parsed, 0);
+    EXPECT_LT(parsed, 4000);
 }
 
 TEST(WhatIfQuery, AllowedOverridesAreThePolicyKnobs) {
@@ -413,6 +508,53 @@ Config serve_base_config() {
     cfg.set("max_tasks", "6");
     cfg.set("occupancy", "0.5");
     return cfg;
+}
+
+TEST(WhatIfQuery, AllowedOverridesKeepTheStructuralFingerprint) {
+    // A value other than the base's for every allowed key.
+    const std::map<std::string_view, std::string> changed = {
+        {"abort_tests", "false"},       {"capping", "bang-bang"},
+        {"criticality_mode", "time"},   {"criticality_threshold", "0.8"},
+        {"gate_delay_ms", "5"},         {"guard_band", "0.1"},
+        {"mapper", "random"},           {"scheduler", "greedy"},
+        {"tdp_scale", "0.8"},           {"test_period_ms", "250"},
+        {"vf_policy", "max-only"}};
+    const Config base = serve_base_config();
+    const SystemConfig base_cfg = system_config_from(base);
+    for (const std::string_view key : serve::kAllowedOverrides) {
+        ASSERT_EQ(changed.count(key), 1u) << key << " has no test value";
+        Config fork = base;
+        fork.set(std::string(key), changed.at(key));
+        const SystemConfig fork_cfg = system_config_from(fork);
+        EXPECT_NE(config_fingerprint(fork_cfg), config_fingerprint(base_cfg))
+            << key;
+        EXPECT_EQ(structural_fingerprint(fork_cfg),
+                  structural_fingerprint(base_cfg))
+            << key;
+    }
+    // Segmented sessions are structural, so a query may not ask for them.
+    struct Refused {
+        const char* key;
+        const char* config_value;
+        const char* json_value;
+    };
+    for (const Refused& r : {Refused{"segmented", "true", "true"},
+                             Refused{"sessions", "segmented",
+                                     "\"segmented\""}}) {
+        Config fork = base;
+        fork.set(r.key, r.config_value);
+        EXPECT_NE(structural_fingerprint(system_config_from(fork)),
+                  structural_fingerprint(base_cfg))
+            << r.key;
+        EXPECT_FALSE(serve::is_allowed_override(r.key));
+        EXPECT_THROW(
+            serve::parse_whatif_query(
+                std::string("{\"schema\":\"mcs.whatif_query.v1\","
+                            "\"snapshot\":\"w\",\"overrides\":{\"") +
+                r.key + "\":" + r.json_value + "}}"),
+            RequireError)
+            << r.key;
+    }
 }
 
 /// Runs the base config to 1 s, checkpointing at 400 ms, and returns the
@@ -1101,6 +1243,31 @@ TEST_F(HttpServerTest, RequestCapClosesOversizedPipeline) {
     EXPECT_EQ(r2.status, 200);
     EXPECT_EQ(r2.headers.at("connection"), "close");
     EXPECT_TRUE(client.at_eof());
+}
+
+TEST_F(HttpServerTest, ResponsesTheServerWritesAreCounted) {
+    start();
+    // The parser's rejections never reach the service's handler.
+    for (const auto& [request, status] :
+         {std::pair<std::string, int>{"NONSENSE\r\n\r\n", 400},
+          std::pair<std::string, int>{
+              "POST /whatif HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
+              501}}) {
+        TestClient client(server_->port());
+        client.send_all(request);
+        EXPECT_EQ(client.read_response().status, status);
+        EXPECT_TRUE(client.at_eof());
+    }
+    TestClient client(server_->port());
+    client.send_all("GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n");
+    const TestClient::Response metrics = client.read_response();
+    ASSERT_EQ(metrics.status, 200);
+    // The /metrics body is rendered before its own response is counted.
+    const telemetry::JsonValue counters =
+        telemetry::parse_json(metrics.body).at("counters");
+    EXPECT_EQ(counters.at("serve.responses_2xx").u64(), 0u);
+    EXPECT_EQ(counters.at("serve.responses_4xx").u64(), 1u);
+    EXPECT_EQ(counters.at("serve.responses_5xx").u64(), 1u);
 }
 
 TEST_F(HttpServerTest, IdleConnectionGets408) {

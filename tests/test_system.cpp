@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/system_observer.hpp"
 #include "util/require.hpp"
 
 namespace mcs {
@@ -23,6 +24,14 @@ SystemConfig small_config(std::uint64_t seed = 42) {
         rate_for_occupancy(0.5, cfg.workload.graphs, capacity);
     return cfg;
 }
+
+/// Keeps every trace sample of a run.
+struct SampleLog final : SystemObserver {
+    std::vector<TraceSample> samples;
+    void on_trace_sample(const TraceSample& s) override {
+        samples.push_back(s);
+    }
+};
 
 TEST(System, AppsFlowThrough) {
     ManycoreSystem sys(small_config());
@@ -184,13 +193,14 @@ TEST(System, EnergyAccountingConsistent) {
                 m.energy_total_j * 0.05);
 }
 
-TEST(System, TraceSinkReceivesSamples) {
+TEST(System, ObserverReceivesTraceSamples) {
     SystemConfig cfg = small_config();
     cfg.trace_epoch = 10 * kMillisecond;
     ManycoreSystem sys(cfg);
-    std::vector<TraceSample> samples;
-    sys.set_trace_sink([&](const TraceSample& s) { samples.push_back(s); });
+    SampleLog log;
+    sys.add_observer(&log);
     sys.run(kSecond);
+    const std::vector<TraceSample>& samples = log.samples;
     ASSERT_EQ(samples.size(), 100u);
     for (const auto& s : samples) {
         EXPECT_GT(s.total_power_w, 0.0);
@@ -224,9 +234,10 @@ TEST(System, DarkSiliconAppears) {
     SystemConfig cfg = small_config();
     cfg.workload.arrival_rate_hz = 5.0;
     ManycoreSystem sys(cfg);
-    std::vector<TraceSample> samples;
-    sys.set_trace_sink([&](const TraceSample& s) { samples.push_back(s); });
+    SampleLog log;
+    sys.add_observer(&log);
     sys.run(2 * kSecond);
+    const std::vector<TraceSample>& samples = log.samples;
     double dark = 0.0;
     for (const auto& s : samples) {
         dark += s.cores_dark;

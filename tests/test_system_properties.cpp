@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "core/system.hpp"
+#include "core/system_observer.hpp"
 #include "util/require.hpp"
 
 namespace mcs {
@@ -61,17 +62,22 @@ TEST_P(SystemProperty, InvariantsHold) {
     ManycoreSystem sys(cfg);
 
     // Trace invariants checked on every sample.
-    sys.set_trace_sink([&](const TraceSample& s) {
-        ASSERT_GE(s.total_power_w, 0.0);
-        ASSERT_NEAR(s.total_power_w,
-                    s.workload_power_w + s.test_power_w + s.other_power_w,
-                    1e-9);
-        ASSERT_GE(s.cores_busy, 0);
-        ASSERT_LE(s.cores_busy + s.cores_testing + s.cores_dark,
-                  pc.width * pc.height);
-        ASSERT_GE(s.max_temp_c, 20.0);
-        ASSERT_LE(s.max_temp_c, 150.0);
-    });
+    struct SampleInvariants final : SystemObserver {
+        int cores = 0;
+        void on_trace_sample(const TraceSample& s) override {
+            ASSERT_GE(s.total_power_w, 0.0);
+            ASSERT_NEAR(s.total_power_w,
+                        s.workload_power_w + s.test_power_w +
+                            s.other_power_w,
+                        1e-9);
+            ASSERT_GE(s.cores_busy, 0);
+            ASSERT_LE(s.cores_busy + s.cores_testing + s.cores_dark, cores);
+            ASSERT_GE(s.max_temp_c, 20.0);
+            ASSERT_LE(s.max_temp_c, 150.0);
+        }
+    } invariants;
+    invariants.cores = pc.width * pc.height;
+    sys.add_observer(&invariants);
 
     const RunMetrics m = sys.run(2 * kSecond);
 

@@ -191,7 +191,6 @@ TEST(JsonValue, IntegerReadsAcceptExactlyTheIntegerTokensInRange) {
     constexpr auto kI64Min = std::numeric_limits<std::int64_t>::min();
     const Row rows[] = {
         {"0", 0, 0},
-        {"007", 7, 7},
         {"18446744073709551615", std::numeric_limits<std::uint64_t>::max(),
          std::nullopt},
         {"9223372036854775808", std::uint64_t{1} << 63, std::nullopt},
@@ -217,6 +216,38 @@ TEST(JsonValue, IntegerReadsAcceptExactlyTheIntegerTokensInRange) {
         } else {
             EXPECT_THROW(v.i64(), RequireError) << row.token;
         }
+    }
+}
+
+TEST(JsonParser, NumbersFollowJsonGrammar) {
+    // -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? and nothing else, as
+    // a whole document and as a member value.
+    for (const char* token :
+         {"NaN", "nan", "-nan", "Infinity", "inf", "-inf", "infinity", ".5",
+          "-.5", "1.", "1.e3", "007", "-01", "00", "+1", "0x10", "1e",
+          "1e+", "-", "1e999", "1_0"}) {
+        EXPECT_THROW(parse_json(token), RequireError) << token;
+        EXPECT_THROW(parse_json(std::string("{\"a\":") + token + "}"),
+                     RequireError)
+            << token;
+        EXPECT_THROW(parse_json(std::string("[") + token + "]"), RequireError)
+            << token;
+    }
+    for (const auto& [token, value] :
+         std::vector<std::pair<const char*, double>>{{"0", 0.0},
+                                                     {"-0", -0.0},
+                                                     {"10", 10.0},
+                                                     {"-1.5", -1.5},
+                                                     {"0.25", 0.25},
+                                                     {"1e3", 1e3},
+                                                     {"1E+2", 1e2},
+                                                     {"2.5e-3", 2.5e-3}}) {
+        EXPECT_EQ(parse_json(token).number(), value) << token;
+        EXPECT_EQ(parse_json(std::string("{\"a\":") + token + "}")
+                      .at("a")
+                      .number(),
+                  value)
+            << token;
     }
 }
 

@@ -79,7 +79,6 @@ RULES = (
             "arch/chip.hpp",
             "sim/simulator.hpp",
             "mapping/mapper.hpp",
-            "telemetry/observer_adapter.hpp",
         ),
     ),
     *(Rule(files=f"src/{layer}/*.[ch]pp",

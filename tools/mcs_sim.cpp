@@ -61,7 +61,6 @@
 #include "scenario/scenario_runner.hpp"
 #include "telemetry/run_report.hpp"
 #include "telemetry/tracer.hpp"
-#include "util/csv.hpp"
 #include "util/require.hpp"
 
 using namespace mcs;
@@ -186,7 +185,6 @@ int run_sweep(const Config& args) {
 }
 
 int run_single(const Config& args) {
-    const double seconds = args.get_double("seconds", 10.0);
     const std::string out_dir = args.get_string("out_dir", "build/out");
     const std::string out = resolve_out(out_dir, args.get_string("out", ""));
     const std::string trace =
@@ -208,41 +206,31 @@ int run_single(const Config& args) {
         make_system(args, tracer ? &*tracer : nullptr);
     ManycoreSystem& sys = *built;
     const SystemConfig& cfg = sys.config();
+    const SimDuration horizon = run_horizon(args, sys, 10.0);
     if (!quiet) {
         std::printf("mcs_sim: %dx%d @ %s | scheduler %s | mapper %s | "
                     "%.1f apps/s | %.1f s\n\n",
                     cfg.width, cfg.height, to_string(cfg.node),
                     to_string(cfg.scheduler), to_string(cfg.mapper),
-                    cfg.workload.arrival_rate_hz, seconds);
+                    cfg.workload.arrival_rate_hz, to_seconds(horizon));
     }
-    const SimDuration horizon = run_horizon(args, sys, 10.0);
     const std::string checkpoint =
         resolve_out(out_dir, args.get_string("checkpoint", ""));
     if (!checkpoint.empty()) {
         MCS_REQUIRE(args.has("checkpoint_at"),
                     "checkpoint requires checkpoint_at=<seconds>");
-        sys.checkpoint_at(from_seconds(args.get_double("checkpoint_at", 0)),
-                          checkpoint);
+        sys.checkpoint_at(
+            checked_from_seconds(args.get_double("checkpoint_at", 0),
+                                 "checkpoint_at"),
+            checkpoint);
     } else {
         MCS_REQUIRE(!args.has("checkpoint_at"),
                     "checkpoint_at requires checkpoint=<path>");
     }
-    std::optional<CsvWriter> trace_csv;
+    std::optional<PowerTraceCsv> trace_csv;
     if (!power_trace.empty()) {
-        trace_csv.emplace(
-            power_trace,
-            std::vector<std::string>{"t_s", "workload_w", "test_w",
-                                     "other_w", "total_w", "tdp_w",
-                                     "busy", "testing", "dark",
-                                     "max_temp_c"});
-        sys.set_trace_sink([&](const TraceSample& s) {
-            trace_csv->write_row(std::vector<double>{
-                to_seconds(s.time), s.workload_power_w, s.test_power_w,
-                s.other_power_w, s.total_power_w, s.tdp_w,
-                static_cast<double>(s.cores_busy),
-                static_cast<double>(s.cores_testing),
-                static_cast<double>(s.cores_dark), s.max_temp_c});
-        });
+        trace_csv.emplace(power_trace);
+        sys.add_observer(&*trace_csv);
     }
 
     const RunMetrics m = sys.run(horizon);
